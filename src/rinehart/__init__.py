@@ -10,10 +10,10 @@ from .errors import (ArityMismatch, CharTwoUnsupported, IdealMismatch,
                      ParseError, RinehartError, RingMismatch, SpaceMismatch,
                      TwoNotAUnit, ValidationError)
 from .hypersurface import (HypersurfaceSpace, InducedConnection,
-                           SpaceFormReport, induced_connection, is_tangent,
-                           make_sphere, project_normal, project_tangent,
-                           quotient_equal, second_fundamental_form,
-                           spanning_fields, verify_space_form)
+                           SpaceFormReport, is_tangent, make_sphere,
+                           project_normal, project_tangent, quotient_equal,
+                           second_fundamental_form, spanning_fields,
+                           verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
                    divide_exact, divmod_poly, format_poly, ideal_member,
@@ -22,9 +22,9 @@ from .rings import (GroundScalar, PrimeField, QuadExt, Rationals,
                     RingDescriptor, ring_from_json)
 from .space import (ConstantCurvatureReport, EuclideanConnection,
                     KoszulConnection, LeviCivitaReport, RinehartSpace,
-                    check_constant_curvature, check_levi_civita, curvature,
-                    derive, differential, flat_connection, gradient,
-                    koszul_connection, lie_bracket)
+                    ambient_derivative, check_constant_curvature,
+                    check_levi_civita, curvature, derive, differential,
+                    gradient, lie_bracket)
 from .tensors import (Metric, OneForm, VectorField, flat, inner,
                       in_maximal_ideal_submodule, pairing, sharp)
 
@@ -39,11 +39,12 @@ __all__ = [
     "PrimeField", "PrincipalIdeal", "QuadExt", "QuotientElem", "Rationals",
     "RinehartError", "RinehartSpace", "RingDescriptor", "RingMismatch",
     "SpaceFormReport", "SpaceMismatch", "TwoNotAUnit", "UnitStatus",
-    "ValidationError", "VectorField", "check_constant_curvature",
+    "ValidationError", "VectorField", "ambient_derivative",
+    "check_constant_curvature",
     "check_levi_civita", "curvature", "derive", "differential",
-    "divide_exact", "divmod_poly", "flat", "flat_connection", "format_poly",
+    "divide_exact", "divmod_poly", "flat", "format_poly",
     "gradient", "ideal_member", "in_maximal_ideal_submodule",
-    "induced_connection", "inner", "is_tangent", "koszul_connection",
+    "inner", "is_tangent",
     "lie_bracket", "make_sphere", "normal_form", "pairing", "parse_poly",
     "parse_scalar", "parse_vector", "project_normal", "project_tangent",
     "quotient_equal", "quotient_is_unit", "ring_from_json",

@@ -31,14 +31,12 @@ from typing import Optional
 from . import __version__
 from .errors import (CharTwoUnsupported, NotAUnit, ParseError, RinehartError,
                      ValidationError)
-from .hypersurface import (HypersurfaceSpace, InducedConnection, make_sphere,
-                           project_normal, project_tangent, spanning_fields,
-                           verify_space_form)
+from .hypersurface import (HypersurfaceSpace, make_sphere, project_normal,
+                           project_tangent, spanning_fields, verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import QuotientElem
 from .rings import ring_from_json
-from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
-                    curvature, gradient)
+from .space import RinehartSpace, curvature, gradient
 from .suites import CHECK_NAMES, CheckResult, Workspace, run_checks
 from .tensors import Metric, VectorField
 
@@ -97,14 +95,15 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
         if metric_spec == "euclidean":
             metric = Metric.euclidean(ring, n, None)
         elif isinstance(metric_spec, dict) and "diag" in metric_spec:
-            if len(metric_spec["diag"]) != n:
+            if not isinstance(metric_spec["diag"], list) or len(metric_spec["diag"]) != n:
                 raise ValidationError("metric", f"diagonal needs {n} entries")
             diag = [QuotientElem(parse_poly(text, ring, names), None)
                     for text in metric_spec["diag"]]
             metric = Metric.diagonal(diag)
         elif isinstance(metric_spec, dict) and "matrix" in metric_spec:
             rows = metric_spec["matrix"]
-            if len(rows) != n or any(len(row) != n for row in rows):
+            if (not isinstance(rows, list) or len(rows) != n
+                    or any(not isinstance(row, list) or len(row) != n for row in rows)):
                 raise ValidationError("metric", f"matrix must be {n} x {n}")
             metric = Metric(tuple(
                 tuple(QuotientElem(parse_poly(text, ring, names), None) for text in row)
@@ -162,10 +161,10 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
             raise ValidationError("checks", f"unknown checks: {', '.join(unknown)}")
 
     seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError("seed", "must be a nonnegative integer")
     max_degree = spec.get("max_degree", 2)
-    if not isinstance(max_degree, int) or max_degree < 1:
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int) or max_degree < 1:
         raise ValidationError("max_degree", "must be a positive integer")
 
     workspace = Workspace(space=space, hyper=hyper, c=c_scalar)
@@ -207,11 +206,9 @@ def _report_text(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _result_json(command: str, result, extra: Optional[dict] = None) -> str:
+def _result_json(command: str, result) -> str:
     payload = {"schema_version": 1, "engine_version": __version__,
                "command": command, "result": result}
-    if extra:
-        payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -232,21 +229,36 @@ def _spanning_text(ws: Workspace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_report(ws: Workspace, args, results) -> None:
+    spanning = args.spanning and ws.hyper is not None
+    if args.json:
+        extra = {"spanning": _spanning_payload(ws)} if spanning else None
+        sys.stdout.write(_report_json(results, extra))
+    else:
+        if spanning:
+            sys.stdout.write(_spanning_text(ws))
+        sys.stdout.write(_report_text(results))
+
+
+def _emit_field(args, space, value: VectorField) -> int:
+    result = _field_strings(space, value)
+    if args.json:
+        sys.stdout.write(_result_json(args.command, result))
+    else:
+        sys.stdout.write("[" + ", ".join(result) + "]\n")
+    return 0
+
+
+def _working_space(ws: Workspace):
+    return ws.hyper.quotient if ws.hyper is not None else ws.space
+
+
 def _parse_field(ws: Workspace, text: str) -> VectorField:
-    space = ws.hyper.quotient if ws.hyper is not None else ws.space
+    space = _working_space(ws)
     polys = parse_vector(text, space.ring, space.var_names)
     if len(polys) != space.nvars:
         raise ValidationError("field", f"expected {space.nvars} components")
     return space.field(polys)
-
-
-def _connection_for(ws: Workspace):
-    if ws.hyper is not None:
-        return InducedConnection(ws.hyper), ws.hyper.quotient
-    space = ws.space
-    if space.metric.is_euclidean():
-        return EuclideanConnection(space), space
-    return KoszulConnection(space), space
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +270,7 @@ def _cmd_check(ws, meta, args) -> int:
     max_degree = args.max_degree if args.max_degree is not None else meta.max_degree
     results = run_checks(ws, names=meta.checks, seed=seed,
                          max_degree=max_degree, cases=DEFAULT_CASES)
-    extra = {}
-    if args.spanning and ws.hyper is not None:
-        extra["spanning"] = _spanning_payload(ws)
-    if args.json:
-        sys.stdout.write(_report_json(results, extra or None))
-    else:
-        if args.spanning and ws.hyper is not None:
-            sys.stdout.write(_spanning_text(ws))
-        sys.stdout.write(_report_text(results))
+    _emit_report(ws, args, results)
     return 1 if any(r.status == "fail" for r in results) else 0
 
 
@@ -288,55 +292,29 @@ def _cmd_space_form(ws, meta, args) -> int:
     else:
         detail = "constant curvature identity fails"
     results = [CheckResult("space-form", status, detail, report.counterexample, 0.0)]
-    extra = {}
-    if args.spanning:
-        extra["spanning"] = _spanning_payload(ws)
-    if args.json:
-        sys.stdout.write(_report_json(results, extra or None))
-    else:
-        if args.spanning:
-            sys.stdout.write(_spanning_text(ws))
-        sys.stdout.write(_report_text(results))
+    _emit_report(ws, args, results)
     return 0 if report.ok else 1
 
 
 def _cmd_connection(ws, meta, args) -> int:
-    conn, space = _connection_for(ws)
+    conn = ws.connection
     x = _parse_field(ws, args.x)
     y = _parse_field(ws, args.y)
-    value = conn(x, y)
-    result = _field_strings(space, value)
-    if args.json:
-        sys.stdout.write(_result_json("connection", result))
-    else:
-        sys.stdout.write("[" + ", ".join(result) + "]\n")
-    return 0
+    return _emit_field(args, _working_space(ws), conn(x, y))
 
 
 def _cmd_curvature(ws, meta, args) -> int:
-    conn, space = _connection_for(ws)
+    conn = ws.connection
+    space = _working_space(ws)
     x = _parse_field(ws, args.x)
     y = _parse_field(ws, args.y)
     z = _parse_field(ws, args.z)
-    value = curvature(space, conn, x, y, z)
-    result = _field_strings(space, value)
-    if args.json:
-        sys.stdout.write(_result_json("curvature", result))
-    else:
-        sys.stdout.write("[" + ", ".join(result) + "]\n")
-    return 0
+    return _emit_field(args, space, curvature(space, conn, x, y, z))
 
 
 def _cmd_gradient(ws, meta, args) -> int:
-    space = ws.hyper.quotient if ws.hyper is not None else ws.space
-    f = space.fn(args.f)
-    value = gradient(space, f)
-    result = _field_strings(space, value)
-    if args.json:
-        sys.stdout.write(_result_json("gradient", result))
-    else:
-        sys.stdout.write("[" + ", ".join(result) + "]\n")
-    return 0
+    space = _working_space(ws)
+    return _emit_field(args, space, gradient(space, space.fn(args.f)))
 
 
 def _cmd_project(ws, meta, args) -> int:

@@ -18,8 +18,8 @@ from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
 from .poly import Poly, PrincipalIdeal, QuotientElem, UnitStatus, unit_status
 from .rings import GroundScalar, RingDescriptor
-from .space import (RinehartSpace, check_constant_curvature, derive,
-                    gradient)
+from .space import (RinehartSpace, ambient_derivative,
+                    check_constant_curvature, gradient)
 from .tensors import VectorField, inner
 
 
@@ -54,12 +54,12 @@ class HypersurfaceSpace:
         q_fn = ambient.coerce_fn(q)
         nn = inner(normal, normal, ambient.metric)
         witness = ambient.constant(ambient.ring.one()) - q_fn * nn
-        if not QuotientElem.reduce(witness.rep, ideal).is_zero():
+        if not QuotientElem(witness.rep, ideal).is_zero():
             raise ValueError("1 - q<N, N> does not lie in the ideal (f)")
         quotient = RinehartSpace.with_metric(ambient.ring, ambient.var_names,
                                              ambient.metric, ideal)
         return HypersurfaceSpace(ambient, generator, ideal, normal,
-                                 QuotientElem.reduce(q_fn.rep, ideal), quotient)
+                                 QuotientElem(q_fn.rep, ideal), quotient)
 
     # -- coercion -------------------------------------------------------------
 
@@ -69,7 +69,7 @@ class HypersurfaceSpace:
             return x
         if x.space != self.ambient:
             raise SpaceMismatch("field belongs to neither the ambient nor the quotient space")
-        coeffs = tuple(QuotientElem.reduce(c.rep, self.ideal) for c in x.coeffs)
+        coeffs = tuple(QuotientElem(c.rep, self.ideal) for c in x.coeffs)
         return VectorField(self.quotient, coeffs)
 
     def to_ambient(self, x: VectorField) -> VectorField:
@@ -174,17 +174,9 @@ class InducedConnection:
             raise NotTangent("x")
         if not is_tangent(hyper, yq):
             raise NotTangent("y")
-        space = hyper.quotient
-        ambient_part = VectorField(space, tuple(
-            derive(space, xq, yq.coeffs[k]) for k in range(space.nvars)))
-        value = project_tangent(hyper, ambient_part)
+        value = project_tangent(hyper, ambient_derivative(hyper.quotient, xq, yq))
         self._memo[key] = value
         return value
-
-
-def induced_connection(hyper: HypersurfaceSpace, x: VectorField,
-                       y: VectorField) -> VectorField:
-    return InducedConnection(hyper)(x, y)
 
 
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
@@ -196,10 +188,27 @@ def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
         raise NotTangent("x")
     if not is_tangent(hyper, yq):
         raise NotTangent("y")
+    return project_normal(hyper, ambient_derivative(hyper.quotient, xq, yq))
+
+
+def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:
+    """delta_ij - c x_i x_j, the induced metric <Y_i, Y_j> of a sphere of curvature c."""
+    return (space.constant(space.ring.from_int(1 if i == j else 0))
+            - space.constant(c) * space.coordinate(i) * space.coordinate(j))
+
+
+def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar) -> Optional[dict]:
+    """The first pair with <Y_i, Y_j> != delta_ij - c x_i x_j as a counterexample, or None."""
     space = hyper.quotient
-    ambient_part = VectorField(space, tuple(
-        derive(space, xq, yq.coeffs[k]) for k in range(space.nvars)))
-    return project_normal(hyper, ambient_part)
+    spanning = spanning_fields(hyper)
+    for i, yi in enumerate(spanning):
+        for j, yj in enumerate(spanning):
+            got = inner(yi, yj, space.metric)
+            want = sphere_metric_entry(space, c, i, j)
+            if got != want:
+                return {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got),
+                        "want": space.format_fn(want)}
+    return None
 
 
 @dataclass(frozen=True)
@@ -223,20 +232,11 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormRep
     space = hyper.quotient
     if c.ring != space.ring:
         raise NotAUnit("curvature constant belongs to a different ring")
-    spanning = spanning_fields(hyper)
-    metric = space.metric
-    c_fn = space.constant(c)
-    for i, yi in enumerate(spanning):
-        for j, yj in enumerate(spanning):
-            got = inner(yi, yj, metric)
-            want = space.constant(space.ring.from_int(1 if i == j else 0)) \
-                - c_fn * space.coordinate(i) * space.coordinate(j)
-            if got != want:
-                ce = {"identity": "induced-metric", "pair": f"({i + 1}, {j + 1})",
-                      "got": space.format_fn(got), "want": space.format_fn(want)}
-                return SpaceFormReport(False, True, ce)
-    conn = InducedConnection(hyper)
-    report = check_constant_curvature(space, conn, c, spanning)
+    gap = induced_metric_gap(hyper, c)
+    if gap is not None:
+        return SpaceFormReport(False, True, {"identity": "induced-metric", **gap})
+    report = check_constant_curvature(space, InducedConnection(hyper), c,
+                                      spanning_fields(hyper))
     if not report.ok:
         return SpaceFormReport(True, False, report.counterexample)
     return SpaceFormReport(True, True, None)

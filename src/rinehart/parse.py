@@ -165,6 +165,8 @@ class _Parser:
 
 def parse_poly(text: str, ring: RingDescriptor, names) -> Poly:
     """Parse a polynomial string over the given ring and variable names."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a polynomial string, got {type(text).__name__}")
     parser = _Parser(text, ring, list(names))
     poly = parser.parse_expr()
     end = parser.peek()

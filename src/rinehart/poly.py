@@ -308,10 +308,6 @@ class QuotientElem:
         if any(mono_divides(lm, e) for e, _ in self.rep.terms):
             object.__setattr__(self, "rep", normal_form(self.rep, self.ideal))
 
-    @staticmethod
-    def reduce(p: Poly, ideal: Optional[PrincipalIdeal]) -> "QuotientElem":
-        return QuotientElem(p, ideal)
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -377,11 +373,13 @@ class QuotientElem:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return QuotientElem.reduce(self.rep * coerced.rep, self.ideal)
+        return QuotientElem(self.rep * coerced.rep, self.ideal)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a quotient element")
         out = self._coerce(1)
         base = self
         for _ in range(k):

@@ -9,6 +9,7 @@ into a proof for the sampled instance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 
@@ -35,12 +36,14 @@ def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
     return rng.choice(scalar_pool(ring))
 
 
-def monomials_up_to(nvars: int, max_degree: int) -> list:
-    """All exponent vectors with total degree at most max_degree."""
-    out = [m for m in product(range(max_degree + 1), repeat=nvars)
-           if sum(m) <= max_degree]
-    out.sort()
-    return out
+@lru_cache(maxsize=None)
+def monomials_up_to(nvars: int, max_degree: int) -> tuple:
+    """All exponent vectors with total degree at most max_degree, sorted.
+
+    Enumerated once per (nvars, max_degree) and shared as an immutable tuple.
+    """
+    return tuple(sorted(m for m in product(range(max_degree + 1), repeat=nvars)
+                        if sum(m) <= max_degree))
 
 
 def random_poly(rng: Random, ring: RingDescriptor, nvars: int,

@@ -19,8 +19,8 @@ from .parse import parse_poly
 from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
                    format_poly, unit_status)
 from .rings import GroundScalar, RingDescriptor
-from .tensors import (Metric, OneForm, VectorField, flat, inner, pairing,
-                      sharp)
+from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, inner,
+                      pairing, sharp)
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class RinehartSpace:
 
     def fn(self, text: str) -> QuotientElem:
         """Parse a polynomial string into a reduced function."""
-        return QuotientElem.reduce(parse_poly(text, self.ring, self.var_names), self.ideal)
+        return QuotientElem(parse_poly(text, self.ring, self.var_names), self.ideal)
 
     def poly_fn(self, p: Poly) -> QuotientElem:
-        return QuotientElem.reduce(p, self.ideal)
+        return QuotientElem(p, self.ideal)
 
     def coerce_fn(self, value) -> QuotientElem:
         if isinstance(value, QuotientElem):
@@ -72,10 +72,10 @@ class RinehartSpace:
         raise TypeError(f"cannot interpret {value!r} as a function")
 
     def constant(self, c: GroundScalar) -> QuotientElem:
-        return QuotientElem.reduce(Poly.constant(self.ring, self.nvars, c), self.ideal)
+        return QuotientElem(Poly.constant(self.ring, self.nvars, c), self.ideal)
 
     def coordinate(self, i: int) -> QuotientElem:
-        return QuotientElem.reduce(Poly.variable(self.ring, self.nvars, i), self.ideal)
+        return QuotientElem(Poly.variable(self.ring, self.nvars, i), self.ideal)
 
     # -- module elements -----------------------------------------------------
 
@@ -122,7 +122,7 @@ def _check_field(space: RinehartSpace, x: VectorField):
 def differential(space: RinehartSpace, f: QuotientElem) -> OneForm:
     """df = sum_i (partial f / partial x_i) om_i on the canonical representative."""
     _check_fn(space, f)
-    coeffs = tuple(QuotientElem.reduce(f.rep.diff(i), space.ideal)
+    coeffs = tuple(QuotientElem(f.rep.diff(i), space.ideal)
                    for i in range(space.nvars))
     return OneForm(space, coeffs)
 
@@ -141,13 +141,16 @@ def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
     return sharp(df, space.metric)
 
 
-def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^k = d_X Y^k - d_Y X^k; coordinate fields commute."""
+def ambient_derivative(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
+    """The componentwise derivative sum_k (d_X Y^k) X_k."""
     _check_field(space, x)
     _check_field(space, y)
-    coeffs = tuple(derive(space, x, y.coeffs[k]) - derive(space, y, x.coeffs[k])
-                   for k in range(space.nvars))
-    return VectorField(space, coeffs)
+    return VectorField(space, tuple(derive(space, x, c) for c in y.coeffs))
+
+
+def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y] = D(X, Y) - D(Y, X) for the ambient derivative D; coordinate fields commute."""
+    return ambient_derivative(space, x, y) - ambient_derivative(space, y, x)
 
 
 class EuclideanConnection:
@@ -163,11 +166,7 @@ class EuclideanConnection:
         self.space = space
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
-        space = self.space
-        _check_field(space, x)
-        _check_field(space, y)
-        coeffs = tuple(derive(space, x, y.coeffs[k]) for k in range(space.nvars))
-        return VectorField(space, coeffs)
+        return ambient_derivative(self.space, x, y)
 
 
 class KoszulConnection:
@@ -193,12 +192,7 @@ class KoszulConnection:
             raise TwoNotAUnit("the Koszul formula needs 2 invertible")
         self.space = space
         self._half = space.constant(two.inverse())
-        metric = space.metric
-        det = metric.det()
-        status, det_inv = unit_status(det)
-        self._det = det
-        self._det_inv = det_inv
-        self._adj = metric.adjugate()
+        _, self._det_inv = unit_status(space.metric.det())
         self._gamma: dict = {}
         self.fully_solvable = True
         n = space.nvars
@@ -223,9 +217,9 @@ class KoszulConnection:
         g = space.metric.entries
         out = []
         for k in range(space.nvars):
-            s = (QuotientElem.reduce(g[j][k].rep.diff(i), space.ideal)
-                 + QuotientElem.reduce(g[i][k].rep.diff(j), space.ideal)
-                 - QuotientElem.reduce(g[i][j].rep.diff(k), space.ideal))
+            s = (QuotientElem(g[j][k].rep.diff(i), space.ideal)
+                 + QuotientElem(g[i][k].rep.diff(j), space.ideal)
+                 - QuotientElem(g[i][j].rep.diff(k), space.ideal))
             out.append(self._half * s)
         return tuple(out)
 
@@ -254,18 +248,16 @@ class KoszulConnection:
 
     def _solve(self, beta: tuple) -> Optional[tuple]:
         """Solve G v = beta exactly, or return None."""
-        n = self.space.nvars
-        raised = tuple(
-            sum((self._adj[k][j] * beta[j] for j in range(1, n)),
-                self._adj[k][0] * beta[0])
-            for k in range(n))
+        metric = self.space.metric
+        raised = apply_matrix(metric.adjugate(), beta)
         if self._det_inv is not None:
             return tuple(self._det_inv * w for w in raised)
         if self.space.ideal is not None or not self.space.ring.is_field():
             return None
+        det = metric.det()
         out = []
         for w in raised:
-            q = divide_exact(w.rep, self._det.rep)
+            q = divide_exact(w.rep, det.rep)
             if q is None:
                 return None
             out.append(QuotientElem(q, None))
@@ -273,15 +265,12 @@ class KoszulConnection:
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
         space = self.space
-        _check_field(space, x)
-        _check_field(space, y)
         if not self.fully_solvable:
             value = self._solve(self.form(x, y).coeffs)
             if value is None:
                 raise MetricNotMusical("Koszul value has no exact solution for this pair")
             return VectorField(space, value)
-        coeffs = [derive(space, x, y.coeffs[k]) for k in range(space.nvars)]
-        acc = VectorField(space, tuple(coeffs))
+        acc = ambient_derivative(space, x, y)
         for i in range(space.nvars):
             xi = x.coeffs[i]
             if xi.is_zero():
@@ -292,14 +281,6 @@ class KoszulConnection:
                     continue
                 acc = acc + g * VectorField(space, self._gamma[(i, j)])
         return acc
-
-
-def flat_connection(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    return EuclideanConnection(space)(x, y)
-
-
-def koszul_connection(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    return KoszulConnection(space)(x, y)
 
 
 def curvature(space: RinehartSpace, conn: Callable, x: VectorField,

@@ -10,6 +10,7 @@ certified unit determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MetricNotMusical, SpaceMismatch
 from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
@@ -100,8 +101,8 @@ class Metric:
 
     @staticmethod
     def euclidean(ring, nvars: int, ideal: PrincipalIdeal | None) -> "Metric":
-        one = QuotientElem.reduce(Poly.constant(ring, nvars, ring.one()), ideal)
-        zero = QuotientElem.reduce(Poly.zero(ring, nvars), ideal)
+        one = QuotientElem(Poly.constant(ring, nvars, ring.one()), ideal)
+        zero = QuotientElem(Poly.zero(ring, nvars), ideal)
         rows = tuple(tuple(one if i == j else zero for j in range(nvars)) for i in range(nvars))
         return Metric(rows)
 
@@ -131,7 +132,7 @@ class Metric:
         return all(e.is_constant() for row in self.entries for e in row)
 
     def reduce(self, ideal: PrincipalIdeal | None) -> "Metric":
-        rows = tuple(tuple(QuotientElem.reduce(e.rep, ideal) for e in row)
+        rows = tuple(tuple(QuotientElem(e.rep, ideal) for e in row)
                      for row in self.entries)
         return Metric(rows)
 
@@ -149,12 +150,23 @@ class Metric:
             acc = piece if acc is None else acc + piece
         return acc
 
+    # The cofactor expansions run at most once per metric: the values are
+    # kept on the instance, and det() and adjugate() are their only readers.
+
     def det(self) -> QuotientElem:
-        idx = tuple(range(self.n))
-        return self._minor_det(idx, idx)
+        return self._det
 
     def adjugate(self) -> tuple:
         """Matrix of cofactors transposed; adj(G) * G = det(G) * I."""
+        return self._adjugate
+
+    @cached_property
+    def _det(self) -> QuotientElem:
+        idx = tuple(range(self.n))
+        return self._minor_det(idx, idx)
+
+    @cached_property
+    def _adjugate(self) -> tuple:
         n = self.n
         idx = tuple(range(n))
         rows = []
@@ -224,4 +236,4 @@ def in_maximal_ideal_submodule(x: VectorField, ideal: PrincipalIdeal,
                                metric: Metric) -> bool:
     """Whether <X, Y> lies in (f) for every Y, i.e. G*X vanishes mod (f)."""
     lowered = flat(x, metric)
-    return all(QuotientElem.reduce(c.rep, ideal).is_zero() for c in lowered.coeffs)
+    return all(QuotientElem(c.rep, ideal).is_zero() for c in lowered.coeffs)

@@ -10,9 +10,8 @@ import time
 
 from rinehart import (EuclideanConnection, KoszulConnection, Metric,
                       PrimeField, Rationals, RinehartSpace, check_levi_civita,
-                      curvature, derive, flat_connection, inner,
-                      koszul_connection, lie_bracket, make_sphere, pairing,
-                      spanning_fields, verify_space_form)
+                      curvature, derive, inner, lie_bracket, make_sphere,
+                      pairing, spanning_fields, verify_space_form)
 from rinehart.cli import main
 from rinehart.hypersurface import InducedConnection
 from rinehart.randgen import random_field
@@ -108,7 +107,7 @@ def test_criterion_6_fundamental_theorem_consistency():
     for i in range(2):
         for j in range(2):
             xi, xj = sp.basis_field(i), sp.basis_field(j)
-            ok &= koszul_connection(sp, xi, xj) == flat_connection(sp, xi, xj)
+            ok &= KoszulConnection(sp)(xi, xj) == EuclideanConnection(sp)(xi, xj)
     helper = RinehartSpace.euclidean(Q, ("x1", "x2"))
     metric = Metric.diagonal((helper.fn("1"), helper.fn("x1^2 + 1")))
     sp2 = RinehartSpace.with_metric(Q, ("x1", "x2"), metric)

@@ -74,6 +74,24 @@ def test_rejects_unknown_check_names(tmp_path, capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("fields", [
+    {"metric": {"diag": 3}},
+    {"metric": {"diag": [1, 2]}},
+    {"metric": {"matrix": 3}},
+    {"metric": {"matrix": [1, 2]}},
+    {"metric": {"matrix": [[1, 0], [0, 1]]}},
+    {"quotient": {"generator": 5, "q": "1"}},
+    {"quotient": {"generator": "x^2 + y^2 - 1", "q": 1}},
+    {"seed": True},
+    {"max_degree": True},
+])
+def test_rejects_malformed_field_types(tmp_path, capsys, fields):
+    code, _, err = run(capsys, ["check", write_spec(tmp_path, dict(BASE, **fields))])
+    assert code == 2
+    assert err.startswith("error[ValidationError]")
+    assert "Traceback" not in err
+
+
 def test_rejects_asymmetric_matrix(tmp_path, capsys):
     spec = dict(BASE, metric={"matrix": [["1", "x"], ["0", "1"]]})
     code, _, err = run(capsys, ["check", write_spec(tmp_path, spec)])

@@ -12,11 +12,11 @@ Frozen values, derived by hand for the circle x^2 + y^2 = 1 (c = 1):
 
 import pytest
 
-from rinehart import (CharTwoUnsupported, HypersurfaceSpace,
-                      InducedConnection, NotAUnit, NotTangent, PrimeField,
-                      QuadExt, QuotientElem, Rationals, curvature, derive,
-                      flat_connection, induced_connection, inner, is_tangent,
-                      lie_bracket, make_sphere, parse_poly, project_normal,
+from rinehart import (CharTwoUnsupported, EuclideanConnection,
+                      HypersurfaceSpace, InducedConnection, NotAUnit,
+                      NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
+                      curvature, derive, inner, is_tangent, lie_bracket,
+                      make_sphere, parse_poly, project_normal,
                       project_tangent, quotient_equal,
                       second_fundamental_form, spanning_fields,
                       verify_space_form)
@@ -241,7 +241,7 @@ def test_gauss_split_random_tangents():
         y = project_tangent(hyper, random_field(rng, hyper.quotient, 2))
         whole = VectorField(sp, tuple(
             derive(sp, x, y.coeffs[k]) for k in range(sp.nvars)))
-        split = induced_connection(hyper, x, y) + second_fundamental_form(hyper, x, y)
+        split = InducedConnection(hyper)(x, y) + second_fundamental_form(hyper, x, y)
         assert quotient_equal(hyper, whole, split)
 
 
@@ -275,7 +275,7 @@ def test_representative_independence():
         x_lift = hyper.to_ambient(x) + gen * w
         y_lift = hyper.to_ambient(y) + gen * v
         moved = project_tangent(hyper, hyper.to_quotient(
-            flat_connection(amb, x_lift, y_lift)))
+            EuclideanConnection(amb)(x_lift, y_lift)))
         assert quotient_equal(hyper, moved, conn(x, y))
 
 

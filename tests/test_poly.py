@@ -279,6 +279,14 @@ def test_quotient_always_reduced():
     assert (v * v + QuotientElem(y, ideal) ** 2).rep == Poly.constant(Q, 2, Q.one())
 
 
+def test_quotient_negative_power_rejected():
+    ideal = _sphere_ideal(3, Q)
+    u = QuotientElem(Poly.variable(Q, 3, 0) + Poly.constant(Q, 3, Q.one()), ideal)
+    assert u ** 0 == QuotientElem(Poly.constant(Q, 3, Q.one()), ideal)
+    with pytest.raises(ValueError):
+        u ** -1
+
+
 def test_quotient_equality_is_rep_equality():
     ideal = _sphere_ideal(2, Q)
     x = Poly.variable(Q, 2, 0)

@@ -16,9 +16,10 @@ from rinehart import (EuclideanConnection, KoszulConnection, Metric,
                       MetricNotMusical, NotEuclidean, PrimeField, QuadExt,
                       Rationals, RinehartSpace, TwoNotAUnit,
                       check_constant_curvature, check_levi_civita, curvature,
-                      derive, differential, flat, flat_connection, gradient,
-                      inner, koszul_connection, lie_bracket, pairing)
+                      derive, differential, flat, gradient, inner,
+                      lie_bracket, pairing)
 from rinehart.randgen import random_field, random_fn
+from rinehart.suites import Workspace, run_checks
 from conftest import seeded
 
 Q = Rationals()
@@ -139,7 +140,7 @@ def test_anchor_law():
 
 def test_flat_connection_componentwise():
     sp = _sp()
-    v = flat_connection(sp, sp.basis_field(0), sp.fn("x^2") * sp.basis_field(1))
+    v = EuclideanConnection(sp)(sp.basis_field(0), sp.fn("x^2") * sp.basis_field(1))
     assert v.coeffs == (sp.fn("0"), sp.fn("2*x"))
 
 
@@ -147,7 +148,7 @@ def test_flat_connection_requires_euclidean():
     sp = RinehartSpace.with_metric(
         Q, ("x", "y"), Metric.diagonal((_sp().fn("2"), _sp().fn("3"))))
     with pytest.raises(NotEuclidean):
-        flat_connection(sp, sp.basis_field(0), sp.basis_field(1))
+        EuclideanConnection(sp)(sp.basis_field(0), sp.basis_field(1))
 
 
 def test_flat_connection_is_flat_and_levi_civita():
@@ -177,7 +178,7 @@ def test_koszul_equals_flat_on_euclidean():
         x = random_field(rng, sp, 2)
         y = random_field(rng, sp, 2)
         assert kz(x, y) == fl(x, y)
-        assert koszul_connection(sp, x, y) == flat_connection(sp, x, y)
+        assert KoszulConnection(sp)(x, y) == EuclideanConnection(sp)(x, y)
 
 
 def test_koszul_constant_diagonal_metric_has_zero_gamma():
@@ -212,9 +213,9 @@ def test_koszul_rejects_char_two():
     ring = PrimeField(2)
     sp = RinehartSpace.euclidean(ring, ("x", "y"))
     with pytest.raises(TwoNotAUnit):
-        koszul_connection(sp, sp.basis_field(0), sp.basis_field(1))
+        KoszulConnection(sp)(sp.basis_field(0), sp.basis_field(1))
     # the componentwise flat connection stays available in characteristic 2
-    v = flat_connection(sp, sp.basis_field(0), sp.fn("x*y") * sp.basis_field(0))
+    v = EuclideanConnection(sp)(sp.basis_field(0), sp.fn("x*y") * sp.basis_field(0))
     assert v.coeffs == (sp.fn("y"), sp.fn("0"))
 
 
@@ -328,3 +329,22 @@ def test_quad_ext_space_calculus():
     f = sp.fn("al*x^2")
     g = gradient(sp, f)
     assert g.coeffs == (sp.fn("2*al*x"), sp.fn("0"))
+
+
+def test_run_checks_builds_one_koszul_connection(monkeypatch):
+    helper = _sp()
+    metric = Metric(((helper.fn("x^2 + 1"), helper.fn("x")),
+                     (helper.fn("x"), helper.fn("1"))))
+    ws = Workspace(RinehartSpace.with_metric(Q, ("x", "y"), metric))
+    builds = []
+    original = KoszulConnection.__init__
+
+    def counting(self, space):
+        builds.append(space)
+        original(self, space)
+
+    monkeypatch.setattr(KoszulConnection, "__init__", counting)
+    results = {r.name: r.status for r in run_checks(ws, cases=3)}
+    assert len(builds) == 1
+    for name in ("connection-leibniz", "curvature-tensorial", "levi-civita"):
+        assert results[name] == "pass"

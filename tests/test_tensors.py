@@ -107,6 +107,24 @@ def test_sharp_requires_certified_unit_determinant():
         sharp(sp.basis_form(0), singular)
 
 
+def test_sharp_reuses_det_and_adjugate(monkeypatch):
+    sp = _space()
+    g = Metric(((sp.fn("x^2 + 1"), sp.fn("x")), (sp.fn("x"), sp.fn("1"))))
+    minors = []
+    original = Metric._minor_det
+
+    def counting(self, rows, cols):
+        minors.append(rows)
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(Metric, "_minor_det", counting)
+    first = sharp(sp.basis_form(0), g)
+    after_first = len(minors)
+    assert after_first > 0
+    assert sharp(sp.basis_form(0), g) == first
+    assert len(minors) == after_first
+
+
 def test_inner_is_symmetric_and_bilinear():
     rng = seeded("tensors-inner")
     sp = _space()
