@@ -5,10 +5,10 @@ principal ideal) with exact coefficient arithmetic, so every verified
 identity is a proof, not a numerical observation.
 """
 
-from .errors import (ArityMismatch, CharTwoUnsupported, IdealMismatch,
-                     MetricNotMusical, NotAUnit, NotEuclidean, NotTangent,
-                     ParseError, RinehartError, RingMismatch, SpaceMismatch,
-                     TwoNotAUnit, ValidationError)
+from .errors import (ArityMismatch, CharTwoUnsupported, DegreeOverflow,
+                     IdealMismatch, MetricNotMusical, NotAUnit, NotEuclidean,
+                     NotTangent, ParseError, RinehartError, RingMismatch,
+                     SpaceMismatch, TwoNotAUnit, ValidationError)
 from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            SpaceFormReport, is_tangent, make_sphere,
                            project_normal, project_tangent, quotient_equal,
@@ -32,6 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch", "CharTwoUnsupported", "ConstantCurvatureReport",
+    "DegreeOverflow",
     "EuclideanConnection", "GroundScalar", "HypersurfaceSpace",
     "IdealMismatch", "InducedConnection", "KoszulConnection",
     "LeviCivitaReport", "Metric", "MetricNotMusical", "NotAUnit",

@@ -110,9 +110,7 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
                 for row in rows))
         else:
             raise ValidationError("metric", "must be 'euclidean', {'diag': ...} or {'matrix': ...}")
-    except ParseError as exc:
-        raise ValidationError("metric", str(exc)) from None
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         raise ValidationError("metric", str(exc)) from None
 
     space = RinehartSpace.with_metric(ring, names, metric)
@@ -131,11 +129,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
                 raise ValidationError("metric", "sphere quotients need the euclidean metric")
             try:
                 c_scalar = parse_scalar(str(sphere["c"]), ring)
-            except ParseError as exc:
-                raise ValidationError("quotient.sphere.c", str(exc)) from None
-            try:
                 hyper = make_sphere(ring, n, c_scalar, var_names=names)
-            except (NotAUnit, CharTwoUnsupported, ValueError) as exc:
+            except (ParseError, NotAUnit, CharTwoUnsupported, ValueError) as exc:
                 raise ValidationError("quotient.sphere.c", str(exc)) from None
         elif "generator" in quotient_spec:
             if "q" not in quotient_spec:
@@ -143,9 +138,6 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
             try:
                 gen = parse_poly(quotient_spec["generator"], ring, names)
                 q = parse_poly(quotient_spec["q"], ring, names)
-            except ParseError as exc:
-                raise ValidationError("quotient", str(exc)) from None
-            try:
                 hyper = HypersurfaceSpace.build(space, gen, QuotientElem(q, None))
             except (RinehartError, ValueError) as exc:
                 raise ValidationError("quotient", str(exc)) from None
@@ -199,10 +191,8 @@ def _report_text(results) -> str:
         if r.counterexample:
             for key in sorted(r.counterexample):
                 lines.append(f"      {key} = {r.counterexample[key]}")
-    passed = sum(r.status == "pass" for r in results)
-    failed = sum(r.status == "fail" for r in results)
-    skipped = sum(r.status == "skipped" for r in results)
-    lines.append(f"{passed} passed, {failed} failed, {skipped} skipped")
+    counts = (sum(r.status == s for r in results) for s in ("pass", "fail", "skipped"))
+    lines.append("{} passed, {} failed, {} skipped".format(*counts))
     return "\n".join(lines) + "\n"
 
 
@@ -217,16 +207,12 @@ def _field_strings(space, field: VectorField) -> list:
 
 
 def _spanning_payload(ws: Workspace):
-    fields = spanning_fields(ws.hyper)
-    space = ws.hyper.quotient
-    return [_field_strings(space, f) for f in fields]
+    return [_field_strings(ws.hyper.quotient, f) for f in spanning_fields(ws.hyper)]
 
 
 def _spanning_text(ws: Workspace) -> str:
-    lines = []
-    for i, coeffs in enumerate(_spanning_payload(ws)):
-        lines.append(f"Y{i + 1} = [" + ", ".join(coeffs) + "]")
-    return "\n".join(lines) + "\n"
+    return "".join(f"Y{i + 1} = [" + ", ".join(coeffs) + "]\n"
+                   for i, coeffs in enumerate(_spanning_payload(ws)))
 
 
 def _emit_report(ws: Workspace, args, results) -> None:
@@ -235,9 +221,7 @@ def _emit_report(ws: Workspace, args, results) -> None:
         extra = {"spanning": _spanning_payload(ws)} if spanning else None
         sys.stdout.write(_report_json(results, extra))
     else:
-        if spanning:
-            sys.stdout.write(_spanning_text(ws))
-        sys.stdout.write(_report_text(results))
+        sys.stdout.write((_spanning_text(ws) if spanning else "") + _report_text(results))
 
 
 def _emit_field(args, space, value: VectorField) -> int:

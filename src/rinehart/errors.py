@@ -49,6 +49,10 @@ class NotTangent(RinehartError):
         self.argument = argument
 
 
+class DegreeOverflow(RinehartError):
+    """A monomial exceeds the total degree that packed keys can hold."""
+
+
 class ParseError(RinehartError):
     """A polynomial or scalar string failed to parse."""
 

@@ -135,8 +135,7 @@ def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
     """Equality of quotient classes: X - Y vanishes coefficientwise mod (f)."""
-    diff = hyper.to_quotient(x) - hyper.to_quotient(y)
-    return diff.is_zero()
+    return (hyper.to_quotient(x) - hyper.to_quotient(y)).is_zero()
 
 
 def spanning_fields(hyper: HypersurfaceSpace) -> list:
@@ -168,27 +167,25 @@ class InducedConnection:
         yq = hyper.to_quotient(y)
         key = (xq.coeffs, yq.coeffs)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if not is_tangent(hyper, xq):
-            raise NotTangent("x")
-        if not is_tangent(hyper, yq):
-            raise NotTangent("y")
-        value = project_tangent(hyper, ambient_derivative(hyper.quotient, xq, yq))
-        self._memo[key] = value
-        return value
+        if hit is None:
+            hit = self._memo[key] = project_tangent(hyper, _tangent_derivative(hyper, xq, yq))
+        return hit
+
+
+def _tangent_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
+    """The ambient derivative of two quotient fields, which must be tangent."""
+    if not is_tangent(hyper, xq):
+        raise NotTangent("x")
+    if not is_tangent(hyper, yq):
+        raise NotTangent("y")
+    return ambient_derivative(hyper.quotient, xq, yq)
 
 
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
     """h(X, Y) = normal part of the ambient derivative of tangent fields."""
-    xq = hyper.to_quotient(x)
-    yq = hyper.to_quotient(y)
-    if not is_tangent(hyper, xq):
-        raise NotTangent("x")
-    if not is_tangent(hyper, yq):
-        raise NotTangent("y")
-    return project_normal(hyper, ambient_derivative(hyper.quotient, xq, yq))
+    return project_normal(hyper, _tangent_derivative(hyper, hyper.to_quotient(x),
+                                                     hyper.to_quotient(y)))
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:

@@ -9,17 +9,27 @@
 Whitespace is insignificant.  Variables must match the declared names;
 'al' denotes the adjoined square root in a quadratic extension and is
 reserved.  Fractions over a prime field mean a * b^-1 mod p.
+
+Bounds, so that no string can stall the parser, each a ParseError past
+it: parentheses nest at most MAX_NESTING deep, integers have at most
+MAX_DIGITS digits, powers stay within the kernel's MAX_DEGREE, and no sum,
+product or power (by its multinomial bound) has more than MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import comb
 
-from .errors import NotAUnit, ParseError
-from .poly import Poly
+from .errors import DegreeOverflow, NotAUnit, ParseError
+from .poly import MAX_DEGREE, Poly
 from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 
-_OPS = set("+-*/^()")
+_TOKEN = r"(\d+)|([^\W\d]\w*)|[-+*/^()]"
+MAX_NESTING = 100
+MAX_DIGITS = 1000
+MAX_TERMS = 500
 
 
 def _tokenize(text: str):
@@ -27,29 +37,17 @@ def _tokenize(text: str):
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
             continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        m = re.compile(_TOKEN).match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        if m.group(1) and len(m.group(1)) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
+        kind = "int" if m.group(1) else "name" if m.group(2) else m.group()
+        tokens.append((kind, m.group(), i))
+        i = m.end()
     tokens.append(("end", "", n))
     return tokens
 
@@ -61,6 +59,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(names)}
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -85,42 +84,45 @@ class _Parser:
             val = Fraction(num, den)
         elif isinstance(base, PrimeField):
             try:
-                val = base._mul(base._from_int(num), base._inv(base._from_int(den)))
+                val = base.canon(num * base._inv(base._from_int(den)))
             except NotAUnit:
                 raise ParseError(f"denominator {den} is zero in F_{base.p}", at) from None
         else:  # pragma: no cover - descriptor kinds are closed
             raise ParseError("unsupported ring", at)
         if isinstance(ring, QuadExt):
-            return ring.scalar((val, base._from_int(0)))
+            return ring.scalar((val, base._zero))
         return ring.scalar(val)
 
     def _al_scalar(self, at: int) -> GroundScalar:
         if not isinstance(self.ring, QuadExt):
             raise ParseError("'al' is only defined over a quadratic extension", at)
         base = self.ring.base
-        return self.ring.scalar((base._from_int(0), base._from_int(1)))
+        return self.ring.scalar((base._zero, base._from_int(1)))
 
     # -- grammar -------------------------------------------------------------
 
+    @staticmethod
+    def _capped(poly: Poly, at: int) -> Poly:
+        if len(poly.terms) > MAX_TERMS:
+            raise ParseError(f"polynomial has more than {MAX_TERMS} terms", at)
+        return poly
+
     def parse_expr(self) -> Poly:
-        negate = False
-        if self.peek()[0] == "-":
-            self.advance()
-            negate = True
-        acc = self.parse_term()
+        negate = self.peek()[0] == "-"
         if negate:
-            acc = -acc
+            self.advance()
+        acc = -self.parse_term() if negate else self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, at = self.advance()
             rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            acc = self._capped(acc + rhs if op == "+" else acc - rhs, at)
         return acc
 
     def parse_term(self) -> Poly:
         acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.advance()
-            acc = acc * self.parse_factor()
+            at = self.advance()[2]
+            acc = self._capped(acc * self.parse_factor(), at)
         return acc
 
     def parse_factor(self) -> Poly:
@@ -131,6 +133,11 @@ class _Parser:
             exp = int(tok[1])
             if exp < 1:
                 raise ParseError("exponent must be positive", tok[2])
+            if exp * max(base.total_degree(), 1) > MAX_DEGREE:
+                raise ParseError(f"power exceeds total degree {MAX_DEGREE}", tok[2])
+            # t terms raised to the k-th power give at most C(t + k - 1, k) monomials
+            if comb(len(base.terms) + exp - 1, exp) > MAX_TERMS:
+                raise ParseError(f"power could have more than {MAX_TERMS} terms", tok[2])
             base = base ** exp
         return base
 
@@ -139,8 +146,12 @@ class _Parser:
         nvars = len(self.names)
         if kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", at)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "int":
             self.advance()
@@ -168,7 +179,10 @@ def parse_poly(text: str, ring: RingDescriptor, names) -> Poly:
     if not isinstance(text, str):
         raise ParseError(f"expected a polynomial string, got {type(text).__name__}")
     parser = _Parser(text, ring, list(names))
-    poly = parser.parse_expr()
+    try:
+        poly = parser.parse_expr()
+    except DegreeOverflow as exc:
+        raise ParseError(str(exc)) from None
     end = parser.peek()
     if end[0] != "end":
         raise ParseError(f"trailing input {end[1]!r}", end[2])

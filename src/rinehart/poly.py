@@ -1,48 +1,78 @@
 """Exact multivariate polynomial arithmetic and principal-ideal quotients.
 
-Monomials are dense exponent tuples ordered by graded reverse lexicographic
-order with the first variable largest.  A polynomial is a tuple of
-(monomial, coefficient) terms kept strictly descending with no zero
-coefficients, which makes equality and hashing structural.
+A monomial with exponents e = (e_1, ..., e_n) and total degree deg(e) is
+packed into one integer key, with field width W = 2**FIELD_BITS:
 
-Normal forms modulo a principal ideal (f) are remainders of multivariate
-division by f.  A single generator is a Groebner basis of the ideal it
-generates, so the remainder is a canonical representative of the residue
-class and ideal membership is "remainder is zero".
+    key(e) = deg(e) * W**n - (e_1 + e_2 * W + ... + e_n * W**(n-1)).
+
+Keys add under monomial multiplication, and their integer order is graded
+reverse lexicographic order with the first variable largest.  The W-adic
+digits of deg(e) * W**n - key(e) are the exponents; the top bit of each is
+a guard kept clear, so lm divides m exactly when key(lm) - key(m) has no
+guard bit set.  Exponents and total degrees thus stay at or below
+MAX_DEGREE = W/2 - 1; going past it raises DegreeOverflow.
+
+A polynomial is a tuple of (key, raw coefficient) terms, strictly
+descending with no zero coefficients, so equality and hashing are
+structural.  GroundScalar appears only at the API boundary: `constant`,
+`scale`, `constant_value`, `leading_term` and `items`, which yields
+(exponent tuple, GroundScalar) pairs.
+
+Normal forms modulo a principal ideal (f) are remainders of division by f,
+which takes each next leading term from a heap (Johnson, SIGSAM Bull.
+1974; Monagan and Pearce, JSC 46, 2011).  A single generator is a Groebner
+basis of its ideal, so the remainder is a canonical representative of the
+residue class and ideal membership is "remainder is zero".
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .errors import ArityMismatch, IdealMismatch, NotAUnit, RingMismatch
-from .rings import GroundScalar, RingDescriptor
+from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
+from .rings import GroundScalar, RingDescriptor, rsub_by_negation, sub_by_negation
 
-Mono = tuple  # dense exponent vector
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers
+FIELD_BITS = 8
+W = 1 << FIELD_BITS
+MAX_DEGREE = W // 2 - 1
 
 
-def grevlex_key(mono: Mono):
-    """Sort key realizing grevlex: compare by total degree, then by the
-    rightmost difference being negative (encoded by negated reversal)."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+def pack(exps: tuple) -> int:
+    """The key of an exponent tuple."""
+    deg = sum(exps)
+    if deg > MAX_DEGREE or min(exps, default=0) < 0:
+        raise DegreeOverflow(f"monomial {exps} is outside total degree 0..{MAX_DEGREE}")
+    return (deg << FIELD_BITS * len(exps)) - sum(e << FIELD_BITS * i for i, e in enumerate(exps))
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+def unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a key."""
+    low = _digits(key, nvars)
+    return tuple((low >> (FIELD_BITS * i)) & (W - 1) for i in range(nvars))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _degree(key: int, nvars: int) -> int:
+    return -(-key >> (FIELD_BITS * nvars))
 
 
-def mono_quo(b: Mono, a: Mono) -> Mono:
-    return tuple(y - x for x, y in zip(a, b))
+def _digits(key: int, nvars: int) -> int:
+    """deg * W**n - key, whose W-adic digits are the exponents."""
+    return (_degree(key, nvars) << (FIELD_BITS * nvars)) - key
+
+
+def _guard(nvars: int) -> int:
+    """The guard bits of the n exponent digits."""
+    return (W // 2) * ((1 << (FIELD_BITS * nvars)) - 1) // (W - 1)
+
+
+def _canonical(ring: RingDescriptor, nvars: int, items) -> "Poly":
+    """A Poly from (key, unreduced value) pairs in descending key order."""
+    reduce = ring.reduce
+    return Poly(ring, nvars, tuple([(k, c) for k, v in items if (c := reduce(v)) is not None]))
 
 
 @dataclass(frozen=True)
@@ -51,15 +81,17 @@ class Poly:
 
     ring: RingDescriptor
     nvars: int
-    terms: tuple  # ((mono, GroundScalar), ...) strictly descending in grevlex
+    terms: tuple  # ((key, raw coefficient), ...) strictly descending
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_dict(ring: RingDescriptor, nvars: int, coeffs: dict) -> "Poly":
-        items = [(m, c) for m, c in coeffs.items() if not c.is_zero()]
-        items.sort(key=lambda t: grevlex_key(t[0]), reverse=True)
-        return Poly(ring, nvars, tuple(items))
+        """Build from {exponent tuple: GroundScalar}."""
+        if any(len(m) != nvars for m in coeffs):
+            raise ArityMismatch(f"exponent tuples must have {nvars} entries")
+        acc = {pack(m): c.value for m, c in coeffs.items()}
+        return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
 
     @staticmethod
     def zero(ring: RingDescriptor, nvars: int) -> "Poly":
@@ -69,14 +101,14 @@ class Poly:
     def constant(ring: RingDescriptor, nvars: int, c: GroundScalar) -> "Poly":
         if c.is_zero():
             return Poly.zero(ring, nvars)
-        return Poly(ring, nvars, (((0,) * nvars, c),))
+        return Poly(ring, nvars, ((0, c.value),))
 
     @staticmethod
     def variable(ring: RingDescriptor, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(ring, nvars, ((mono, ring.one()),))
+        key = (1 << (FIELD_BITS * nvars)) - (1 << (FIELD_BITS * i))
+        return Poly(ring, nvars, ((key, ring._from_int(1)),))
 
     # -- inspection ---------------------------------------------------------
 
@@ -84,34 +116,38 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
     def constant_value(self) -> GroundScalar:
         if self.is_zero():
             return self.ring.zero()
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[0][1]
+        return GroundScalar(self.ring, self.terms[0][1])
 
     def total_degree(self) -> int:
         """Total degree, with -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        return _degree(self.terms[0][0], self.nvars)
 
-    def leading_term(self):
+    def leading_term(self) -> tuple:
+        """(exponent tuple, GroundScalar) of the grevlex-largest term."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        k, c = self.terms[0]
+        return unpack(k, self.nvars), GroundScalar(self.ring, c)
+
+    def items(self):
+        """(exponent tuple, GroundScalar) pairs in descending grevlex order."""
+        return ((unpack(k, self.nvars), GroundScalar(self.ring, c)) for k, c in self.terms)
 
     def variables(self) -> frozenset:
         """Indices of variables that actually occur."""
-        used = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return frozenset(used)
+        low = 0
+        for k, _ in self.terms:
+            low |= _digits(k, self.nvars)
+        return frozenset(i for i in range(self.nvars) if (low >> (FIELD_BITS * i)) & (W - 1))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -126,7 +162,7 @@ class Poly:
             self._check(other)
             return other
         if isinstance(other, int):
-            return Poly.constant(self.ring, self.nvars, self.ring.from_int(other))
+            other = self.ring.from_int(other)
         if isinstance(other, GroundScalar):
             if other.ring != self.ring:
                 raise RingMismatch(f"{other.ring} vs {self.ring}")
@@ -134,51 +170,53 @@ class Poly:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        add = self.ring.add
         acc = dict(self.terms)
-        zero = self.ring.zero()
-        for m, c in other.terms:
-            acc[m] = acc.get(m, zero) + c
-        return Poly.from_dict(self.ring, self.nvars, acc)
+        get = acc.get
+        for k, c in other.terms:
+            v = get(k)
+            acc[k] = c if v is None else add(v, c)
+        return _canonical(self.ring, self.nvars, sorted(acc.items(), reverse=True))
 
     __radd__ = __add__
+    __sub__ = sub_by_negation
+    __rsub__ = rsub_by_negation
 
     def __neg__(self):
-        return Poly(self.ring, self.nvars, tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        neg = self.ring.neg
+        return _canonical(self.ring, self.nvars, [(k, neg(c)) for k, c in self.terms])
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly(self.ring, self.nvars, ())
+        if _degree(a[0][0], self.nvars) + _degree(b[0][0], self.nvars) > MAX_DEGREE:
+            raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
+        add, mul = self.ring.add, self.ring.mul
         acc: dict = {}
-        zero = self.ring.zero()
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, zero) + c1 * c2
-        return Poly.from_dict(self.ring, self.nvars, acc)
+        get = acc.get
+        for kb, cb in b:
+            for ka, ca in a:
+                k = ka + kb
+                v = get(k)
+                acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
+        return _canonical(self.ring, self.nvars, sorted(acc.items(), reverse=True))
 
     __rmul__ = __mul__
 
     def scale(self, c: GroundScalar) -> "Poly":
         if c.ring != self.ring:
             raise RingMismatch(f"{c.ring} vs {self.ring}")
-        acc = {m: k * c for m, k in self.terms}
-        return Poly.from_dict(self.ring, self.nvars, acc)
+        mul, cv = self.ring.mul, c.value
+        return _canonical(self.ring, self.nvars, [(k, mul(v, cv)) for k, v in self.terms])
 
     def __pow__(self, k: int):
         if k < 0:
@@ -196,15 +234,17 @@ class Poly:
         """Formal partial derivative with respect to variable i (0-based)."""
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range for {self.nvars} variables")
-        acc: dict = {}
-        zero = self.ring.zero()
-        for m, c in self.terms:
-            e = m[i]
-            if e == 0:
-                continue
-            dm = tuple(x - 1 if j == i else x for j, x in enumerate(m))
-            acc[dm] = acc.get(dm, zero) + c * self.ring.from_int(e)
-        return Poly.from_dict(self.ring, self.nvars, acc)
+        n = self.nvars
+        at = FIELD_BITS * i
+        step = (1 << (FIELD_BITS * n)) - (1 << at)  # the key of x_i
+        mul, from_int = self.ring.mul, self.ring._from_int
+        out = []
+        for k, c in self.terms:
+            e = (_digits(k, n) >> at) & (W - 1)
+            if e:
+                # dividing every term by x_i shifts its key by the same step
+                out.append((k - step, mul(c, from_int(e))))
+        return _canonical(self.ring, n, out)
 
 
 def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
@@ -212,34 +252,44 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
 
     Returns (q, r) with g = q*f + r and no term of r divisible by the
     leading monomial of f; r is the canonical normal form of g mod (f).
+    Only keys at or above the leading key of f can be divided; they wait
+    on a heap, and everything below goes straight to the remainder.
     """
     g._check(f)
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm, lc = f.leading_term()
-    lc_inv = lc.inverse()
-    tail = f.terms[1:]
+    ring = g.ring
+    lk, lc = f.terms[0]
+    lc_inv = ring._inv(lc)
+    add, mul, neg, reduce = ring.add, ring.mul, ring.neg, ring.reduce
+    # the term q*x^t of the quotient adds q * (-fc) at key m + (fk - lk)
+    tail = [(fk - lk, neg(fc)) for fk, fc in f.terms[1:]]
+    guard = _guard(g.nvars)
     work = dict(g.terms)
-    quo: dict = {}
-    rem: dict = {}
-    zero = g.ring.zero()
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        if mono_divides(lm, m):
-            t = mono_quo(m, lm)
-            factor = c * lc_inv
-            quo[t] = quo.get(t, zero) + factor
-            for fm, fc in tail:
-                mm = mono_mul(t, fm)
-                nc = work.get(mm, zero) - factor * fc
-                if nc.is_zero():
-                    work.pop(mm, None)
-                else:
-                    work[mm] = nc
-        else:
-            rem[m] = c
-    return (Poly.from_dict(g.ring, g.nvars, quo), Poly.from_dict(g.ring, g.nvars, rem))
+    heap = [-k for k, _ in g.terms if k >= lk]  # ascending: already a heap
+    quo = []
+    rem = []
+    while heap:
+        m = -heappop(heap)
+        c = reduce(work.pop(m))
+        if c is None:
+            continue
+        if (lk - m) & guard:
+            rem.append((m, c))
+            continue
+        q = reduce(mul(c, lc_inv))
+        quo.append((m - lk, q))
+        for offset, fc in tail:
+            k = m + offset
+            v = work.get(k)
+            if v is None:
+                work[k] = mul(q, fc)
+                if k >= lk:
+                    heappush(heap, -k)
+            else:
+                work[k] = add(v, mul(q, fc))
+    rest = _canonical(ring, g.nvars, sorted(work.items(), reverse=True))
+    return Poly(ring, g.nvars, tuple(quo)), Poly(ring, g.nvars, tuple(rem) + rest.terms)
 
 
 def divide_exact(g: Poly, f: Poly) -> Optional[Poly]:
@@ -275,6 +325,11 @@ class PrincipalIdeal:
     def nvars(self) -> int:
         return self.generator.nvars
 
+    @cached_property
+    def lead(self) -> tuple:
+        """(leading key, guard mask) for divisibility tests."""
+        return self.generator.terms[0][0], _guard(self.nvars)
+
 
 def normal_form(g: Poly, ideal: Optional[PrincipalIdeal]) -> Poly:
     if ideal is None:
@@ -303,10 +358,14 @@ class QuotientElem:
             return
         if self.rep.ring != self.ideal.ring or self.rep.nvars != self.ideal.nvars:
             raise IdealMismatch("polynomial and ideal live in different rings")
-        lm = self.ideal.generator.leading_term()[0]
-        # cheap scan keeps construction of already reduced reps division-free
-        if any(mono_divides(lm, e) for e, _ in self.rep.terms):
-            object.__setattr__(self, "rep", normal_form(self.rep, self.ideal))
+        lk, guard = self.ideal.lead
+        # a cheap scan keeps reduced reps division-free; multiples of lm are >= lm
+        for k, _ in self.rep.terms:
+            if k < lk:
+                break
+            if not (lk - k) & guard:
+                object.__setattr__(self, "rep", normal_form(self.rep, self.ideal))
+                break
 
     # -- inspection ---------------------------------------------------------
 
@@ -337,8 +396,7 @@ class QuotientElem:
                 raise IdealMismatch("elements of different polynomial rings")
             return other
         if isinstance(other, int):
-            return QuotientElem(
-                Poly.constant(self.ring, self.nvars, self.ring.from_int(other)), self.ideal)
+            other = self.ring.from_int(other)
         if isinstance(other, GroundScalar):
             if other.ring != self.ring:
                 raise RingMismatch(f"{other.ring} vs {self.ring}")
@@ -346,34 +404,22 @@ class QuotientElem:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
         # sums of reduced representatives are reduced: no new monomials appear
         return QuotientElem(self.rep + other.rep, self.ideal)
 
     __radd__ = __add__
+    __sub__ = sub_by_negation
+    __rsub__ = rsub_by_negation
 
     def __neg__(self):
         return QuotientElem(-self.rep, self.ideal)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
-        return QuotientElem(self.rep * coerced.rep, self.ideal)
+        return QuotientElem(self.rep * other.rep, self.ideal)
 
     __rmul__ = __mul__
 
@@ -426,16 +472,12 @@ def unit_status(a: QuotientElem) -> tuple[UnitStatus, Optional[QuotientElem]]:
         return UnitStatus.NON_UNIT, None
     if rep.is_constant():
         c = rep.constant_value()
-        if c.is_unit():
-            inv = QuotientElem(
-                Poly.constant(ring, a.nvars, c.inverse()), a.ideal)
-            return UnitStatus.UNIT, inv
-        return UnitStatus.NON_UNIT, None
+        if not c.is_unit():
+            return UnitStatus.NON_UNIT, None
+        return UnitStatus.UNIT, QuotientElem(Poly.constant(ring, a.nvars, c.inverse()), a.ideal)
     if a.ideal is None:
         # units of K[x1..xn] are the units of K when K has no nilpotents
-        if not ring.has_nilpotents():
-            return UnitStatus.NON_UNIT, None
-        return UnitStatus.UNKNOWN, None
+        return (UnitStatus.UNKNOWN if ring.has_nilpotents() else UnitStatus.NON_UNIT), None
     if not ring.is_field():
         return UnitStatus.UNKNOWN, None
     f = a.ideal.generator
@@ -446,17 +488,12 @@ def unit_status(a: QuotientElem) -> tuple[UnitStatus, Optional[QuotientElem]]:
             status, inv = _euclid_inverse(rep, f)
         except NotAUnit:
             return UnitStatus.UNKNOWN, None
-        if status is UnitStatus.UNIT:
-            return UnitStatus.UNIT, QuotientElem(inv, a.ideal)
-        return UnitStatus.NON_UNIT, None
+        return status, (None if inv is None else QuotientElem(inv, a.ideal))
     if len(fvars) == 1 and not (avars & fvars):
         # K[x]/(f) is reduced for squarefree f, so nonconstant elements in
         # the remaining variables cannot be units
-        v = next(iter(fvars))
-        gcd_status, _ = _euclid_inverse(f.diff(v), f)
-        if gcd_status is UnitStatus.UNIT:
-            return UnitStatus.NON_UNIT, None
-        return UnitStatus.UNKNOWN, None
+        gcd_status, _ = _euclid_inverse(f.diff(next(iter(fvars))), f)
+        return (UnitStatus.NON_UNIT if gcd_status is UnitStatus.UNIT else UnitStatus.UNKNOWN), None
     return UnitStatus.UNKNOWN, None
 
 
@@ -474,45 +511,20 @@ def try_invert(a: QuotientElem) -> Optional[QuotientElem]:
 # formatting
 
 
-def _fmt_coeff(c: GroundScalar) -> tuple[str, bool]:
-    """Render a coefficient, reporting whether it needs parentheses."""
-    s = str(c)
-    return s, ("+" in s[1:] or "-" in s[1:])
-
-
 def format_poly(p: Poly, names: Iterable[str] | None = None) -> str:
     """Canonical string form; re-parses to an equal polynomial."""
     if p.is_zero():
         return "0"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.nvars)]
-    else:
-        names = list(names)
+    names = list(names) if names is not None else [f"x{i + 1}" for i in range(p.nvars)]
     parts: list[str] = []
-    for m, c in p.terms:
-        factors = []
-        for i, e in enumerate(m):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        cs, needs_paren = _fmt_coeff(c)
+    for m, c in p.items():
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(m) if e]
+        cs = str(c)
         sign = ""
-        if not needs_paren and cs.startswith("-"):
-            sign = "-"
-            cs = cs[1:]
-        if needs_paren:
+        if "+" in cs[1:] or "-" in cs[1:]:
             cs = f"({cs})"
-        if factors and cs == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = cs + "*" + "*".join(factors)
-        else:
-            body = cs
-        if not parts:
-            parts.append(sign + body)
-        elif sign == "-":
-            parts.append(f" - {body}")
-        else:
-            parts.append(f" + {body}")
+        elif cs.startswith("-"):
+            sign, cs = "-", cs[1:]
+        body = "*".join(([] if factors and cs == "1" else [cs]) + factors)
+        parts.append(sign + body if not parts else f" {sign or '+'} {body}")
     return "".join(parts)

@@ -9,8 +9,7 @@ into a proof for the sampled instance.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from math import comb
 from random import Random
 
 from .poly import Poly, QuotientElem
@@ -23,7 +22,8 @@ def scalar_pool(ring: RingDescriptor) -> list:
         values = [0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
         return [ring.scalar(v) for v in values]
     if isinstance(ring, PrimeField):
-        return [ring.scalar(v) for v in range(ring.p)]
+        # the first residues only; random_scalar draws from all of F_p
+        return [ring.scalar(v) for v in range(min(ring.p, 4))]
     if isinstance(ring, QuadExt):
         base_pool = scalar_pool(ring.base)
         pool = [ring.scalar((a.value, b.value))
@@ -33,17 +33,42 @@ def scalar_pool(ring: RingDescriptor) -> list:
 
 
 def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
+    if isinstance(ring, PrimeField):
+        # the draw rng.choice makes from all p residues, without listing them
+        return ring.scalar(rng.randrange(ring.p))
     return rng.choice(scalar_pool(ring))
 
 
-@lru_cache(maxsize=None)
-def monomials_up_to(nvars: int, max_degree: int) -> tuple:
-    """All exponent vectors with total degree at most max_degree, sorted.
+class Monomials:
+    """The exponent vectors of total degree at most max_degree, in sorted order.
 
-    Enumerated once per (nvars, max_degree) and shared as an immutable tuple.
+    `len` is C(nvars + max_degree, nvars) and item i is unranked on demand, so
+    `Random.choice` draws what it would from the full list, never built.
     """
-    return tuple(sorted(m for m in product(range(max_degree + 1), repeat=nvars)
-                        if sum(m) <= max_degree))
+
+    def __init__(self, nvars: int, max_degree: int):
+        self.nvars, self.max_degree = nvars, max_degree
+
+    def __len__(self) -> int:
+        return comb(self.nvars + self.max_degree, self.nvars)
+
+    def __getitem__(self, i: int) -> tuple:
+        if not 0 <= i < len(self):
+            raise IndexError("monomial index out of range")
+        out, budget = [], self.max_degree
+        for rest in range(self.nvars - 1, -1, -1):
+            # C(rest + budget - e, rest) vectors continue a prefix ending in e
+            e = 0
+            while i >= (count := comb(rest + budget - e, rest)):
+                i -= count
+                e += 1
+            out.append(e)
+            budget -= e
+        return tuple(out)
+
+
+def monomials_up_to(nvars: int, max_degree: int) -> Monomials:
+    return Monomials(nvars, max_degree)
 
 
 def random_poly(rng: Random, ring: RingDescriptor, nvars: int,

@@ -13,34 +13,68 @@ extensions), so equality and hashing are structural.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
 
 from .errors import NotAUnit, RingMismatch
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13 =
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d <= isqrt(p):
-        if p % d == 0:
+    """Deterministic Miller-Rabin test for p < PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} exceeds the largest supported modulus {PRIME_BOUND - 1}")
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # 2**r exactly divides p - 1
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> r, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def sub_by_negation(self, other):
+    """self - other as self + (-other), for operands coerced by `_coerce`."""
+    other = self._coerce(other)
+    return NotImplemented if other is None else self + (-other)
+
+
+def rsub_by_negation(self, other):
+    other = self._coerce(other)
+    return NotImplemented if other is None else other + (-self)
 
 
 class RingDescriptor:
     """Common interface of the ground-ring descriptors.
 
-    Subclasses implement arithmetic on raw canonical values; `GroundScalar`
-    wraps a (ring, value) pair and exposes operators on top of it.
+    Raw values are the canonical forms kept in scalars and polynomial terms.
+    `add`, `mul` and `neg` may return them unreduced (an F_p residue outside
+    [0, p), say); `reduce` makes such a value canonical, or None for zero.
+    `GroundScalar` wraps a (ring, value) pair for the public API.
     """
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def canon(self, v):
+        """Canonical form of an unreduced raw value, zero included."""
+        r = self.reduce(v)
+        return self._zero if r is None else r
 
     def scalar(self, value) -> "GroundScalar":
         return GroundScalar(self, self._norm(value))
@@ -54,11 +88,17 @@ class RingDescriptor:
     def one(self) -> "GroundScalar":
         return self.from_int(1)
 
+    def _is_unit(self, a) -> bool:
+        return a != 0
+
+    def _fmt(self, a) -> str:
+        return str(a)
+
     def characteristic(self) -> int:
         raise NotImplementedError
 
     def is_field(self) -> bool:
-        raise NotImplementedError
+        return True
 
     def has_nilpotents(self) -> bool:
         return False
@@ -69,39 +109,27 @@ class RingDescriptor:
 
 @dataclass(frozen=True)
 class Rationals(RingDescriptor):
-    """The field of rational numbers with arbitrary-precision values."""
+    """The field of rational numbers: ints when integral, else `Fraction`s."""
+
+    _zero = 0
 
     def _norm(self, v):
-        return Fraction(v)
+        return self.canon(Fraction(v))
 
     def _from_int(self, k: int):
-        return Fraction(k)
+        return k
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
+    @staticmethod
+    def reduce(v):
+        return (v.numerator if v.denominator == 1 else v) if v else None
 
     def _inv(self, a):
         if a == 0:
             raise NotAUnit("0 has no inverse in Q")
-        return 1 / a
-
-    def _is_unit(self, a) -> bool:
-        return a != 0
-
-    def _fmt(self, a) -> str:
-        return str(a)
+        return self.canon(1 / Fraction(a))
 
     def characteristic(self) -> int:
         return 0
-
-    def is_field(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {"kind": "Q"}
@@ -113,6 +141,8 @@ class PrimeField(RingDescriptor):
 
     p: int
 
+    _zero = 0
+
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
@@ -123,31 +153,16 @@ class PrimeField(RingDescriptor):
     def _from_int(self, k: int):
         return k % self.p
 
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return (-a) % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
+    def reduce(self, v):
+        return v % self.p or None
 
     def _inv(self, a):
         if a == 0:
             raise NotAUnit(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def _is_unit(self, a) -> bool:
-        return a != 0
-
-    def _fmt(self, a) -> str:
-        return str(a)
+        return pow(a, -1, self.p)
 
     def characteristic(self) -> int:
         return self.p
-
-    def is_field(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {"kind": "Fp", "p": self.p}
@@ -157,7 +172,8 @@ class PrimeField(RingDescriptor):
 class QuadExt(RingDescriptor):
     """Quadratic extension base[al] with al^2 = s, stored as pairs (a, b).
 
-    Nesting is limited to depth one: the base must be Q or a prime field.
+    Nesting is limited to depth one: the base must be Q or a prime field,
+    whose raw values take Python's arithmetic operators directly.
     """
 
     base: RingDescriptor
@@ -169,47 +185,53 @@ class QuadExt(RingDescriptor):
         if self.s not in (1, -1):
             raise ValueError("s must be +1 or -1")
 
+    @cached_property
+    def _zero(self):
+        return (self.base._zero, self.base._zero)
+
     def _norm(self, v):
         if isinstance(v, tuple):
             a, b = v
             return (self.base._norm(a), self.base._norm(b))
-        return (self.base._norm(v), self.base._from_int(0))
+        return (self.base._norm(v), self.base._zero)
 
     def _from_int(self, k: int):
-        return (self.base._from_int(k), self.base._from_int(0))
+        return (self.base._from_int(k), self.base._zero)
 
-    def _add(self, x, y):
-        return (self.base._add(x[0], y[0]), self.base._add(x[1], y[1]))
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
 
-    def _neg(self, x):
-        return (self.base._neg(x[0]), self.base._neg(x[1]))
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
+        # (a + b*al)(c + d*al) = ac + s*bd + (ad + bc)*al
         a, b = x
         c, d = y
-        base = self.base
-        # (a + b*al)(c + d*al) = ac + s*bd + (ad + bc)*al
-        re = base._add(base._mul(a, c), base._mul(base._from_int(self.s), base._mul(b, d)))
-        im = base._add(base._mul(a, d), base._mul(b, c))
-        return (re, im)
+        bd = b * d
+        return (a * c + bd if self.s == 1 else a * c - bd, a * d + b * c)
 
-    def _conj(self, x):
-        return (x[0], self.base._neg(x[1]))
+    def reduce(self, v):
+        reduce = self.base.reduce
+        a, b = reduce(v[0]), reduce(v[1])
+        if b is None:
+            return None if a is None else (a, self.base._zero)
+        return (self.base._zero if a is None else a, b)
 
     def _norm_form(self, x):
         # a^2 - s*b^2, the multiplicative norm into the base ring
         a, b = x
-        base = self.base
-        return base._add(base._mul(a, a),
-                         base._neg(base._mul(base._from_int(self.s), base._mul(b, b))))
+        return self.base.canon(a * a - self.s * b * b)
 
     def _inv(self, x):
         n = self._norm_form(x)
         if not self.base._is_unit(n):
             raise NotAUnit("norm a^2 - s*b^2 is not a unit")
         ninv = self.base._inv(n)
-        a, b = self._conj(x)
-        return (self.base._mul(a, ninv), self.base._mul(b, ninv))
+        a, b = x
+        return self.canon((a * ninv, -b * ninv))
 
     def _is_unit(self, x) -> bool:
         return self.base._is_unit(self._norm_form(x))
@@ -217,31 +239,24 @@ class QuadExt(RingDescriptor):
     def _fmt(self, x) -> str:
         a, b = x
         base = self.base
-        zero = base._from_int(0)
-        one = base._from_int(1)
-
-        def al_part(coeff) -> str:
-            return "al" if coeff == one else f"{base._fmt(coeff)}*al"
-
-        if b == zero:
+        if b == base._zero:
             return base._fmt(a)
-        if a == zero:
-            if isinstance(base, Rationals) and b < 0:
-                return f"-{al_part(-b)}"
-            return al_part(b)
-        if isinstance(base, Rationals) and b < 0:
-            return f"{base._fmt(a)}-{al_part(-b)}"
-        return f"{base._fmt(a)}+{al_part(b)}"
+        neg = isinstance(base, Rationals) and b < 0
+        mag = -b if neg else b
+        al = "al" if mag == base._from_int(1) else f"{base._fmt(mag)}*al"
+        if a == base._zero:
+            return f"-{al}" if neg else al
+        return f"{base._fmt(a)}{'-' if neg else '+'}{al}"
 
     def characteristic(self) -> int:
         return self.base.characteristic()
 
     def is_field(self) -> bool:
-        # a field exactly when s has no square root in the base field
+        # a field exactly when s has no square root in the base field; over
+        # F_p, s = 1 always has one and s = -1 has one unless p = 3 mod 4
         if isinstance(self.base, Rationals):
             return self.s == -1
-        p = self.base.p
-        return all((b * b - self.s) % p != 0 for b in range(p))
+        return self.s == -1 and self.base.p % 4 == 3
 
     def has_nilpotents(self) -> bool:
         # in characteristic 2 both al^2 = 1 and al^2 = -1 make al + 1 nilpotent
@@ -271,33 +286,24 @@ class GroundScalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
-        return GroundScalar(self.ring, self.ring._add(self.value, other.value))
+        ring = self.ring
+        return GroundScalar(ring, ring.canon(ring.add(self.value, other.value)))
 
     __radd__ = __add__
+    __sub__ = sub_by_negation
+    __rsub__ = rsub_by_negation
 
     def __neg__(self):
-        return GroundScalar(self.ring, self.ring._neg(self.value))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        ring = self.ring
+        return GroundScalar(ring, ring.canon(ring.neg(self.value)))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (other := self._coerce(other)) is None:
             return NotImplemented
-        return GroundScalar(self.ring, self.ring._mul(self.value, other.value))
+        ring = self.ring
+        return GroundScalar(ring, ring.canon(ring.mul(self.value, other.value)))
 
     __rmul__ = __mul__
 
@@ -308,7 +314,7 @@ class GroundScalar:
         return self.ring._is_unit(self.value)
 
     def is_zero(self) -> bool:
-        return self.value == self.ring._from_int(0)
+        return self.value == self.ring._zero
 
     def is_one(self) -> bool:
         return self.value == self.ring._from_int(1)

@@ -85,19 +85,19 @@ class RinehartSpace:
     def form(self, coeffs) -> OneForm:
         return OneForm(self, tuple(self.coerce_fn(c) for c in coeffs))
 
-    def basis_field(self, i: int) -> VectorField:
+    def _unit_vector(self, i: int) -> tuple:
         one = self.constant(self.ring.one())
         zero = self.constant(self.ring.zero())
-        return VectorField(self, tuple(one if j == i else zero for j in range(self.nvars)))
+        return tuple(one if j == i else zero for j in range(self.nvars))
+
+    def basis_field(self, i: int) -> VectorField:
+        return VectorField(self, self._unit_vector(i))
 
     def basis_form(self, i: int) -> OneForm:
-        one = self.constant(self.ring.one())
-        zero = self.constant(self.ring.zero())
-        return OneForm(self, tuple(one if j == i else zero for j in range(self.nvars)))
+        return OneForm(self, self._unit_vector(i))
 
     def zero_field(self) -> VectorField:
-        zero = self.constant(self.ring.zero())
-        return VectorField(self, (zero,) * self.nvars)
+        return VectorField(self, (self.constant(self.ring.zero()),) * self.nvars)
 
     def basis_fields(self) -> list:
         return [self.basis_field(i) for i in range(self.nvars)]
@@ -196,17 +196,13 @@ class KoszulConnection:
         self._gamma: dict = {}
         self.fully_solvable = True
         n = space.nvars
-        for i in range(n):
-            for j in range(i, n):
-                value = self._solve(self._basis_form(i, j))
-                if value is None:
-                    self.fully_solvable = False
-                    self._gamma.clear()
-                    break
-                self._gamma[(i, j)] = value
-                self._gamma[(j, i)] = value
-            if not self.fully_solvable:
+        for i, j in ((i, j) for i in range(n) for j in range(i, n)):
+            value = self._solve(self._basis_form(i, j))
+            if value is None:
+                self.fully_solvable = False
+                self._gamma.clear()
                 break
+            self._gamma[(i, j)] = self._gamma[(j, i)] = value
 
     # -- one-form level ------------------------------------------------------
 
@@ -337,19 +333,14 @@ def check_levi_civita(space: RinehartSpace, conn, fields: Optional[list] = None,
     def torsion_gap(x, y):
         bracket = lie_bracket(space, x, y)
         if form_level:
-            gap = conn.form(x, y) - conn.form(y, x) - flat(bracket, metric)
-        else:
-            gap = conn(x, y) - conn(y, x) - bracket
-        return gap
+            return conn.form(x, y) - conn.form(y, x) - flat(bracket, metric)
+        return conn(x, y) - conn(y, x) - bracket
 
     def compat_gap(x, y, z):
+        lhs = derive(space, x, inner(y, z, metric))
         if form_level:
-            lhs = derive(space, x, inner(y, z, metric))
-            rhs = pairing(z, conn.form(x, y)) + pairing(y, conn.form(x, z))
-        else:
-            lhs = derive(space, x, inner(y, z, metric))
-            rhs = inner(conn(x, y), z, metric) + inner(y, conn(x, z), metric)
-        return lhs - rhs
+            return lhs - (pairing(z, conn.form(x, y)) + pairing(y, conn.form(x, z)))
+        return lhs - (inner(conn(x, y), z, metric) + inner(y, conn(x, z), metric))
 
     samples_pairs = [(x, y) for x in fields for y in fields]
     samples_triples = [(x, y, z) for x in fields for y in fields for z in fields]
@@ -360,9 +351,7 @@ def check_levi_civita(space: RinehartSpace, conn, fields: Optional[list] = None,
             samples_pairs.append(trio[:2])
             samples_triples.append(trio)
 
-    def render(x):
-        return space.format_field(x)
-
+    render = space.format_field
     for x, y in samples_pairs:
         gap = torsion_gap(x, y)
         if not gap.is_zero():

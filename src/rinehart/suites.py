@@ -556,15 +556,17 @@ REGISTRY = [
 CHECK_NAMES = [spec.name for spec in REGISTRY]
 
 
+def _missing(spec: CheckSpec, ws: Workspace) -> Optional[str]:
+    """Why the workspace cannot run a check, or None when it can."""
+    if spec.needs == "quotient" and ws.hyper is None:
+        return "needs a quotient space"
+    if spec.needs == "sphere" and (ws.hyper is None or ws.c is None):
+        return "needs a sphere quotient with known c"
+    return None
+
+
 def applicable_checks(ws: Workspace) -> list:
-    names = []
-    for spec in REGISTRY:
-        if spec.needs == "quotient" and ws.hyper is None:
-            continue
-        if spec.needs == "sphere" and (ws.hyper is None or ws.c is None):
-            continue
-        names.append(spec.name)
-    return names
+    return [spec.name for spec in REGISTRY if _missing(spec, ws) is None]
 
 
 def run_checks(ws: Workspace, names: Optional[list] = None, seed: int = 0,
@@ -579,10 +581,9 @@ def run_checks(ws: Workspace, names: Optional[list] = None, seed: int = 0,
     for name in sorted(set(chosen)):
         spec = by_name[name]
         start = time.perf_counter()
-        if spec.needs == "quotient" and ws.hyper is None:
-            status, detail, ce = _skip("needs a quotient space")
-        elif spec.needs == "sphere" and (ws.hyper is None or ws.c is None):
-            status, detail, ce = _skip("needs a sphere quotient with known c")
+        missing = _missing(spec, ws)
+        if missing is not None:
+            status, detail, ce = _skip(missing)
         else:
             rng = rng_for(seed, name)
             try:

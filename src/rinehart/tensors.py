@@ -23,64 +23,42 @@ def _check_same_space(a, b):
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """A vector field sum_i coeffs[i] * X_i over its space."""
+class _Coefficients:
+    """A coefficient vector over a space, with its module operations."""
 
     space: object
     coeffs: tuple
 
     def __add__(self, other):
-        if not isinstance(other, VectorField):
+        if not isinstance(other, type(self)):
             return NotImplemented
         _check_same_space(self, other)
-        return VectorField(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        if not isinstance(other, VectorField):
+        if not isinstance(other, type(self)):
             return NotImplemented
         _check_same_space(self, other)
-        return VectorField(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return VectorField(self.space, tuple(-a for a in self.coeffs))
+        return type(self)(self.space, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, fn):
         # module action f * X of the function algebra
         coerced = self.space.coerce_fn(fn)
-        return VectorField(self.space, tuple(coerced * a for a in self.coeffs))
+        return type(self)(self.space, tuple(coerced * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
 
 
-@dataclass(frozen=True)
-class OneForm:
+class VectorField(_Coefficients):
+    """A vector field sum_i coeffs[i] * X_i over its space."""
+
+
+class OneForm(_Coefficients):
     """A one-form sum_i coeffs[i] * om_i over its space."""
-
-    space: object
-    coeffs: tuple
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        _check_same_space(self, other)
-        return OneForm(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        _check_same_space(self, other)
-        return OneForm(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return OneForm(self.space, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, fn):
-        coerced = self.space.coerce_fn(fn)
-        return OneForm(self.space, tuple(coerced * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -91,13 +69,10 @@ class Metric:
 
     def __post_init__(self):
         n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("metric matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("metric matrix must be symmetric")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("metric matrix must be square")
+        if any(self.entries[i][j] != self.entries[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("metric matrix must be symmetric")
 
     @staticmethod
     def euclidean(ring, nvars: int, ideal: PrincipalIdeal | None) -> "Metric":
@@ -118,15 +93,8 @@ class Metric:
         return len(self.entries)
 
     def is_euclidean(self) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                e = self.entries[i][j]
-                if i == j:
-                    if not (e.is_constant() and e.constant_value().is_one()):
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return all((e.is_constant() and e.constant_value().is_one()) if i == j else e.is_zero()
+                   for i, row in enumerate(self.entries) for j, e in enumerate(row))
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.entries for e in row)
@@ -167,38 +135,34 @@ class Metric:
 
     @cached_property
     def _adjugate(self) -> tuple:
-        n = self.n
-        idx = tuple(range(n))
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                rsub = tuple(r for r in idx if r != j)
-                csub = tuple(c for c in idx if c != i)
-                minor = self._minor_det(rsub, csub) if n > 1 else None
-                if n == 1:
-                    one = self.entries[0][0] - self.entries[0][0] + 1
-                    row.append(one)
-                    continue
-                if (i + j) % 2 == 1:
-                    minor = -minor
-                row.append(minor)
-            rows.append(tuple(row))
-        return tuple(rows)
+        idx = range(self.n)
+        if self.n == 1:
+            e = self.entries[0][0]
+            return ((e - e + 1,),)
+
+        def cofactor(i, j):
+            minor = self._minor_det(tuple(r for r in idx if r != j),
+                                    tuple(c for c in idx if c != i))
+            return -minor if (i + j) % 2 else minor
+
+        return tuple(tuple(cofactor(i, j) for j in idx) for i in idx)
+
+
+def _dot(a: tuple, b: tuple) -> QuotientElem:
+    acc = a[0] * b[0]
+    for u, v in zip(a[1:], b[1:]):
+        acc = acc + u * v
+    return acc
 
 
 def apply_matrix(rows: tuple, vec: tuple) -> tuple:
-    return tuple(sum((row[j] * vec[j] for j in range(1, len(vec))), row[0] * vec[0])
-                 for row in rows)
+    return tuple(_dot(row, vec) for row in rows)
 
 
 def pairing(x: VectorField, om: OneForm) -> QuotientElem:
     """<X, om> = sum_i X^i om_i."""
     _check_same_space(x, om)
-    acc = x.coeffs[0] * om.coeffs[0]
-    for a, b in zip(x.coeffs[1:], om.coeffs[1:]):
-        acc = acc + a * b
-    return acc
+    return _dot(x.coeffs, om.coeffs)
 
 
 def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
@@ -206,11 +170,7 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     _check_same_space(x, y)
     if metric.n != len(x.coeffs):
         raise SpaceMismatch("metric dimension does not match the space")
-    gy = apply_matrix(metric.entries, y.coeffs)
-    acc = x.coeffs[0] * gy[0]
-    for a, b in zip(x.coeffs[1:], gy[1:]):
-        acc = acc + a * b
-    return acc
+    return _dot(x.coeffs, apply_matrix(metric.entries, y.coeffs))
 
 
 def flat(x: VectorField, metric: Metric) -> OneForm:

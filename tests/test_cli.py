@@ -1,5 +1,6 @@
 """CLI: spec validation, command output, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 
@@ -272,3 +273,36 @@ def test_seed_changes_nothing_on_pass_fail_but_is_respected(tmp_path, capsys):
     _, out6, _ = run(capsys, ["check", path, "--json", "--seed", "6"])
     assert json.loads(out5)["checks"][0]["status"] == "pass"
     assert json.loads(out6)["checks"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["check", str(SPECS / "euclidean_q_n2.json"), "--json", "--seed", "7"],
+     "ff1b8b2288ccce024eb9ea47cca0f4f90d9f90ce4d58c018c289b21db196c8c5"),
+    (["space-form", str(SPECS / "sphere_q_n3.json"), "--json", "--spanning"],
+     "44d871376edf9d9a1df92073115a4f2350318088a4798e4aef64fd8d0b7334ac"),
+])
+def test_reports_match_golden_digests(capsys, argv, digest):
+    # sha256 of the reports of the kernel before packed keys
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(BASE, ring={"kind": "Fp", "p": 3317044064679887385961981}), "ring: p ="),
+    (dict(BASE, metric={"diag": ["(x+y+1)^3000", "1"]}), "metric: power exceeds"),
+    (dict(BASE, quotient={"generator": "(" * 5000 + "x" + ")" * 5000, "q": "1"}),
+     "quotient: parentheses nest"),
+])
+def test_resource_bounds_exit_two(tmp_path, capsys, spec, message):
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, spec)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[ValidationError]: {message}")
+
+
+def test_large_prime_field_runs(tmp_path, capsys):
+    spec = dict(BASE, ring={"kind": "Fp", "p": 1000000000000000003},
+                checks=["pairing-duality", "jacobi-identity"])
+    code, out, _ = run(capsys, ["check", write_spec(tmp_path, spec), "--json"])
+    assert code == 0
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]

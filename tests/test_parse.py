@@ -109,3 +109,28 @@ def test_parse_format_canonicalizes():
         p = parse_poly(text, Q, names)
         canon = format_poly(p, names)
         assert parse_poly(canon, Q, names) == p
+
+
+def test_nesting_depth_is_bounded():
+    from rinehart.parse import MAX_NESTING
+    names = ("x", "y")
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(deep, Q, names) == Poly.variable(Q, 2, 0)
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError, match="nest"):
+            parse_poly("(" * depth + "x" + ")" * depth, Q, names)
+
+
+def test_powers_are_capped_by_the_degree_bound_and_term_count():
+    from rinehart.parse import MAX_DIGITS, MAX_TERMS
+    from rinehart.poly import MAX_DEGREE
+    names = ("x", "y")
+    x = Poly.variable(Q, 2, 0)
+    assert parse_poly(f"x^{MAX_DEGREE}", Q, names) == x ** MAX_DEGREE
+    bad = [f"x^{MAX_DEGREE + 1}", "(x+y+1)^3000", f"(x^2)^{MAX_DEGREE // 2 + 1}",
+           "2^100000", "(x+y+1)^127", f"x^{MAX_DEGREE}*y", "9" * (MAX_DIGITS + 1),
+           " + ".join(f"x^{i}*y^{j}" for i in range(1, 30) for j in range(1, 30))]
+    for text in bad:
+        with pytest.raises(ParseError):
+            parse_poly(text, Q, names)
+    assert len(parse_poly("(x+y+1)^30", Q, names).terms) <= MAX_TERMS

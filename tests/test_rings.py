@@ -201,3 +201,20 @@ def test_ground_scalar_int_coercion():
     assert a + 4 == ring.from_int(2)
     assert 2 * a == ring.from_int(1)
     assert isinstance(2 * a, GroundScalar)
+
+
+def test_primality_is_deterministic_miller_rabin():
+    from rinehart.rings import PRIME_BOUND, _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (1000000000000000003, 2 ** 61 - 1, 3317044064679887385961813):
+        assert _is_prime(n)
+    assert PrimeField(1000000000000000003).from_int(-1).value == 1000000000000000002
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeField(PRIME_BOUND)
