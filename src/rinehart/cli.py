@@ -11,7 +11,7 @@ The spec file is JSON:
       "quotient": {"sphere": {"c": "1"}} | {"generator": "...", "q": "..."},
       "checks": ["space-form", ...],      # optional, defaults to all applicable
       "seed": 0,                          # optional
-      "max_degree": 2                     # optional
+      "max_degree": 2                     # optional, 1..41 (MAX_RANDOM_DEGREE)
     }
 
 Exit codes: 0 all requested checks pass (or the computation succeeded),
@@ -37,7 +37,7 @@ from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import QuotientElem
 from .rings import ring_from_json
 from .space import RinehartSpace, curvature, gradient
-from .suites import CHECK_NAMES, CheckResult, Workspace, run_checks
+from .suites import CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace, run_checks
 from .tensors import Metric, VectorField
 
 DEFAULT_CASES = 40
@@ -156,8 +156,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError("seed", "must be a nonnegative integer")
     max_degree = spec.get("max_degree", 2)
-    if isinstance(max_degree, bool) or not isinstance(max_degree, int) or max_degree < 1:
-        raise ValidationError("max_degree", "must be a positive integer")
+    if type(max_degree) is not int or not 1 <= max_degree <= MAX_RANDOM_DEGREE:
+        raise ValidationError("max_degree", f"must be an integer in 1..{MAX_RANDOM_DEGREE}")
 
     workspace = Workspace(space=space, hyper=hyper, c=c_scalar)
     return workspace, SpecMeta(checks=checks, seed=seed, max_degree=max_degree)
@@ -374,8 +374,8 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         ws, meta = build_workspace(spec)
-        if args.max_degree is not None and args.max_degree < 1:
-            raise ValidationError("max-degree", "must be a positive integer")
+        if args.max_degree is not None and not 1 <= args.max_degree <= MAX_RANDOM_DEGREE:
+            raise ValidationError("max_degree", f"must be an integer in 1..{MAX_RANDOM_DEGREE}")
         return args.func(ws, meta, args)
     except RinehartError as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
-from .poly import Poly, PrincipalIdeal, QuotientElem, UnitStatus, unit_status
+from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus, sum_products,
+                   unit_status)
 from .rings import GroundScalar, RingDescriptor
 from .space import (RinehartSpace, ambient_derivative,
                     check_constant_curvature, gradient)
@@ -99,12 +100,9 @@ def make_sphere(ring: RingDescriptor, n: int, c: GroundScalar,
     if len(names) != n:
         raise ValueError("variable name count must match n")
     ambient = RinehartSpace.euclidean(ring, names)
-    half = ring.from_int(2).inverse()
-    square_sum = Poly.zero(ring, n)
-    for i in range(n):
-        xi = Poly.variable(ring, n, i)
-        square_sum = square_sum + xi * xi
-    generator = (square_sum - Poly.constant(ring, n, c.inverse())).scale(half)
+    xs = [Poly.variable(ring, n, i) for i in range(n)]
+    shift = Poly.constant(ring, n, c.inverse())
+    generator = (sum_products(ring, n, zip(xs, xs)) - shift).scale(ring.from_int(2).inverse())
     return HypersurfaceSpace.build(ambient, generator, ambient.constant(c))
 
 

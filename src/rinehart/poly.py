@@ -151,11 +151,12 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        if self.nvars != other.nvars:
-            raise ArityMismatch(f"{self.nvars} vs {other.nvars} variables")
+    def _check(self, *others: "Poly"):
+        for other in others:
+            if self.ring != other.ring:
+                raise RingMismatch(f"{self.ring} vs {other.ring}")
+            if self.nvars != other.nvars:
+                raise ArityMismatch(f"{self.nvars} vs {other.nvars} variables")
 
     def _coerce(self, other) -> Optional["Poly"]:
         if isinstance(other, Poly):
@@ -195,20 +196,7 @@ class Poly:
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Poly(self.ring, self.nvars, ())
-        if _degree(a[0][0], self.nvars) + _degree(b[0][0], self.nvars) > MAX_DEGREE:
-            raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
-        add, mul = self.ring.add, self.ring.mul
-        acc: dict = {}
-        get = acc.get
-        for kb, cb in b:
-            for ka, ca in a:
-                k = ka + kb
-                v = get(k)
-                acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
-        return _canonical(self.ring, self.nvars, sorted(acc.items(), reverse=True))
+        return sum_products(self.ring, self.nvars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -245,6 +233,29 @@ class Poly:
                 # dividing every term by x_i shifts its key by the same step
                 out.append((k - step, mul(c, from_int(e))))
         return _canonical(self.ring, n, out)
+
+
+def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable) -> Poly:
+    """sum a*b over Poly pairs (a, b): every product goes into one raw {key: value}
+    map, made canonical once.  Operands are checked against (ring, nvars),
+    by identity first, and each product against MAX_DEGREE."""
+    add, mul = ring.add, ring.mul
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        if not (a.ring is ring is b.ring and a.nvars == nvars == b.nvars):
+            Poly(ring, nvars, ())._check(a, b)
+        ta, tb = a.terms, b.terms
+        if not ta or not tb:
+            continue
+        if _degree(ta[0][0], nvars) + _degree(tb[0][0], nvars) > MAX_DEGREE:
+            raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
+        for kb, cb in tb:
+            for ka, ca in ta:
+                k = ka + kb
+                v = get(k)
+                acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
+    return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
 
 
 def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
@@ -388,12 +399,19 @@ class QuotientElem:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def check_peers(self, others):
+        """Raise IdealMismatch unless every other element lives in this quotient ring."""
+        ideal, ring, nvars = self.ideal, self.rep.ring, self.rep.nvars
+        for other in others:
+            if other.ideal is not ideal and other.ideal != ideal:
+                raise IdealMismatch("elements of different quotient rings")
+            rep = other.rep
+            if (rep.ring is not ring and rep.ring != ring) or rep.nvars != nvars:
+                raise IdealMismatch("elements of different polynomial rings")
+
     def _coerce(self, other):
         if isinstance(other, QuotientElem):
-            if self.ideal != other.ideal:
-                raise IdealMismatch("elements of different quotient rings")
-            if self.ring != other.ring or self.nvars != other.nvars:
-                raise IdealMismatch("elements of different polynomial rings")
+            self.check_peers((other,))
             return other
         if isinstance(other, int):
             other = self.ring.from_int(other)

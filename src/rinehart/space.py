@@ -17,7 +17,7 @@ from .errors import (MetricNotMusical, NotEuclidean, SpaceMismatch,
                      TwoNotAUnit)
 from .parse import parse_poly
 from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
-                   format_poly, unit_status)
+                   format_poly, sum_products, unit_status)
 from .rings import GroundScalar, RingDescriptor
 from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, inner,
                       pairing, sharp)
@@ -109,9 +109,10 @@ class RinehartSpace:
         return "[" + ", ".join(self.format_fn(c) for c in x.coeffs) + "]"
 
 
-def _check_fn(space: RinehartSpace, f: QuotientElem):
-    if f.ideal != space.ideal or f.nvars != space.nvars or f.ring != space.ring:
-        raise SpaceMismatch("function belongs to a different space")
+def _check_fn(space: RinehartSpace, *fs: QuotientElem):
+    for f in fs:
+        if f.ideal != space.ideal or f.nvars != space.nvars or f.ring != space.ring:
+            raise SpaceMismatch("function belongs to a different space")
 
 
 def _check_field(space: RinehartSpace, x: VectorField):
@@ -128,9 +129,12 @@ def differential(space: RinehartSpace, f: QuotientElem) -> OneForm:
 
 
 def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientElem:
-    """The derivation d_X f = <X, df>."""
+    """The derivation d_X f = <X, df> = sum_i X^i (partial f / partial x_i), reduced once."""
     _check_field(space, x)
-    return pairing(x, differential(space, f))
+    _check_fn(space, f)
+    f.check_peers(x.coeffs)
+    pairs = [(c.rep, f.rep.diff(i)) for i, c in enumerate(x.coeffs) if c.rep.terms]
+    return QuotientElem(sum_products(space.ring, space.nvars, pairs), space.ideal)
 
 
 def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
@@ -248,9 +252,9 @@ class KoszulConnection:
         raised = apply_matrix(metric.adjugate(), beta)
         if self._det_inv is not None:
             return tuple(self._det_inv * w for w in raised)
-        if self.space.ideal is not None or not self.space.ring.is_field():
-            return None
         det = metric.det()
+        if self.space.ideal is not None or not self.space.ring.is_field() or det.is_zero():
+            return None
         out = []
         for w in raised:
             q = divide_exact(w.rep, det.rep)
@@ -266,17 +270,21 @@ class KoszulConnection:
             if value is None:
                 raise MetricNotMusical("Koszul value has no exact solution for this pair")
             return VectorField(space, value)
-        acc = ambient_derivative(space, x, y)
-        for i in range(space.nvars):
-            xi = x.coeffs[i]
-            if xi.is_zero():
-                continue
-            for j in range(space.nvars):
-                g = xi * y.coeffs[j]
-                if g.is_zero():
-                    continue
-                acc = acc + g * VectorField(space, self._gamma[(i, j)])
-        return acc
+        # component k in one pass: sum_i x_i d_i y_k + sum_ij (x_i y_j) Gamma^k_ij
+        _check_field(space, x)
+        _check_field(space, y)
+        _check_fn(space, *y.coeffs)
+        self._half.check_peers(x.coeffs)
+        n = space.nvars
+        xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
+        xy = [(xs[i] * ys[j], self._gamma[(i, j)]) for i in range(n) if xs[i].terms
+              for j in range(n) if ys[j].terms]
+        out = []
+        for k in range(n):
+            pairs = [(xs[i], ys[k].diff(i)) for i in range(n) if xs[i].terms]
+            pairs += [(p, gamma[k].rep) for p, gamma in xy]
+            out.append(QuotientElem(sum_products(space.ring, n, pairs), space.ideal))
+        return VectorField(space, tuple(out))
 
 
 def curvature(space: RinehartSpace, conn: Callable, x: VectorField,

@@ -4,6 +4,12 @@ Each check runs exhaustively over basis or spanning data where that is
 finite and on seeded random samples otherwise, entirely in exact
 arithmetic.  Results carry a status, a human-readable detail line and a
 counterexample rendered as exact expression strings when something fails.
+
+Random polynomials have degree at most d = max_degree.  The deepest
+product any check forms is second-form-symmetric's f * h(X, Y), of degree
+d + (2d + 4) with tangent fields of degree d + 2; pairing-duality reaches
+3d.  Keeping 3d + 4 <= poly.MAX_DEGREE = 127 gives MAX_RANDOM_DEGREE = 41,
+for metric entries and quotient generators of degree at most 2.
 """
 
 from __future__ import annotations
@@ -19,13 +25,16 @@ from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            project_tangent, quotient_equal,
                            second_fundamental_form, spanning_fields,
                            sphere_metric_entry, verify_space_form)
-from .poly import UnitStatus, unit_status
+from .poly import UnitStatus, sum_products, unit_status
 from .randgen import random_field, random_fn, random_poly, rng_for
 from .rings import GroundScalar
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
                     ambient_derivative, check_levi_civita, curvature, derive,
                     differential, lie_bracket)
 from .tensors import OneForm, flat, inner, pairing, sharp
+
+
+MAX_RANDOM_DEGREE = 41
 
 
 @dataclass(frozen=True)
@@ -461,9 +470,8 @@ def _check_induced_identities(ws, rng, cases, max_degree):
             return _fail("d_N x_i != x_i", {"index": str(i + 1)})
         if inner(ambient.basis_field(i), normal, ambient.metric) != ambient.coordinate(i):
             return _fail("<X_i, N> != x_i", {"index": str(i + 1)})
-    square_sum = ambient.constant(ambient.ring.zero())
-    for i in range(n):
-        square_sum = square_sum + ambient.coordinate(i) * ambient.coordinate(i)
+    xs = [ambient.coordinate(i).rep for i in range(n)]
+    square_sum = ambient.poly_fn(sum_products(ambient.ring, n, zip(xs, xs)))
     if inner(normal, normal, ambient.metric) != square_sum:
         return _fail("<N, N> != sum x_i^2", {})
     for _ in range(max(1, cases // 10)):

@@ -5,6 +5,10 @@ bases X_i and om_i; the pairing <X_i, om_j> = delta_ij extends
 O-bilinearly.  A metric is a symmetric Gram matrix; lowering an index is
 always possible, raising one goes through the adjugate and needs a
 certified unit determinant.
+
+Each sum of products (pairing, inner product, matrix row, cofactor
+expansion) is one raw `poly.sum_products` with one normal form per result:
+reduction mod (f) is a ring homomorphism with canonical remainders.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cached_property
 
 from .errors import MetricNotMusical, SpaceMismatch
 from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
-                   unit_status)
+                   sum_products, unit_status)
 
 
 def _check_same_space(a, b):
@@ -100,23 +104,14 @@ class Metric:
         return all(e.is_constant() for row in self.entries for e in row)
 
     def reduce(self, ideal: PrincipalIdeal | None) -> "Metric":
-        rows = tuple(tuple(QuotientElem(e.rep, ideal) for e in row)
-                     for row in self.entries)
-        return Metric(rows)
+        return Metric(tuple(tuple(QuotientElem(e.rep, ideal) for e in row) for row in self.entries))
 
     def _minor_det(self, rows: tuple, cols: tuple) -> QuotientElem:
         if len(rows) == 1:
             return self.entries[rows[0]][cols[0]]
-        first = rows[0]
-        rest = rows[1:]
-        acc = None
-        for k, c in enumerate(cols):
-            sub = self._minor_det(rest, cols[:k] + cols[k + 1:])
-            piece = self.entries[first][c] * sub
-            if k % 2 == 1:
-                piece = -piece
-            acc = piece if acc is None else acc + piece
-        return acc
+        row = tuple(self.entries[rows[0]][c] for c in cols)
+        subs = (self._minor_det(rows[1:], cols[:k] + cols[k + 1:]) for k in range(len(cols)))
+        return _dot(row, tuple(-sub if k % 2 else sub for k, sub in enumerate(subs)))
 
     # The cofactor expansions run at most once per metric: the values are
     # kept on the instance, and det() and adjugate() are their only readers.
@@ -149,10 +144,10 @@ class Metric:
 
 
 def _dot(a: tuple, b: tuple) -> QuotientElem:
-    acc = a[0] * b[0]
-    for u, v in zip(a[1:], b[1:]):
-        acc = acc + u * v
-    return acc
+    """sum_i a_i b_i as one raw sum of products with one normal form."""
+    a[0].check_peers(a + b)
+    pairs = [(u.rep, v.rep) for u, v in zip(a, b)]
+    return QuotientElem(sum_products(a[0].ring, a[0].nvars, pairs), a[0].ideal)
 
 
 def apply_matrix(rows: tuple, vec: tuple) -> tuple:
@@ -166,11 +161,17 @@ def pairing(x: VectorField, om: OneForm) -> QuotientElem:
 
 
 def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
-    """<X, Y> = X^T G Y."""
+    """<X, Y> = sum_ij X^i G_ij Y^j over the nonzero G_ij, with one normal form."""
     _check_same_space(x, y)
     if metric.n != len(x.coeffs):
         raise SpaceMismatch("metric dimension does not match the space")
-    return _dot(x.coeffs, apply_matrix(metric.entries, y.coeffs))
+    like = metric.entries[0][0]
+    like.check_peers(x.coeffs + y.coeffs + sum(metric.entries, ()))
+    one = ((0, like.ring._from_int(1)),)
+    pairs = [(u.rep if g.rep.terms == one else u.rep * g.rep, v.rep)
+             for u, row in zip(x.coeffs, metric.entries) if u.rep.terms
+             for g, v in zip(row, y.coeffs) if g.rep.terms]
+    return QuotientElem(sum_products(like.ring, like.nvars, pairs), like.ideal)
 
 
 def flat(x: VectorField, metric: Metric) -> OneForm:
@@ -187,13 +188,11 @@ def sharp(om: OneForm, metric: Metric) -> VectorField:
     status, det_inv = unit_status(metric.det())
     if status is not UnitStatus.UNIT:
         raise MetricNotMusical(f"metric determinant is {status.value}")
-    adj = metric.adjugate()
-    raised = apply_matrix(adj, om.coeffs)
+    raised = apply_matrix(metric.adjugate(), om.coeffs)
     return VectorField(om.space, tuple(det_inv * v for v in raised))
 
 
 def in_maximal_ideal_submodule(x: VectorField, ideal: PrincipalIdeal,
                                metric: Metric) -> bool:
     """Whether <X, Y> lies in (f) for every Y, i.e. G*X vanishes mod (f)."""
-    lowered = flat(x, metric)
-    return all(QuotientElem(c.rep, ideal).is_zero() for c in lowered.coeffs)
+    return all(QuotientElem(c.rep, ideal).is_zero() for c in flat(x, metric).coeffs)

@@ -93,6 +93,15 @@ def test_rejects_malformed_field_types(tmp_path, capsys, fields):
     assert "Traceback" not in err
 
 
+def test_zero_determinant_metric_skips_instead_of_dividing_by_zero(tmp_path, capsys):
+    path = write_spec(tmp_path, dict(BASE, vars=["x"], metric={"diag": ["0"]}))
+    code, out, err = run(capsys, ["check", path])
+    assert code == 0 and "Traceback" not in err
+    assert "SKIP  musical-roundtrip" in out
+    code, _, err = run(capsys, ["connection", path, "--x", "x", "--y", "x"])
+    assert code == 2 and err.startswith("error[MetricNotMusical]")
+
+
 def test_rejects_asymmetric_matrix(tmp_path, capsys):
     spec = dict(BASE, metric={"matrix": [["1", "x"], ["0", "1"]]})
     code, _, err = run(capsys, ["check", write_spec(tmp_path, spec)])

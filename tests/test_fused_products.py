@@ -1,0 +1,274 @@
+"""Fused sums of products against a reference that reduces after every product.
+
+`pairing`, `inner`, `apply_matrix`, `derive`, `ambient_derivative` and the
+vector values of `KoszulConnection` each accumulate all their products into
+one raw sum and take one normal form per result.  The reference below is
+the earlier code: every product is a reduced `QuotientElem` and the sums
+are taken in the quotient.  Reduction modulo (f) is a ring homomorphism
+and the remainder is canonical, so both must agree exactly.  They are
+compared over Q, F_5, Q(i) and the split Q(j), on plain spaces and on
+sphere quotients, with Euclidean, constant diagonal and polynomial
+G = L L^T metrics of determinant 1.  Mixed operands must raise the same
+error classes in both.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rinehart import (ArityMismatch, DegreeOverflow, IdealMismatch, KoszulConnection, Metric,
+                      Poly, PrimeField, QuadExt, Rationals, RingMismatch, RinehartError,
+                      RinehartSpace, SpaceMismatch, ambient_derivative, derive,
+                      differential, inner, make_sphere, pairing, sum_products)
+from rinehart.poly import MAX_DEGREE, QuotientElem
+from rinehart.tensors import VectorField, apply_matrix
+
+Q = Rationals()
+RINGS = {"Q": Q, "F5": PrimeField(5), "Qi": QuadExt(Q, -1), "Qj": QuadExt(Q, 1)}
+NAMES = ("x", "y", "z")
+
+
+# ---------------------------------------------------------------------------
+# the reference: one normal form per product
+
+
+def ref_dot(a, b):
+    acc = a[0] * b[0]
+    for u, v in zip(a[1:], b[1:]):
+        acc = acc + u * v
+    return acc
+
+
+def ref_apply_matrix(rows, vec):
+    return tuple(ref_dot(row, vec) for row in rows)
+
+
+def ref_pairing(x, om):
+    if x.space != om.space:
+        raise SpaceMismatch("operands belong to different spaces")
+    return ref_dot(x.coeffs, om.coeffs)
+
+
+def ref_inner(x, y, metric):
+    if x.space != y.space:
+        raise SpaceMismatch("operands belong to different spaces")
+    if metric.n != len(x.coeffs):
+        raise SpaceMismatch("metric dimension does not match the space")
+    return ref_dot(x.coeffs, ref_apply_matrix(metric.entries, y.coeffs))
+
+
+def ref_derive(space, x, f):
+    if x.space != space:
+        raise SpaceMismatch("field belongs to a different space")
+    return ref_pairing(x, differential(space, f))
+
+
+def ref_ambient_derivative(space, x, y):
+    if x.space != space or y.space != space:
+        raise SpaceMismatch("field belongs to a different space")
+    return VectorField(space, tuple(ref_derive(space, x, c) for c in y.coeffs))
+
+
+def ref_koszul(conn, x, y):
+    space = conn.space
+    acc = ref_ambient_derivative(space, x, y)
+    for i in range(space.nvars):
+        for j in range(space.nvars):
+            g = x.coeffs[i] * y.coeffs[j]
+            acc = acc + g * VectorField(space, conn._gamma[(i, j)])
+    return acc
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class of the RinehartError it raised."""
+    try:
+        return fn(*args)
+    except RinehartError as exc:
+        return type(exc)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def scalars(ring):
+    if isinstance(ring, PrimeField):
+        return st.integers(0, ring.p - 1).map(ring.from_int)
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if isinstance(ring, QuadExt):
+        return st.tuples(small, small).map(ring.scalar)
+    return small.map(ring.scalar)
+
+
+def polys(ring, n, max_exp=2, max_terms=4):
+    monos = st.tuples(*[st.integers(0, max_exp)] * n)
+    return st.dictionaries(monos, scalars(ring), max_size=max_terms).map(
+        lambda d: Poly.from_dict(ring, n, d))
+
+
+def linear(ring, n):
+    """A polynomial of degree at most 1."""
+    return st.lists(scalars(ring), min_size=n + 1, max_size=n + 1).map(
+        lambda cs: Poly.from_dict(ring, n, {tuple(int(i == k) for i in range(n)): c
+                                            for k, c in enumerate(cs)}))
+
+
+def metric_entries(ring, n, kind, lower):
+    """Euclidean, a constant unit diagonal, or L L^T for unitriangular L."""
+    one, zero = Poly.constant(ring, n, ring.one()), Poly.zero(ring, n)
+    if kind == "euclidean":
+        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        return [[Poly.constant(ring, n, ring.from_int(lower[i][i])) if i == j else zero
+                 for j in range(n)] for i in range(n)]
+    low = [[lower[i][j] if j < i else (one if i == j else zero) for j in range(n)]
+           for i in range(n)]
+    return [[sum((low[i][k] * low[j][k] for k in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def setups(draw, ring_name):
+    """A plain space or a sphere quotient, with one of the three metric kinds."""
+    ring = RINGS[ring_name]
+    n = draw(st.integers(2, 3), label="n")
+    quotient = draw(st.booleans(), label="sphere")
+    kind = draw(st.sampled_from(["euclidean", "diagonal", "polynomial"]), label="metric")
+    lower = [[draw(st.sampled_from([1, 2, 3, -1])) if i == j else draw(linear(ring, n))
+              for j in range(n)] for i in range(n)]
+    entries = metric_entries(ring, n, kind, lower)
+    ideal = make_sphere(ring, n, ring.one()).ideal if quotient else None
+    metric = Metric(tuple(tuple(QuotientElem(e, None) for e in row) for row in entries))
+    return RinehartSpace.with_metric(ring, NAMES[:n], metric, ideal)
+
+
+def fields(draw, space, count):
+    return [space.field([draw(polys(space.ring, space.nvars, max_exp=1, max_terms=3))
+                         for _ in range(space.nvars)]) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+
+
+@pytest.mark.parametrize("ring_name", RINGS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fused_sums_match_per_product_reduction(ring_name, data):
+    space = data.draw(setups(ring_name))
+    x, y = fields(data.draw, space, 2)
+    om = space.form(list(y.coeffs))
+    f = space.poly_fn(data.draw(polys(space.ring, space.nvars, max_exp=3)))
+    metric = space.metric
+    assert pairing(x, om) == ref_pairing(x, om)
+    assert inner(x, y, metric) == ref_inner(x, y, metric)
+    assert apply_matrix(metric.entries, y.coeffs) == ref_apply_matrix(metric.entries, y.coeffs)
+    assert derive(space, x, f) == ref_derive(space, x, f)
+    assert ambient_derivative(space, x, y) == ref_ambient_derivative(space, x, y)
+
+
+@pytest.mark.parametrize("ring_name", RINGS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_koszul_values_match_per_product_reduction(ring_name, data):
+    space = data.draw(setups(ring_name))
+    conn = KoszulConnection(space)
+    assert conn.fully_solvable
+    x, y = fields(data.draw, space, 2)
+    assert conn(x, y) == ref_koszul(conn, x, y)
+    basis = space.basis_fields()
+    assert conn(basis[0], basis[-1]) == ref_koszul(conn, basis[0], basis[-1])
+
+
+# ---------------------------------------------------------------------------
+# mixed operands
+
+
+def _spaces(ring, n=2):
+    plain = RinehartSpace.euclidean(ring, NAMES[:n])
+    return plain, make_sphere(ring, n, ring.one(), var_names=NAMES[:n]).quotient
+
+
+def fld(space, *texts):
+    return space.field([space.fn(t) for t in texts])
+
+
+def frm(space, *texts):
+    return space.form([space.fn(t) for t in texts])
+
+
+def _foreign(space, coeffs):
+    """A field of `space` whose coefficients live elsewhere."""
+    return VectorField(space, tuple(coeffs))
+
+
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_mixed_operands_raise_the_same_errors(ring_name):
+    ring = RINGS[ring_name]
+    plain, sphere = _spaces(ring)
+    other_ring = _spaces(PrimeField(7) if ring_name != "F5" else Q)[0]
+    wider = RinehartSpace.euclidean(ring, NAMES)
+    x = fld(plain, "x + 1", "x*y")
+    y = fld(plain, "y^2", "2*x")
+    xs = fld(sphere, "y", "x*y")
+    f = plain.fn("x^2*y + 1")
+    mixed = [
+        _foreign(plain, fld(sphere, "x", "y").coeffs),  # other ideal
+        _foreign(plain, fld(other_ring, "x", "y").coeffs),  # other ring
+        _foreign(plain, fld(wider, "x", "y", "z").coeffs[:2]),  # other arity
+    ]
+    cases = [
+        (pairing, ref_pairing, (x, frm(sphere, "x", "y"))),
+        (inner, ref_inner, (x, xs, plain.metric)),
+        (inner, ref_inner, (x, y, sphere.metric)),
+        (derive, ref_derive, (plain, xs, f)),
+        (derive, ref_derive, (plain, x, sphere.fn("x"))),
+        (ambient_derivative, ref_ambient_derivative, (plain, x, xs)),
+        (apply_matrix, ref_apply_matrix, (sphere.metric.entries, y.coeffs)),
+    ]
+    for m in mixed:
+        cases += [
+            (pairing, ref_pairing, (m, frm(plain, "x", "y"))),
+            (inner, ref_inner, (m, y, plain.metric)),
+            (inner, ref_inner, (y, m, plain.metric)),
+            (derive, ref_derive, (plain, m, f)),
+            (ambient_derivative, ref_ambient_derivative, (plain, x, m)),
+            (apply_matrix, ref_apply_matrix, (plain.metric.entries, m.coeffs)),
+        ]
+    for new, ref, args in cases:
+        got, want = outcome(new, *args), outcome(ref, *args)
+        assert isinstance(want, type) and issubclass(want, RinehartError), (new, args)
+        assert got is want, (new.__name__, got, want)
+    assert {outcome(pairing, m, frm(plain, "x", "y")) for m in mixed} == {IdealMismatch}
+    assert outcome(pairing, x, frm(sphere, "x", "y")) is SpaceMismatch
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "F5"])
+def test_mixed_operands_raise_the_same_errors_in_koszul_values(ring_name):
+    ring = RINGS[ring_name]
+    plain, sphere = _spaces(ring)
+    metric = Metric.diagonal([plain.fn("2"), plain.fn("3")])
+    space = RinehartSpace.with_metric(ring, NAMES[:2], metric)
+    conn = KoszulConnection(space)
+    x = fld(space, "x", "y")
+    for bad in (fld(sphere, "x", "y"), _foreign(space, fld(sphere, "x", "y").coeffs)):
+        assert outcome(conn, x, bad) is outcome(ref_koszul, conn, x, bad)
+        assert outcome(conn, bad, x) is outcome(ref_koszul, conn, bad, x)
+    assert outcome(conn, x, fld(sphere, "x", "y")) is SpaceMismatch
+
+
+def test_kernel_checks_every_operand_and_product():
+    x = Poly.variable(Q, 2, 0)
+    assert sum_products(Q, 2, []) == Poly.zero(Q, 2)
+    assert sum_products(Q, 2, [(x, x), (x, -x)]) == Poly.zero(Q, 2)
+    assert sum_products(Q, 2, [(x, x), (x, x)]) == x * x + x * x
+    with pytest.raises(RingMismatch):
+        sum_products(Q, 2, [(x, x), (x, Poly.variable(PrimeField(5), 2, 0))])
+    with pytest.raises(ArityMismatch):
+        sum_products(Q, 2, [(x, Poly.variable(Q, 3, 0))])
+    top = x ** (MAX_DEGREE - 1)
+    assert sum_products(Q, 2, [(top, x), (x, top)]).total_degree() == MAX_DEGREE
+    with pytest.raises(DegreeOverflow):
+        sum_products(Q, 2, [(x, x), (top, x * x)])
