@@ -152,15 +152,22 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
         if unknown:
             raise ValidationError("checks", f"unknown checks: {', '.join(unknown)}")
 
-    seed = spec.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError("seed", "must be a nonnegative integer")
-    max_degree = spec.get("max_degree", 2)
-    if type(max_degree) is not int or not 1 <= max_degree <= MAX_RANDOM_DEGREE:
-        raise ValidationError("max_degree", f"must be an integer in 1..{MAX_RANDOM_DEGREE}")
-
+    seed = _run_setting("seed", spec.get("seed", 0))
+    max_degree = _run_setting("max_degree", spec.get("max_degree", 2))
     workspace = Workspace(space=space, hyper=hyper, c=c_scalar)
     return workspace, SpecMeta(checks=checks, seed=seed, max_degree=max_degree)
+
+
+def _run_setting(name: str, value) -> int:
+    """Validate `seed` or `max_degree`, from the spec or from its flag."""
+    if name == "seed":
+        ok, message = type(value) is int and value >= 0, "must be a nonnegative integer"
+    else:
+        ok = type(value) is int and 1 <= value <= MAX_RANDOM_DEGREE
+        message = f"must be an integer in 1..{MAX_RANDOM_DEGREE}"
+    if not ok:
+        raise ValidationError(name, message)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +257,9 @@ def _parse_field(ws: Workspace, text: str) -> VectorField:
 
 
 def _cmd_check(ws, meta, args) -> int:
-    seed = args.seed if args.seed is not None else meta.seed
-    max_degree = args.max_degree if args.max_degree is not None else meta.max_degree
+    seed = meta.seed if args.seed is None else _run_setting("seed", args.seed)
+    max_degree = (meta.max_degree if args.max_degree is None
+                  else _run_setting("max_degree", args.max_degree))
     results = run_checks(ws, names=meta.checks, seed=seed,
                          max_degree=max_degree, cases=DEFAULT_CASES)
     _emit_report(ws, args, results)
@@ -327,18 +335,22 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="path to a JSON space spec")
         p.add_argument("--json", action="store_true", help="machine readable output")
-        p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree",
-                       help="degree bound for random coefficients")
+
+    def spanning(p):
         p.add_argument("--spanning", action="store_true",
                        help="also print the spanning tangent fields of a quotient")
 
     p_check = sub.add_parser("check", help="run the invariant suites")
     common(p_check)
+    spanning(p_check)
+    p_check.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p_check.add_argument("--max-degree", type=int, default=None, dest="max_degree",
+                         help="degree bound for random coefficients")
     p_check.set_defaults(func=_cmd_check)
 
     p_sf = sub.add_parser("space-form", help="verify the constant-curvature identities")
     common(p_sf)
+    spanning(p_sf)
     p_sf.add_argument("--c", default=None, help="curvature constant (defaults to the sphere c)")
     p_sf.set_defaults(func=_cmd_space_form)
 
@@ -374,8 +386,6 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         ws, meta = build_workspace(spec)
-        if args.max_degree is not None and not 1 <= args.max_degree <= MAX_RANDOM_DEGREE:
-            raise ValidationError("max_degree", f"must be an integer in 1..{MAX_RANDOM_DEGREE}")
         return args.func(ws, meta, args)
     except RinehartError as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")

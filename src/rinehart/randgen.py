@@ -9,6 +9,7 @@ into a proof for the sampled instance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from random import Random
 
@@ -17,18 +18,19 @@ from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 from .tensors import VectorField
 
 
-def scalar_pool(ring: RingDescriptor) -> list:
+@cache
+def scalar_pool(ring: RingDescriptor) -> tuple:
+    """The coefficients a ring draws from, built once per ring."""
     if isinstance(ring, Rationals):
         values = [0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
-        return [ring.scalar(v) for v in values]
+        return tuple(ring.scalar(v) for v in values)
     if isinstance(ring, PrimeField):
         # the first residues only; random_scalar draws from all of F_p
-        return [ring.scalar(v) for v in range(min(ring.p, 4))]
+        return tuple(ring.scalar(v) for v in range(min(ring.p, 4)))
     if isinstance(ring, QuadExt):
         base_pool = scalar_pool(ring.base)
-        pool = [ring.scalar((a.value, b.value))
-                for a in base_pool[:4] for b in base_pool[:4]]
-        return pool
+        return tuple(ring.scalar((a.value, b.value))
+                     for a in base_pool[:4] for b in base_pool[:4])
     raise TypeError(f"no sampling pool for {ring!r}")
 
 

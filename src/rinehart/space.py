@@ -174,20 +174,23 @@ class EuclideanConnection:
 
 
 class KoszulConnection:
-    """The connection determined by the Koszul formula.
+    """The Levi-Civita connection of the metric, by the Koszul formula.
 
     2<nabla_X Y, Z> = d_X<Y,Z> + d_Y<Z,X> - d_Z<X,Y>
                       - <X,[Y,Z]> + <Y,[Z,X]> + <Z,[X,Y]>
 
-    `form(X, Y)` evaluates the right side against the basis fields and is
-    always available; calling the connection solves G v = form(X, Y) for
-    the vector value.  When the Gram determinant is a certified unit the
-    solve goes through the adjugate and the whole table of basis values is
-    precomputed; otherwise each requested value is recovered by exact
-    division when possible and `MetricNotMusical` is raised when not.
-
-    Instances are safe to share between threads: the memo table is only
-    ever filled with identical values, so racing writers are harmless.
+    Against the basis fields, whose brackets vanish, this reads
+    <nabla_X Y, X_k> = sum_j G_kj d_X Y^j + sum_ij X^i Y^j Gamma_ij,k with
+    the first-kind symbols Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
+    (do Carmo, Riemannian Geometry, 1992, section 2.3).  That table is the
+    one place the formula lives.  `form(X, Y)` contracts it with G and is
+    always available.  Calling the connection contracts the second-kind
+    table Gamma^k_ij, the solution of G v = Gamma_ij,., with the identity,
+    so `form(X, Y) == flat(nabla_X Y)`, also on a quotient.  When the Gram
+    determinant is a certified unit the solve goes through the adjugate and
+    the second-kind table is built up front; otherwise each requested value
+    solves G v = form(X, Y) by exact division when possible and raises
+    `MetricNotMusical` when not.
     """
 
     def __init__(self, space: RinehartSpace):
@@ -195,56 +198,50 @@ class KoszulConnection:
         if not two.is_unit():
             raise TwoNotAUnit("the Koszul formula needs 2 invertible")
         self.space = space
-        self._half = space.constant(two.inverse())
         _, self._det_inv = unit_status(space.metric.det())
+        n, g = space.nvars, space.metric.entries
+        half = Poly.constant(space.ring, n, two.inverse())
+        self._identity = Metric.euclidean(space.ring, n, space.ideal).entries
+        self._first: dict = {}
         self._gamma: dict = {}
-        self.fully_solvable = True
-        n = space.nvars
-        for i, j in ((i, j) for i in range(n) for j in range(i, n)):
-            value = self._solve(self._basis_form(i, j))
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        for i, j in upper:
+            # Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
+            self._first[(i, j)] = self._first[(j, i)] = tuple(QuotientElem(sum_products(
+                space.ring, n, [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
+                                (-half, g[i][j].rep.diff(k))]), space.ideal) for k in range(n))
+        for i, j in upper:
+            value = self._solve(self._first[(i, j)])
             if value is None:
-                self.fully_solvable = False
                 self._gamma.clear()
                 break
             self._gamma[(i, j)] = self._gamma[(j, i)] = value
+        self.fully_solvable = bool(self._gamma)
 
-    # -- one-form level ------------------------------------------------------
-
-    def _basis_form(self, i: int, j: int) -> tuple:
-        # brackets of basis fields vanish, leaving the Christoffel symbols
-        # of the first kind: (d_i G_jk + d_j G_ik - d_k G_ij) / 2
-        space = self.space
-        g = space.metric.entries
-        out = []
-        for k in range(space.nvars):
-            s = (QuotientElem(g[j][k].rep.diff(i), space.ideal)
-                 + QuotientElem(g[i][k].rep.diff(j), space.ideal)
-                 - QuotientElem(g[i][j].rep.diff(k), space.ideal))
-            out.append(self._half * s)
-        return tuple(out)
-
-    def form(self, x: VectorField, y: VectorField) -> OneForm:
-        """The one-form Z |-> <nabla_X Y, Z> given by the Koszul right side."""
+    def _contract(self, w: tuple, table: dict, x: VectorField, y: VectorField) -> tuple:
+        """Component k of sum_j w[k][j] d_X Y^j + sum_ij X^i Y^j table[(i, j)][k],
+        each one raw sum of products with one normal form."""
         space = self.space
         _check_field(space, x)
         _check_field(space, y)
-        metric = space.metric
-        bxy = lie_bracket(space, x, y)
-        coeffs = []
-        for k in range(space.nvars):
-            z = space.basis_field(k)
-            byz = lie_bracket(space, y, z)
-            bzx = lie_bracket(space, z, x)
-            val = (derive(space, x, inner(y, z, metric))
-                   + derive(space, y, inner(z, x, metric))
-                   - derive(space, z, inner(x, y, metric))
-                   - inner(x, byz, metric)
-                   + inner(y, bzx, metric)
-                   + inner(z, bxy, metric))
-            coeffs.append(self._half * val)
-        return OneForm(space, tuple(coeffs))
+        _check_fn(space, *y.coeffs)
+        self._identity[0][0].check_peers(x.coeffs)
+        n, one = space.nvars, ((0, space.ring._from_int(1)),)
+        xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
+        live = [i for i in range(n) if xs[i].terms]
+        dy = [[(xs[i], ys[j].diff(i)) for i in live] for j in range(n)]
+        xy = [(xs[i] * ys[j], table[(i, j)]) for i in live for j in range(n) if ys[j].terms]
+        out = []
+        for k in range(n):
+            pairs = [(a if g.rep.terms == one else a * g.rep, b)
+                     for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
+            pairs += [(p, t[k].rep) for p, t in xy]
+            out.append(QuotientElem(sum_products(space.ring, n, pairs), space.ideal))
+        return tuple(out)
 
-    # -- vector level ---------------------------------------------------------
+    def form(self, x: VectorField, y: VectorField) -> OneForm:
+        """The one-form Z |-> <nabla_X Y, Z>, from the first-kind symbols."""
+        return OneForm(self.space, self._contract(self.space.metric.entries, self._first, x, y))
 
     def _solve(self, beta: tuple) -> Optional[tuple]:
         """Solve G v = beta exactly, or return None."""
@@ -264,27 +261,12 @@ class KoszulConnection:
         return tuple(out)
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
-        space = self.space
-        if not self.fully_solvable:
-            value = self._solve(self.form(x, y).coeffs)
-            if value is None:
-                raise MetricNotMusical("Koszul value has no exact solution for this pair")
-            return VectorField(space, value)
-        # component k in one pass: sum_i x_i d_i y_k + sum_ij (x_i y_j) Gamma^k_ij
-        _check_field(space, x)
-        _check_field(space, y)
-        _check_fn(space, *y.coeffs)
-        self._half.check_peers(x.coeffs)
-        n = space.nvars
-        xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
-        xy = [(xs[i] * ys[j], self._gamma[(i, j)]) for i in range(n) if xs[i].terms
-              for j in range(n) if ys[j].terms]
-        out = []
-        for k in range(n):
-            pairs = [(xs[i], ys[k].diff(i)) for i in range(n) if xs[i].terms]
-            pairs += [(p, gamma[k].rep) for p, gamma in xy]
-            out.append(QuotientElem(sum_products(space.ring, n, pairs), space.ideal))
-        return VectorField(space, tuple(out))
+        if self.fully_solvable:
+            return VectorField(self.space, self._contract(self._identity, self._gamma, x, y))
+        value = self._solve(self.form(x, y).coeffs)
+        if value is None:
+            raise MetricNotMusical("Koszul value has no exact solution for this pair")
+        return VectorField(self.space, value)
 
 
 def curvature(space: RinehartSpace, conn: Callable, x: VectorField,
@@ -323,18 +305,18 @@ def _random_combination(space: RinehartSpace, fields: list, rng, max_degree: int
     return acc
 
 
-def check_levi_civita(space: RinehartSpace, conn, fields: Optional[list] = None,
-                      rng=None, cases: int = 10, max_degree: int = 2) -> LeviCivitaReport:
+def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
+                      max_degree: int = 2) -> LeviCivitaReport:
     """Verify torsion-freeness and metric compatibility exactly.
 
-    Both identities are checked exhaustively on the supplied fields (the
-    coordinate basis by default) and, when a generator is supplied, on
-    random function-linear combinations of them.  For a Koszul connection
+    Both identities are checked exhaustively on the coordinate basis and,
+    when a generator is supplied, on random function-linear combinations
+    of it.  For a Koszul connection
     whose vector values are only partially defined the identities are
     checked at the one-form level, which is equivalent whenever the Gram
     matrix has nonzero determinant over a domain.
     """
-    fields = fields if fields is not None else space.basis_fields()
+    fields = space.basis_fields()
     form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
     metric = space.metric
 

@@ -167,6 +167,16 @@ def test_connection_command_sphere(capsys):
     assert sp_out.startswith("[") and sp_out.endswith("]")
 
 
+def test_connection_command_koszul_non_musical(tmp_path, capsys):
+    # diag(1, x^2 + 1) is not musical, but this value solves exactly:
+    # form = (-x^3*y, (x^2 + 1)*x^2) from Gamma_22,1 = -x and X(Y^2) = x^2
+    spec = dict(BASE, metric={"diag": ["1", "x^2 + 1"]})
+    code, out, err = run(capsys, ["connection", write_spec(tmp_path, spec), "--json",
+                                  "--x", "0, x", "--y", "0, x*y"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == ["-x^3*y", "x^2"]
+
+
 def test_connection_rejects_non_tangent_on_sphere(capsys):
     code, _, err = run(capsys, ["connection", str(SPECS / "sphere_q_n3.json"),
                                 "--x", "x, y, z", "--y", "1 - x^2, -x*y, -x*z"])
@@ -284,16 +294,48 @@ def test_seed_changes_nothing_on_pass_fail_but_is_respected(tmp_path, capsys):
     assert json.loads(out6)["checks"][0]["status"] == "pass"
 
 
+def test_check_flags_go_through_the_spec_validation(tmp_path, capsys):
+    path = write_spec(tmp_path, dict(BASE, checks=["jacobi-identity"]))
+    code, out, err = run(capsys, ["check", path, "--seed", "-3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[ValidationError]: seed:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradient", "--f", "x", "--max-degree", "999"],
+    ["connection", "--x", "1, 0", "--y", "0, 1", "--seed", "3"],
+    ["project", "--x", "1, 0", "--spanning"],
+    ["space-form", "--max-degree", "2"],
+])
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [write_spec(tmp_path, BASE)] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the expected exit code of a golden report, where it is not 0
+GOLDEN_EXIT = {"d62da3992124fbf7c4b3365bda539a20e20ad656a3a87b12bd6d6ab6fa07d6dd": 1}
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["check", str(SPECS / "euclidean_q_n2.json"), "--json", "--seed", "7"],
      "ff1b8b2288ccce024eb9ea47cca0f4f90d9f90ce4d58c018c289b21db196c8c5"),
     (["space-form", str(SPECS / "sphere_q_n3.json"), "--json", "--spanning"],
      "44d871376edf9d9a1df92073115a4f2350318088a4798e4aef64fd8d0b7334ac"),
+    (["check", str(SPECS / "sphere_q_n3.json"), "--json", "--seed", "7"],
+     "2854897acc529b93bea6a1f5f8f2bb248e0a103f2ee686b80bdeebf7703c8fef"),
+    (["check", str(SPECS / "sphere_f7_n3.json"), "--json", "--seed", "7"],
+     "378c4e8d4b2cd4e0adeee4396dbd834a16bdf64f4e40cc923a7df52223c9d479"),
+    (["check", str(SPECS / "pseudosphere_quad.json"), "--json", "--seed", "7"],
+     "6f83e42cf121bac11e5ac70a09244c777115a8fb7cf45382843b4c42d64d1724"),
+    (["space-form", str(SPECS / "sphere_q_n3.json"), "--c", "2"],
+     "d62da3992124fbf7c4b3365bda539a20e20ad656a3a87b12bd6d6ab6fa07d6dd"),
 ])
 def test_reports_match_golden_digests(capsys, argv, digest):
     # sha256 of the reports of the kernel before packed keys
     code, out, err = run(capsys, argv)
-    assert (code, err) == (0, "")
+    assert (code, err) == (GOLDEN_EXIT.get(digest, 0), "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -18,6 +18,7 @@ from rinehart import (EuclideanConnection, KoszulConnection, Metric,
                       check_constant_curvature, check_levi_civita, curvature,
                       derive, differential, flat, gradient, inner,
                       lie_bracket, pairing)
+from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_fn
 from rinehart.suites import Workspace, run_checks
 from conftest import seeded
@@ -235,28 +236,49 @@ def _koszul_rhs_oracle(sp, conn_form, x, y):
     return results
 
 
+ORACLE_METRICS = (
+    (("1", "0"), ("0", "1")),
+    (("2", "0"), ("0", "3")),
+    (("x^2 + 1", "x"), ("x", "1")),          # det = 1, musical
+    (("1", "0"), ("0", "x^2 + 1")),          # not musical
+)
+
+
 def test_koszul_form_matches_first_principles_oracle():
-    cases = [
-        Metric.diagonal((_sp().fn("1"), _sp().fn("1"))),
-        Metric.diagonal((_sp().fn("2"), _sp().fn("3"))),
-        Metric(((_sp().fn("x^2 + 1"), _sp().fn("x")),
-                (_sp().fn("x"), _sp().fn("1")))),          # det = 1, musical
-        Metric.diagonal((_sp().fn("1"), _sp().fn("x^2 + 1"))),
-    ]
     rng = seeded("space-koszul-oracle")
-    two_inv = Q.scalar(2).inverse()
-    for g in cases:
-        sp = RinehartSpace.with_metric(Q, ("x", "y"), g)
+    for ring in (Q, PrimeField(7), QuadExt(Q, -1), QuadExt(Q, 1)):
+        helper = RinehartSpace.euclidean(ring, ("x", "y"))
+        for rows in ORACLE_METRICS:
+            g = Metric(tuple(tuple(helper.fn(t) for t in row) for row in rows))
+            sp = RinehartSpace.with_metric(ring, ("x", "y"), g)
+            kz = KoszulConnection(sp)
+            for _ in range(25):
+                x = random_field(rng, sp, 2)
+                y = random_field(rng, sp, 2)
+                om = kz.form(x, y)
+                expected = _koszul_rhs_oracle(sp, kz.form, x, y)
+                for k in range(2):
+                    # om's k-th coefficient is <nabla_x y, X_k>
+                    got = om.coeffs[k]
+                    assert got + got == expected[k], (ring, rows, sp.format_fn(got), k)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeField(7), QuadExt(Q, -1), QuadExt(Q, 1)],
+                         ids=["Q", "F7", "Qi", "Qj"])
+def test_koszul_form_is_flat_of_value_on_sphere_quotients(ring):
+    # The six-term right side differentiates representatives, which is not
+    # well defined mod (f); the first-kind contraction agrees with flat.
+    rng = seeded("space-koszul-quotient-flat")
+    quotient = make_sphere(ring, 2, ring.one(), var_names=("x", "y")).quotient
+    for rows in ORACLE_METRICS[:3]:
+        g = Metric(tuple(tuple(quotient.fn(t) for t in row) for row in rows))
+        sp = RinehartSpace.with_metric(ring, ("x", "y"), g, quotient.ideal)
         kz = KoszulConnection(sp)
-        for _ in range(25):
+        assert kz.fully_solvable
+        for _ in range(20):
             x = random_field(rng, sp, 2)
             y = random_field(rng, sp, 2)
-            om = kz.form(x, y)
-            expected = _koszul_rhs_oracle(sp, kz.form, x, y)
-            for k in range(2):
-                # om's k-th coefficient is <nabla_x y, X_k>
-                got = om.coeffs[k]
-                assert got + got == expected[k], (sp.format_fn(got), k)
+            assert kz.form(x, y).coeffs == flat(kz(x, y), g).coeffs, (ring, rows)
 
 
 def test_koszul_levi_civita_on_unit_det_metric():
