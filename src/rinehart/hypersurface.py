@@ -12,12 +12,12 @@ modulo the maximal ideal submodule restricted to tangent classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
-from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus, sum_products,
-                   unit_status)
+from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products
 from .rings import GroundScalar, RingDescriptor
 from .space import (RinehartSpace, ambient_derivative,
                     check_constant_curvature, gradient)
@@ -44,12 +44,10 @@ class HypersurfaceSpace:
     def build(ambient: RinehartSpace, generator: Poly, q) -> "HypersurfaceSpace":
         if ambient.ideal is not None:
             raise SpaceMismatch("the ambient space must be a plain polynomial space")
-        if not (ambient.metric.is_euclidean() or ambient.metric.is_constant()):
+        if not ambient.metric.is_constant():
             raise MetricNotMusical("the ambient metric must be Euclidean or constant")
-        if not ambient.metric.is_euclidean():
-            status, _ = unit_status(ambient.metric.det())
-            if status is not UnitStatus.UNIT:
-                raise MetricNotMusical("the ambient metric determinant is not a unit")
+        if ambient.metric.det_status[1] is None:
+            raise MetricNotMusical("the ambient metric determinant is not a unit")
         ideal = PrincipalIdeal.of(generator)
         normal = gradient(ambient, ambient.poly_fn(generator))
         q_fn = ambient.coerce_fn(q)
@@ -61,6 +59,12 @@ class HypersurfaceSpace:
                                              ambient.metric, ideal)
         return HypersurfaceSpace(ambient, generator, ideal, normal,
                                  QuotientElem(q_fn.rep, ideal), quotient)
+
+    @cached_property
+    def _induced_memo(self) -> dict:
+        # the values of every InducedConnection of this hypersurface; holding no
+        # connection keeps it free of a hypersurface <-> connection cycle
+        return {}
 
     # -- coercion -------------------------------------------------------------
 
@@ -150,14 +154,14 @@ class InducedConnection:
     """Tangent projection of the ambient componentwise connection.
 
     Values are computed on canonical representatives; the result is
-    independent of the representatives for tangent arguments.  The memo
-    table only ever receives identical values for a key, so concurrent use
-    is safe.
+    independent of the representatives for tangent arguments.  Values are
+    memoised per hypersurface, keyed by the argument coefficients, so all
+    connections built on one hypersurface compute each value once.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
         self.hyper = hyper
-        self._memo: dict = {}
+        self._memo = hyper._induced_memo
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
         hyper = self.hyper
@@ -192,10 +196,10 @@ def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -
             - space.constant(c) * space.coordinate(i) * space.coordinate(j))
 
 
-def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar) -> Optional[dict]:
+def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
+                       spanning: list) -> Optional[dict]:
     """The first pair with <Y_i, Y_j> != delta_ij - c x_i x_j as a counterexample, or None."""
     space = hyper.quotient
-    spanning = spanning_fields(hyper)
     for i, yi in enumerate(spanning):
         for j, yj in enumerate(spanning):
             got = inner(yi, yj, space.metric)
@@ -227,11 +231,11 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormRep
     space = hyper.quotient
     if c.ring != space.ring:
         raise NotAUnit("curvature constant belongs to a different ring")
-    gap = induced_metric_gap(hyper, c)
+    spanning = spanning_fields(hyper)
+    gap = induced_metric_gap(hyper, c, spanning)
     if gap is not None:
         return SpaceFormReport(False, True, {"identity": "induced-metric", **gap})
-    report = check_constant_curvature(space, InducedConnection(hyper), c,
-                                      spanning_fields(hyper))
+    report = check_constant_curvature(space, InducedConnection(hyper), c, spanning)
     if not report.ok:
         return SpaceFormReport(True, False, report.counterexample)
     return SpaceFormReport(True, True, None)

@@ -182,7 +182,7 @@ class QuadExt(RingDescriptor):
     def __post_init__(self):
         if not isinstance(self.base, (Rationals, PrimeField)):
             raise ValueError("quadratic extensions may only sit over Q or F_p")
-        if self.s not in (1, -1):
+        if type(self.s) is not int or self.s not in (1, -1):
             raise ValueError("s must be +1 or -1")
 
     @cached_property
@@ -344,7 +344,7 @@ def ring_from_json(obj) -> RingDescriptor:
             raise ValueError("quad descriptor needs 'base' and 's'")
         base = ring_from_json(obj["base"])
         s = obj["s"]
-        if s not in (1, -1):
+        if type(s) is not int or s not in (1, -1):
             raise ValueError("quad 's' must be 1 or -1")
         return QuadExt(base, s)
     raise ValueError(f"unknown ring kind {kind!r}")

@@ -17,7 +17,7 @@ from .errors import (MetricNotMusical, NotEuclidean, SpaceMismatch,
                      TwoNotAUnit)
 from .parse import parse_poly
 from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
-                   format_poly, sum_products, unit_status)
+                   format_poly, sum_products)
 from .rings import GroundScalar, RingDescriptor
 from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, inner,
                       pairing, sharp)
@@ -95,9 +95,6 @@ class RinehartSpace:
 
     def basis_form(self, i: int) -> OneForm:
         return OneForm(self, self._unit_vector(i))
-
-    def zero_field(self) -> VectorField:
-        return VectorField(self, (self.constant(self.ring.zero()),) * self.nvars)
 
     def basis_fields(self) -> list:
         return [self.basis_field(i) for i in range(self.nvars)]
@@ -187,9 +184,10 @@ class KoszulConnection:
     always available.  Calling the connection contracts the second-kind
     table Gamma^k_ij, the solution of G v = Gamma_ij,., with the identity,
     so `form(X, Y) == flat(nabla_X Y)`, also on a quotient.  When the Gram
-    determinant is a certified unit the solve goes through the adjugate and
-    the second-kind table is built up front; otherwise each requested value
-    solves G v = form(X, Y) by exact division when possible and raises
+    determinant is a certified unit (`Metric.det_status`, decided once per
+    metric) the solve is the adjugate times its inverse and the second-kind
+    table is built up front; otherwise each requested value solves
+    G v = form(X, Y) by exact division when possible and raises
     `MetricNotMusical` when not.
     """
 
@@ -198,7 +196,6 @@ class KoszulConnection:
         if not two.is_unit():
             raise TwoNotAUnit("the Koszul formula needs 2 invertible")
         self.space = space
-        _, self._det_inv = unit_status(space.metric.det())
         n, g = space.nvars, space.metric.entries
         half = Poly.constant(space.ring, n, two.inverse())
         self._identity = Metric.euclidean(space.ring, n, space.ideal).entries
@@ -247,8 +244,9 @@ class KoszulConnection:
         """Solve G v = beta exactly, or return None."""
         metric = self.space.metric
         raised = apply_matrix(metric.adjugate(), beta)
-        if self._det_inv is not None:
-            return tuple(self._det_inv * w for w in raised)
+        _, det_inv = metric.det_status
+        if det_inv is not None:
+            return tuple(det_inv * w for w in raised)
         det = metric.det()
         if self.space.ideal is not None or not self.space.ring.is_field() or det.is_zero():
             return None
@@ -297,21 +295,12 @@ class ConstantCurvatureReport:
     counterexample: Optional[dict]
 
 
-def _random_combination(space: RinehartSpace, fields: list, rng, max_degree: int):
-    from .randgen import random_fn
-    acc = space.zero_field()
-    for f in fields:
-        acc = acc + random_fn(rng, space, max_degree) * f
-    return acc
-
-
 def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
                       max_degree: int = 2) -> LeviCivitaReport:
     """Verify torsion-freeness and metric compatibility exactly.
 
     Both identities are checked exhaustively on the coordinate basis and,
-    when a generator is supplied, on random function-linear combinations
-    of it.  For a Koszul connection
+    when a generator is supplied, on random fields.  For a Koszul connection
     whose vector values are only partially defined the identities are
     checked at the one-form level, which is equivalent whenever the Gram
     matrix has nonzero determinant over a domain.
@@ -335,9 +324,9 @@ def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
     samples_pairs = [(x, y) for x in fields for y in fields]
     samples_triples = [(x, y, z) for x in fields for y in fields for z in fields]
     if rng is not None:
+        from .randgen import random_field  # imported here, so `import rinehart` skips randgen
         for _ in range(cases):
-            trio = tuple(_random_combination(space, fields, rng, max_degree)
-                         for _ in range(3))
+            trio = tuple(random_field(rng, space, max_degree) for _ in range(3))
             samples_pairs.append(trio[:2])
             samples_triples.append(trio)
 

@@ -4,10 +4,10 @@ Vector fields and one-forms are coefficient vectors in the coordinate
 bases X_i and om_i; the pairing <X_i, om_j> = delta_ij extends
 O-bilinearly.  A metric is a symmetric Gram matrix; lowering an index is
 always possible, raising one goes through the adjugate and needs a
-certified unit determinant.
-
-Each sum of products (pairing, inner product, matrix row, cofactor
-expansion) is one raw `poly.sum_products` with one normal form per result:
+certified unit determinant.  A metric keeps one memoised table of minors,
+read by det and adjugate, and decides once whether its det is a unit.
+Each sum of products (pairing, inner product, matrix row, minor expansion)
+is one raw `poly.sum_products` with one normal form per result:
 reduction mod (f) is a ring homomorphism with canonical remainders.
 """
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MetricNotMusical, SpaceMismatch
-from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
-                   sum_products, unit_status)
+from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products, unit_status
 
 
 def _check_same_space(a, b):
@@ -81,14 +80,12 @@ class Metric:
     @staticmethod
     def euclidean(ring, nvars: int, ideal: PrincipalIdeal | None) -> "Metric":
         one = QuotientElem(Poly.constant(ring, nvars, ring.one()), ideal)
-        zero = QuotientElem(Poly.zero(ring, nvars), ideal)
-        rows = tuple(tuple(one if i == j else zero for j in range(nvars)) for i in range(nvars))
-        return Metric(rows)
+        return Metric.diagonal([one] * nvars)
 
     @staticmethod
     def diagonal(diag: list) -> "Metric":
         n = len(diag)
-        zero = diag[0] - diag[0]
+        zero = QuotientElem(Poly.zero(diag[0].ring, diag[0].nvars), diag[0].ideal)
         rows = tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
         return Metric(rows)
 
@@ -106,41 +103,43 @@ class Metric:
     def reduce(self, ideal: PrincipalIdeal | None) -> "Metric":
         return Metric(tuple(tuple(QuotientElem(e.rep, ideal) for e in row) for row in self.entries))
 
-    def _minor_det(self, rows: tuple, cols: tuple) -> QuotientElem:
-        if len(rows) == 1:
-            return self.entries[rows[0]][cols[0]]
-        row = tuple(self.entries[rows[0]][c] for c in cols)
-        subs = (self._minor_det(rows[1:], cols[:k] + cols[k + 1:]) for k in range(len(cols)))
-        return _dot(row, tuple(-sub if k % 2 else sub for k, sub in enumerate(subs)))
+    @cached_property
+    def _minors(self) -> dict:
+        return {((), ()): self.entries[0][0] ** 0}  # (rows, cols) -> minor; the empty one is 1
 
-    # The cofactor expansions run at most once per metric: the values are
-    # kept on the instance, and det() and adjugate() are their only readers.
+    def _minor_det(self, rows: tuple, cols: tuple) -> QuotientElem:
+        """det of the rows x cols submatrix, expanded once, along its first row over its
+        nonzero entries, into the minor table: det and adjugate of a dense n x n metric
+        take at most (n + 1) * 2^n minors, where the factorial expansion took ~n! * n^2."""
+        key = (rows, cols)
+        if key not in self._minors:
+            row = self.entries[rows[0]]
+            live = [(k, c) for k, c in enumerate(cols) if row[c].rep.terms]
+            self._minors[key] = row[cols[0]] if not live else _dot(  # a zero row: minor 0
+                tuple(-row[c] if k % 2 else row[c] for k, c in live),
+                tuple(self._minor_det(rows[1:], cols[:k] + cols[k + 1:]) for k, _ in live))
+        return self._minors[key]
 
     def det(self) -> QuotientElem:
-        return self._det
+        idx = tuple(range(self.n))
+        return self._minor_det(idx, idx)
 
     def adjugate(self) -> tuple:
         """Matrix of cofactors transposed; adj(G) * G = det(G) * I."""
         return self._adjugate
 
     @cached_property
-    def _det(self) -> QuotientElem:
+    def _adjugate(self) -> tuple:
         idx = tuple(range(self.n))
-        return self._minor_det(idx, idx)
+        drop = [idx[:k] + idx[k + 1:] for k in idx]
+        minors = [[self._minor_det(drop[j], drop[i]) for j in idx] for i in idx]
+        return tuple(tuple(-m if (i + j) % 2 else m for j, m in enumerate(row))
+                     for i, row in enumerate(minors))
 
     @cached_property
-    def _adjugate(self) -> tuple:
-        idx = range(self.n)
-        if self.n == 1:
-            e = self.entries[0][0]
-            return ((e - e + 1,),)
-
-        def cofactor(i, j):
-            minor = self._minor_det(tuple(r for r in idx if r != j),
-                                    tuple(c for c in idx if c != i))
-            return -minor if (i + j) % 2 else minor
-
-        return tuple(tuple(cofactor(i, j) for j in idx) for i in idx)
+    def det_status(self) -> tuple:
+        """unit_status(det G), (status, inverse): the metric's one unit decision."""
+        return unit_status(self.det())
 
 
 def _dot(a: tuple, b: tuple) -> QuotientElem:
@@ -185,8 +184,8 @@ def sharp(om: OneForm, metric: Metric) -> VectorField:
     """Raise an index through the adjugate; needs det(G) a certified unit."""
     if metric.n != len(om.coeffs):
         raise SpaceMismatch("metric dimension does not match the space")
-    status, det_inv = unit_status(metric.det())
-    if status is not UnitStatus.UNIT:
+    status, det_inv = metric.det_status
+    if det_inv is None:
         raise MetricNotMusical(f"metric determinant is {status.value}")
     raised = apply_matrix(metric.adjugate(), om.coeffs)
     return VectorField(om.space, tuple(det_inv * v for v in raised))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_rejects_unknown_check_names(tmp_path, capsys):
     {"quotient": {"generator": "x^2 + y^2 - 1", "q": 1}},
     {"seed": True},
     {"max_degree": True},
+    {"ring": {"kind": "quad", "base": {"kind": "Q"}, "s": 1.0}},
+    {"ring": {"kind": "quad", "base": {"kind": "Fp", "p": 7}, "s": -1.0}},
+    {"ring": {"kind": "quad", "base": {"kind": "Q"}, "s": True}},
 ])
 def test_rejects_malformed_field_types(tmp_path, capsys, fields):
     code, _, err = run(capsys, ["check", write_spec(tmp_path, dict(BASE, **fields))])
@@ -356,4 +360,15 @@ def test_large_prime_field_runs(tmp_path, capsys):
                 checks=["pairing-duality", "jacobi-identity"])
     code, out, _ = run(capsys, ["check", write_spec(tmp_path, spec), "--json"])
     assert code == 0
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
+
+
+def test_nine_variable_euclidean_koszul_finishes(tmp_path, capsys):
+    # det and adjugate of the identity read a few hundred minors, not 9! terms
+    spec = dict(BASE, vars=[f"x{i}" for i in range(1, 10)],
+                checks=["koszul-flat-agreement", "musical-roundtrip"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, spec), "--json"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
     assert [c["status"] for c in json.loads(out)["checks"]] == ["pass", "pass"]

@@ -40,6 +40,9 @@ rings = st.sampled_from([
     {"kind": "quad", "base": {"kind": "Q"}, "s": -1},
     {"kind": "quad", "base": {"kind": "Q"}, "s": 1},
     {"kind": "quad", "base": {"kind": "Fp", "p": 3}, "s": -1},
+    {"kind": "quad", "base": {"kind": "Q"}, "s": 1.0},
+    {"kind": "quad", "base": {"kind": "Fp", "p": 7}, "s": -1.0},
+    {"kind": "quad", "base": {"kind": "Q"}, "s": True},
     {"kind": "Fp", "p": 4}, {"kind": "R"}])
 
 var_lists = st.sampled_from([["x"], ["x", "y"], ["x", "y", "z"], ["y", "x"], ["u", "v"],

@@ -10,6 +10,9 @@ Frozen values, derived by hand for the circle x^2 + y^2 = 1 (c = 1):
   nabla_{Y1}Y2 = (-y^3, x*y^2) = -y*Y1, [Y1, Y2] = (-y, x).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from rinehart import (CharTwoUnsupported, EuclideanConnection,
@@ -353,3 +356,18 @@ def test_intermediate_identities_n3():
             assert quotient_equal(hyper, conn(ys[i], ys[j]), (-xj) * ys[i])
             want = xi * ys[j] - xj * ys[i]
             assert quotient_equal(hyper, lie_bracket(sp, ys[i], ys[j]), want)
+
+
+def test_induced_connections_of_one_hypersurface_share_their_values():
+    hyper = sphere3()
+    y1, y2, _ = spanning_fields(hyper)
+    value = InducedConnection(hyper)(y1, y2)
+    assert verify_space_form(hyper, Q.one()).ok
+    assert InducedConnection(hyper)(y1, y2) is value   # read from the shared memo
+    ref = weakref.ref(hyper)
+    gc.disable()
+    try:
+        del hyper
+        assert ref() is None   # freed without the cycle collector
+    finally:
+        gc.enable()

@@ -218,3 +218,9 @@ def test_primality_is_deterministic_miller_rabin():
     assert PrimeField(1000000000000000003).from_int(-1).value == 1000000000000000002
     with pytest.raises(ValueError, match="exceeds"):
         PrimeField(PRIME_BOUND)
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0, True])
+def test_quad_ext_requires_an_int_s(s):
+    with pytest.raises(ValueError):
+        QuadExt(Rationals(), s)

@@ -1,8 +1,9 @@
 """Metrics, musical maps, pairings.
 
-The determinant/adjugate code is cross-checked against sympy matrices over Q;
-the diag(2,3) round-trip values were computed by hand first
-(flat(X1) = 2 dx1, sharp(dx1) = X1/2).
+The determinant/adjugate code is cross-checked against sympy matrices over Q
+and, over every ring kind and a sphere quotient, against the factorial
+cofactor expansion kept below as an oracle; the diag(2,3) round-trip values
+were computed by hand first (flat(X1) = 2 dx1, sharp(dx1) = X1/2).
 """
 
 from fractions import Fraction
@@ -10,8 +11,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from rinehart import (Metric, MetricNotMusical, Rationals, RinehartSpace,
-                      flat, in_maximal_ideal_submodule, inner, pairing, sharp)
+from rinehart import (Metric, MetricNotMusical, PrimeField, QuadExt, Rationals,
+                      RinehartSpace, flat, in_maximal_ideal_submodule, inner,
+                      pairing, sharp)
 from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_poly
 from conftest import seeded
@@ -73,6 +75,96 @@ def test_det_and_adjugate_against_sympy():
             for i in range(n):
                 for j in range(n):
                     assert to_sympy(adj[i][j].rep, syms) == sympy.expand(adj_sym[i, j])
+
+
+def cofactor_det(rows):
+    """The factorial cofactor expansion along the first row, zero entries included."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for k, entry in enumerate(rows[0]):
+        term = entry * cofactor_det([row[:k] + row[k + 1:] for row in rows[1:]])
+        term = -term if k % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+def cofactor_adjugate(rows):
+    """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)."""
+    n = len(rows)
+    if n == 1:
+        return ((rows[0][0] ** 0,),)
+
+    def minor(i, j):
+        return cofactor_det([row[:i] + row[i + 1:] for r, row in enumerate(rows) if r != j])
+
+    return tuple(tuple(-minor(i, j) if (i + j) % 2 else minor(i, j) for j in range(n))
+                 for i in range(n))
+
+
+ORACLE_SPACES = {
+    "Q": RinehartSpace.euclidean(Q, ("x", "y")),
+    "F7": RinehartSpace.euclidean(PrimeField(7), ("x", "y")),
+    "Qi": RinehartSpace.euclidean(QuadExt(Q, -1), ("x", "y")),
+    "Qj": RinehartSpace.euclidean(QuadExt(Q, 1), ("x", "y")),
+    "sphere": make_sphere(Q, 3, Q.one(), var_names=("x", "y", "z")).quotient,
+}
+
+
+def _pattern_rows(kind, n, sp, rng):
+    def draw():
+        return sp.poly_fn(random_poly(rng, sp.ring, sp.nvars, 2, 2))
+
+    zero = sp.constant(sp.ring.zero())
+    if kind == "zero-det":
+        # rank one v v^T for n >= 2, and [[0]] for n = 1
+        v = [draw() for _ in range(n)]
+        return tuple(tuple(v[i] * v[j] if n > 1 else zero for j in range(n)) for i in range(n))
+    width = {"diagonal": 0, "tridiagonal": 1}.get(kind, n)   # dense and zero-row: full
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, min(n, i + width + 1)):
+            rows[i][j] = rows[j][i] = draw()
+    if kind == "zero-row":
+        r = rng.randrange(n)
+        for k in range(n):
+            rows[r][k] = rows[k][r] = zero
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("ring_name", sorted(ORACLE_SPACES))
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "tridiagonal", "zero-row", "zero-det"])
+def test_minor_table_matches_cofactor_oracle(ring_name, kind):
+    sp = ORACLE_SPACES[ring_name]
+    rng = seeded(f"tensors-oracle:{ring_name}:{kind}")
+    for n in range(1, 6):
+        rows = _pattern_rows(kind, n, sp, rng)
+        g = Metric(rows)
+        assert g.det() == cofactor_det(rows)
+        assert g.adjugate() == cofactor_adjugate(rows)
+        if kind in ("zero-row", "zero-det"):
+            assert g.det().is_zero()
+        # at most (n + 1) * 2^n minors, each computed once
+        assert len(g._minors) <= (n + 1) * 2 ** n
+
+
+def test_identity_minor_table_stays_small(monkeypatch):
+    calls, misses = [], []
+    original = Metric._minor_det
+
+    def counting(self, rows, cols):
+        calls.append((rows, cols))
+        if (rows, cols) not in self._minors:
+            misses.append((rows, cols))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(Metric, "_minor_det", counting)
+    n = 8
+    g = Metric.euclidean(Q, n, None)
+    assert g.det() == g.entries[0][0]
+    assert g.adjugate() == g.entries
+    assert len(calls) <= n ** 3             # the factorial expansion made ~620,000
+    assert len(set(misses)) == len(misses)  # no minor is expanded twice
 
 
 def test_flat_sharp_roundtrip_diag23():
