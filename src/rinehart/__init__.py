@@ -16,9 +16,8 @@ from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
-                   divide_exact, divmod_poly, format_poly, ideal_member,
-                   normal_form, quotient_is_unit, sum_products, try_invert,
-                   unit_status)
+                   divide_exact, divmod_poly, format_poly, normal_form,
+                   sum_products, unit_status)
 from .rings import (GroundScalar, PrimeField, QuadExt, Rationals,
                     RingDescriptor, ring_from_json)
 from .space import (ConstantCurvatureReport, EuclideanConnection,
@@ -40,10 +39,9 @@ __all__ = [
     "RingDescriptor", "RingMismatch", "SpaceFormReport", "SpaceMismatch", "TwoNotAUnit",
     "UnitStatus", "ValidationError", "VectorField", "ambient_derivative",
     "check_constant_curvature", "check_levi_civita", "curvature", "derive", "differential",
-    "divide_exact", "divmod_poly", "flat", "format_poly", "gradient", "ideal_member",
+    "divide_exact", "divmod_poly", "flat", "format_poly", "gradient",
     "in_maximal_ideal_submodule", "inner", "is_tangent", "lie_bracket", "make_sphere",
     "normal_form", "pairing", "parse_poly", "parse_scalar", "parse_vector", "project_normal",
-    "project_tangent", "quotient_equal", "quotient_is_unit", "ring_from_json",
-    "second_fundamental_form", "sharp", "spanning_fields", "sum_products", "try_invert",
-    "unit_status", "verify_space_form",
+    "project_tangent", "quotient_equal", "ring_from_json", "second_fundamental_form", "sharp",
+    "spanning_fields", "sum_products", "unit_status", "verify_space_form",
 ]

@@ -129,9 +129,16 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
                 raise ValidationError("metric", "sphere quotients need the euclidean metric")
             try:
                 c_scalar = parse_scalar(str(sphere["c"]), ring)
-                hyper = make_sphere(ring, n, c_scalar, var_names=names)
-            except (ParseError, NotAUnit, CharTwoUnsupported, ValueError) as exc:
+            except (ParseError, ValueError) as exc:
                 raise ValidationError("quotient.sphere.c", str(exc)) from None
+            try:
+                hyper = make_sphere(ring, n, c_scalar, var_names=names)
+            except (NotAUnit, CharTwoUnsupported, ValueError) as exc:
+                # make_sphere checks the variable count, then the ring, then c
+                field = ("vars" if n < 2 else "ring" if ring.characteristic() == 2
+                         else "quotient.sphere.c")
+                raise ValidationError(field, str(exc)) from None
+            space = hyper.ambient
         elif "generator" in quotient_spec:
             if "q" not in quotient_spec:
                 raise ValidationError("quotient.q", "generator quotients need a witness 'q'")
@@ -213,39 +220,28 @@ def _field_strings(space, field: VectorField) -> list:
     return [space.format_fn(c) for c in field.coeffs]
 
 
-def _spanning_payload(ws: Workspace):
-    return [_field_strings(ws.hyper.quotient, f) for f in spanning_fields(ws.hyper)]
-
-
-def _spanning_text(ws: Workspace) -> str:
-    return "".join(f"Y{i + 1} = [" + ", ".join(coeffs) + "]\n"
-                   for i, coeffs in enumerate(_spanning_payload(ws)))
-
-
 def _emit_report(ws: Workspace, args, results) -> None:
     spanning = args.spanning and ws.hyper is not None
+    space = ws.working_space
+    fields = spanning_fields(ws.hyper) if spanning else []
     if args.json:
-        extra = {"spanning": _spanning_payload(ws)} if spanning else None
+        extra = {"spanning": [_field_strings(space, f) for f in fields]} if spanning else None
         sys.stdout.write(_report_json(results, extra))
     else:
-        sys.stdout.write((_spanning_text(ws) if spanning else "") + _report_text(results))
+        sys.stdout.write("".join(f"Y{i + 1} = {space.format_field(f)}\n"
+                                 for i, f in enumerate(fields)) + _report_text(results))
 
 
 def _emit_field(args, space, value: VectorField) -> int:
-    result = _field_strings(space, value)
     if args.json:
-        sys.stdout.write(_result_json(args.command, result))
+        sys.stdout.write(_result_json(args.command, _field_strings(space, value)))
     else:
-        sys.stdout.write("[" + ", ".join(result) + "]\n")
+        sys.stdout.write(space.format_field(value) + "\n")
     return 0
 
 
-def _working_space(ws: Workspace):
-    return ws.hyper.quotient if ws.hyper is not None else ws.space
-
-
 def _parse_field(ws: Workspace, text: str) -> VectorField:
-    space = _working_space(ws)
+    space = ws.working_space
     polys = parse_vector(text, space.ring, space.var_names)
     if len(polys) != space.nvars:
         raise ValidationError("field", f"expected {space.nvars} components")
@@ -292,12 +288,12 @@ def _cmd_connection(ws, meta, args) -> int:
     conn = ws.connection
     x = _parse_field(ws, args.x)
     y = _parse_field(ws, args.y)
-    return _emit_field(args, _working_space(ws), conn(x, y))
+    return _emit_field(args, ws.working_space, conn(x, y))
 
 
 def _cmd_curvature(ws, meta, args) -> int:
     conn = ws.connection
-    space = _working_space(ws)
+    space = ws.working_space
     x = _parse_field(ws, args.x)
     y = _parse_field(ws, args.y)
     z = _parse_field(ws, args.z)
@@ -305,7 +301,7 @@ def _cmd_curvature(ws, meta, args) -> int:
 
 
 def _cmd_gradient(ws, meta, args) -> int:
-    space = _working_space(ws)
+    space = ws.working_space
     return _emit_field(args, space, gradient(space, space.fn(args.f)))
 
 
@@ -316,13 +312,12 @@ def _cmd_project(ws, meta, args) -> int:
     space = ws.hyper.quotient
     tangent = project_tangent(ws.hyper, x)
     normal = project_normal(ws.hyper, x)
-    payload = {"tangent": _field_strings(space, tangent),
-               "normal": _field_strings(space, normal)}
     if args.json:
-        sys.stdout.write(_result_json("project", payload))
+        sys.stdout.write(_result_json("project", {"tangent": _field_strings(space, tangent),
+                                                  "normal": _field_strings(space, normal)}))
     else:
-        sys.stdout.write("tangent = [" + ", ".join(payload["tangent"]) + "]\n")
-        sys.stdout.write("normal  = [" + ", ".join(payload["normal"]) + "]\n")
+        sys.stdout.write(f"tangent = {space.format_field(tangent)}\n"
+                         f"normal  = {space.format_field(normal)}\n")
     return 0
 
 

@@ -1,12 +1,13 @@
-"""Hypersurface quotients of Euclidean coordinate spaces.
+"""Hypersurface quotients of coordinate spaces with a constant metric.
 
-A hypersurface is cut out by one equation f = 0 together with a scaling
-witness q such that 1 - q<N, N> lies in (f), where N = grad f.  Tangency,
-orthogonal projection, the induced connection and the second fundamental
-form are all computed on canonical representatives modulo (f); two fields
-are equal in the quotient exactly when all coefficients of their
-difference reduce to zero, which for the Euclidean metric is equality
-modulo the maximal ideal submodule restricted to tangent classes.
+The ambient metric G may be any constant matrix whose determinant is a
+unit, so that N = grad f = G^-1 df is a polynomial field.  A hypersurface
+is cut out by one equation f = 0 together with a scaling witness q such
+that 1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the
+induced connection and the second fundamental form are all computed on
+canonical representatives modulo (f), from N reduced once; two fields are
+equal in the quotient exactly when all coefficients of their difference
+reduce to zero.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class HypersurfaceSpace:
                                              ambient.metric, ideal)
         return HypersurfaceSpace(ambient, generator, ideal, normal,
                                  QuotientElem(q_fn.rep, ideal), quotient)
+
+    @cached_property
+    def quotient_normal(self) -> VectorField:
+        """N with coefficients reduced modulo (f), computed once."""
+        return self.to_quotient(self.normal)
 
     @cached_property
     def _induced_memo(self) -> dict:
@@ -116,23 +122,19 @@ def make_sphere(ring: RingDescriptor, n: int, c: GroundScalar,
 
 def is_tangent(hyper: HypersurfaceSpace, x: VectorField) -> bool:
     """Whether <X, N> lies in the ideal (f)."""
-    xq = hyper.to_quotient(x)
-    nq = hyper.to_quotient(hyper.normal)
-    return inner(xq, nq, hyper.quotient.metric).is_zero()
-
-
-def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
-    """X - q<X, N>N with coefficients reduced modulo (f)."""
-    xq = hyper.to_quotient(x)
-    nq = hyper.to_quotient(hyper.normal)
-    xn = inner(xq, nq, hyper.quotient.metric)
-    return xq - (hyper.q * xn) * nq
+    return inner(hyper.to_quotient(x), hyper.quotient_normal, hyper.quotient.metric).is_zero()
 
 
 def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
-    """The complementary projection X - X^T = q<X, N>N."""
+    """The normal part q<X, N>N of X, with coefficients reduced modulo (f)."""
+    nq = hyper.quotient_normal
+    return (hyper.q * inner(hyper.to_quotient(x), nq, hyper.quotient.metric)) * nq
+
+
+def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
+    """The tangent part X - q<X, N>N of X, with coefficients reduced modulo (f)."""
     xq = hyper.to_quotient(x)
-    return xq - project_tangent(hyper, xq)
+    return xq - project_normal(hyper, xq)
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:

@@ -12,8 +12,11 @@ reserved.  Fractions over a prime field mean a * b^-1 mod p.
 
 Bounds, so that no string can stall the parser, each a ParseError past
 it: parentheses nest at most MAX_NESTING deep, integers have at most
-MAX_DIGITS digits, powers stay within the kernel's MAX_DEGREE, and no sum,
-product or power (by its multinomial bound) has more than MAX_TERMS terms.
+MAX_DIGITS digits, powers stay within the kernel's MAX_DEGREE, and no sum
+has more than MAX_TERMS terms.  Products and powers are refused before they
+are expanded when their term bound passes MAX_TERMS: a product by the
+smaller of t_a * t_b and the monomial count C(n + d_a + d_b, n), a power by
+the multinomial bound C(t + k - 1, k).
 """
 
 from __future__ import annotations
@@ -122,7 +125,14 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek()[0] == "*":
             at = self.advance()[2]
-            acc = self._capped(acc * self.parse_factor(), at)
+            rhs = self.parse_factor()
+            # a product has at most t_a * t_b terms, and at most C(n + d, n) monomials
+            # of degree d = d_a + d_b or less exist
+            degree = acc.total_degree() + rhs.total_degree()
+            if min(len(acc.terms) * len(rhs.terms),
+                   comb(len(self.names) + max(degree, 0), len(self.names))) > MAX_TERMS:
+                raise ParseError(f"product could have more than {MAX_TERMS} terms", at)
+            acc = acc * rhs
         return acc
 
     def parse_factor(self) -> Poly:

@@ -207,9 +207,10 @@ class Poly:
         return _canonical(self.ring, self.nvars, [(k, mul(v, cv)) for k, v in self.terms])
 
     def __pow__(self, k: int):
+        """Square and multiply; QuotientElem shares this loop and reduces each product."""
         if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.ring, self.nvars, self.ring.one())
+            raise ValueError("negative power")
+        out = self._coerce(1)
         base = self
         while k:
             if k & 1:
@@ -349,10 +350,6 @@ def normal_form(g: Poly, ideal: Optional[PrincipalIdeal]) -> Poly:
     return r
 
 
-def ideal_member(g: Poly, ideal: PrincipalIdeal) -> bool:
-    return normal_form(g, ideal).is_zero()
-
-
 @dataclass(frozen=True)
 class QuotientElem:
     """An element of K[x1..xn] or of its quotient by a principal ideal.
@@ -440,15 +437,7 @@ class QuotientElem:
         return QuotientElem(self.rep * other.rep, self.ideal)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a quotient element")
-        out = self._coerce(1)
-        base = self
-        for _ in range(k):
-            out = out * base
-        return out
+    __pow__ = Poly.__pow__
 
 
 class UnitStatus(enum.Enum):
@@ -513,16 +502,6 @@ def unit_status(a: QuotientElem) -> tuple[UnitStatus, Optional[QuotientElem]]:
         gcd_status, _ = _euclid_inverse(f.diff(next(iter(fvars))), f)
         return (UnitStatus.NON_UNIT if gcd_status is UnitStatus.UNIT else UnitStatus.UNKNOWN), None
     return UnitStatus.UNKNOWN, None
-
-
-def quotient_is_unit(a: QuotientElem) -> UnitStatus:
-    status, _ = unit_status(a)
-    return status
-
-
-def try_invert(a: QuotientElem) -> Optional[QuotientElem]:
-    status, inv = unit_status(a)
-    return inv if status is UnitStatus.UNIT else None
 
 
 # ---------------------------------------------------------------------------

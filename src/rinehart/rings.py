@@ -103,9 +103,6 @@ class RingDescriptor:
     def has_nilpotents(self) -> bool:
         return False
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Rationals(RingDescriptor):
@@ -130,9 +127,6 @@ class Rationals(RingDescriptor):
 
     def characteristic(self) -> int:
         return 0
-
-    def to_json(self) -> dict:
-        return {"kind": "Q"}
 
 
 @dataclass(frozen=True)
@@ -163,9 +157,6 @@ class PrimeField(RingDescriptor):
 
     def characteristic(self) -> int:
         return self.p
-
-    def to_json(self) -> dict:
-        return {"kind": "Fp", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -261,9 +252,6 @@ class QuadExt(RingDescriptor):
     def has_nilpotents(self) -> bool:
         # in characteristic 2 both al^2 = 1 and al^2 = -1 make al + 1 nilpotent
         return self.characteristic() == 2
-
-    def to_json(self) -> dict:
-        return {"kind": "quad", "base": self.base.to_json(), "s": self.s}
 
 
 @dataclass(frozen=True)

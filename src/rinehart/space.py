@@ -102,7 +102,8 @@ class RinehartSpace:
     def format_fn(self, f: QuotientElem) -> str:
         return format_poly(f.rep, self.var_names)
 
-    def format_field(self, x: VectorField) -> str:
+    def format_field(self, x: VectorField | OneForm) -> str:
+        """A vector field or one-form as "[c1, ..., cn]"."""
         return "[" + ", ".join(self.format_fn(c) for c in x.coeffs) + "]"
 
 
@@ -335,7 +336,7 @@ def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
         gap = torsion_gap(x, y)
         if not gap.is_zero():
             ce = {"identity": "torsion", "x": render(x), "y": render(y),
-                  "gap": "[" + ", ".join(space.format_fn(c) for c in gap.coeffs) + "]"}
+                  "gap": render(gap)}
             return LeviCivitaReport(False, True, ce)
     for x, y, z in samples_triples:
         gap = compat_gap(x, y, z)

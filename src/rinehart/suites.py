@@ -58,6 +58,11 @@ class Workspace:
     hyper: Optional[HypersurfaceSpace] = None
     c: Optional[GroundScalar] = None
 
+    @property
+    def working_space(self) -> RinehartSpace:
+        """The space fields live in: the quotient when there is one, else the plain space."""
+        return self.hyper.quotient if self.hyper is not None else self.space
+
     @cached_property
     def plain_connection(self):
         """The Levi-Civita connection of the plain space.
@@ -272,7 +277,7 @@ def _check_musical_roundtrip(ws, rng, cases, max_degree):
         back = flat(sharp(om, metric), metric)
         if back.coeffs != om.coeffs:
             return _fail("flat(sharp(om)) != om",
-                         {"om": "[" + ", ".join(space.format_fn(c) for c in om.coeffs) + "]"})
+                         {"om": space.format_field(om)})
     return _ok(f"{cases} round trips")
 
 
@@ -293,14 +298,13 @@ def _check_curvature_tensorial(ws, rng, cases, max_degree):
     # The random O-coefficient carries the case variation; the vector slots
     # draw from a small pool so the connection memo keeps this affordable.
     conn = ws.connection
+    space = ws.working_space
     if ws.hyper is not None:
-        space = ws.hyper.quotient
         pool = list(spanning_fields(ws.hyper))
         pool.append(_random_tangent(rng, ws.hyper, 1))
+    elif isinstance(conn, KoszulConnection) and not conn.fully_solvable:
+        return _skip("connection is not vector valued on this metric")
     else:
-        space = ws.space
-        if isinstance(conn, KoszulConnection) and not conn.fully_solvable:
-            return _skip("connection is not vector valued on this metric")
         pool = list(space.basis_fields())
         pool.append(random_field(rng, space, 1))
     for case in range(cases):
@@ -463,7 +467,6 @@ def _check_induced_identities(ws, rng, cases, max_degree):
     space = hyper.quotient
     n = space.nvars
     normal = hyper.normal
-    c_amb = ambient.constant(c)
     # ambient pipeline identities
     for i in range(n):
         if derive(ambient, normal, ambient.coordinate(i)) != ambient.coordinate(i):
@@ -482,8 +485,7 @@ def _check_induced_identities(ws, rng, cases, max_degree):
     fields = spanning_fields(hyper)
     for i in range(n):
         lift = hyper.to_quotient(ambient.basis_field(i))
-        want = lift - (hyper.q * hyper.to_quotient(normal).coeffs[i] *
-                       hyper.to_quotient(normal))
+        want = lift - hyper.q * hyper.quotient_normal.coeffs[i] * hyper.quotient_normal
         # project_tangent(X_i) = X_i - c x_i N for the sphere witness q = c
         if fields[i] != want:
             return _fail("Y_i != X_i - c x_i N",
@@ -510,7 +512,7 @@ def _check_induced_identities(ws, rng, cases, max_degree):
                              {"pair": f"({i + 1}, {j + 1})"})
             h = second_fundamental_form(hyper, yi, yj)
             scale = want_d  # delta_ij - c x_i x_j
-            want_h = -(c_fn * scale) * hyper.to_quotient(normal)
+            want_h = -(c_fn * scale) * hyper.quotient_normal
             if not quotient_equal(hyper, h, want_h):
                 return _fail("h(Y_i, Y_j) != -c(delta_ij - c x_i x_j)N",
                              {"pair": f"({i + 1}, {j + 1})"})

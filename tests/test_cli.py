@@ -58,7 +58,18 @@ def test_rejects_char_two_sphere(tmp_path, capsys):
                 quotient={"sphere": {"c": "1"}})
     code, _, err = run(capsys, ["check", write_spec(tmp_path, spec)])
     assert code == 2
-    assert "error[ValidationError]" in err
+    assert err.startswith("error[ValidationError]: ring: sphere construction divides by 2")
+
+
+@pytest.mark.parametrize("c, message", [
+    ("1", "vars: a sphere quotient needs at least two variables"),
+    ("1/", "quotient.sphere.c:"),              # c is parsed before the variable count is read
+])
+def test_rejects_one_variable_sphere(tmp_path, capsys, c, message):
+    spec = dict(BASE, vars=["x"], quotient={"sphere": {"c": c}})
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, spec)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[ValidationError]: {message}")
 
 
 def test_rejects_bad_vars(tmp_path, capsys):
@@ -340,6 +351,25 @@ def test_reports_match_golden_digests(capsys, argv, digest):
     # sha256 of the reports of the kernel before packed keys
     code, out, err = run(capsys, argv)
     assert (code, err) == (GOLDEN_EXIT.get(digest, 0), "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+GENERATOR_OVER_G = dict(BASE, metric={"matrix": [["2", "1"], ["1", "1"]]},
+                        quotient={"generator": "2*x^2 + 2*x*y + y^2 - 1", "q": "1/4"})
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["check", "--json", "--seed", "7"],
+     "1b86f931c900e13a5d0b78c7ef2a3951265f9365bb77b8ac37a1e928d35f22cc"),
+    (["project", "--json", "--x", "1, 0"],
+     "0bdb60d788a0a2183c268287f52f49b98aa7286c1b16296856371773d84dd475"),
+])
+def test_generator_quotient_over_a_constant_metric_matches_golden_digests(
+        tmp_path, capsys, argv, digest):
+    # N = G^-1 df = (2x, 2y) here, so the normal part pairs with G != I; 16 checks pass, 2 skip
+    path = write_spec(tmp_path, GENERATOR_OVER_G)
+    code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -134,3 +134,19 @@ def test_powers_are_capped_by_the_degree_bound_and_term_count():
         with pytest.raises(ParseError):
             parse_poly(text, Q, names)
     assert len(parse_poly("(x+y+1)^30", Q, names).terms) <= MAX_TERMS
+
+
+def test_products_are_refused_before_they_are_expanded():
+    import time
+    from rinehart.parse import MAX_TERMS
+    big = "1" + "7" * 199                  # a 200-digit literal
+    factor = f"({big}*x+{big}*y+1)^30"     # 496 terms with large coefficients
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="product could have more than"):
+        parse_poly(f"{factor}*{factor}", Q, ("x", "y"))
+    assert time.perf_counter() - start < 5  # 38 s when the product was formed first
+    # 31 * 31 = 961 term pairs, but only 61 monomials of degree at most 60 in one variable
+    assert 31 * 31 > MAX_TERMS
+    x = Poly.variable(Q, 1, 0)
+    one = Poly.constant(Q, 1, Q.one())
+    assert parse_poly("(x+1)^30*(x+1)^30", Q, ("x",)) == (x + one) ** 60
