@@ -7,7 +7,8 @@ that 1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the
 induced connection and the second fundamental form are all computed on
 canonical representatives modulo (f), from N reduced once; two fields are
 equal in the quotient exactly when all coefficients of their difference
-reduce to zero.
+reduce to zero.  The tangent projection is (P X)_l = sum_k X_k M_kl with
+M_kl = delta_kl - q (G N)_k N_l, built once per hypersurface on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products
 from .rings import GroundScalar, RingDescriptor
 from .space import (RinehartSpace, ambient_derivative,
                     check_constant_curvature, gradient)
-from .tensors import VectorField, inner
+from .tensors import VectorField, flat, inner
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,17 @@ class HypersurfaceSpace:
         return self.to_quotient(self.normal)
 
     @cached_property
-    def _induced_memo(self) -> dict:
-        # the values of every InducedConnection of this hypersurface; holding no
-        # connection keeps it free of a hypersurface <-> connection cycle
-        return {}
+    def tangent_projector(self) -> tuple:
+        """The rows of M_kl = delta_kl - q (G N)_k N_l modulo (f)."""
+        nq, gn = self.quotient_normal.coeffs, flat(self.quotient_normal, self.quotient.metric)
+        return tuple(tuple(e - self.q * g * v for e, v in zip(self.quotient._unit_vector(k), nq))
+                     for k, g in enumerate(gn.coeffs))
+
+    @cached_property
+    def _induced_memo(self) -> tuple:
+        # the values of every InducedConnection of this hypersurface and the partials
+        # of each W it derives; holding no connection keeps it free of a cycle
+        return {}, {}
 
     # -- coercion -------------------------------------------------------------
 
@@ -133,8 +141,16 @@ def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
 
 def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The tangent part X - q<X, N>N of X, with coefficients reduced modulo (f)."""
-    xq = hyper.to_quotient(x)
-    return xq - project_normal(hyper, xq)
+    return _project(hyper, [c.rep for c in hyper.to_quotient(x).coeffs])
+
+
+def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
+    """(P V)_l = sum_k V_k M_kl for raw polynomials V_k, one normal form per component."""
+    space = hyper.quotient
+    live = [(a, row) for a, row in zip(v, hyper.tangent_projector) if a.terms]
+    return VectorField(space, tuple(QuotientElem(sum_products(
+        space.ring, space.nvars, [(a, row[l].rep) for a, row in live]), hyper.ideal)
+        for l in range(space.nvars)))
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
@@ -143,9 +159,8 @@ def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> 
 
 
 def spanning_fields(hyper: HypersurfaceSpace) -> list:
-    """The tangent projections Y_i of the coordinate fields; they span."""
-    return [project_tangent(hyper, hyper.quotient.basis_field(i))
-            for i in range(hyper.quotient.nvars)]
+    """The tangent projections Y_i = P X_i of the coordinate fields, the rows of M; they span."""
+    return [VectorField(hyper.quotient, row) for row in hyper.tangent_projector]
 
 
 # ---------------------------------------------------------------------------
@@ -155,41 +170,50 @@ def spanning_fields(hyper: HypersurfaceSpace) -> list:
 class InducedConnection:
     """Tangent projection of the ambient componentwise connection.
 
-    Values are computed on canonical representatives; the result is
-    independent of the representatives for tangent arguments.  Values are
-    memoised per hypersurface, keyed by the argument coefficients, so all
-    connections built on one hypersurface compute each value once.
+    P(D_X W)_l = sum_k (sum_i X_i d_i W_k) M_kl, with one normal form per
+    component.  Values are computed on canonical representatives; the result
+    is independent of the representatives for tangent arguments.  Values and
+    the partials d_i W_k are memoised per hypersurface, keyed by coefficients,
+    so all connections built on one hypersurface compute each once.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
         self.hyper = hyper
-        self._memo = hyper._induced_memo
+        self._memo, self._partials = hyper._induced_memo
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
         hyper = self.hyper
         xq = hyper.to_quotient(x)
         yq = hyper.to_quotient(y)
-        key = (xq.coeffs, yq.coeffs)
+        # canonical representatives of one quotient ring: their terms identify them
+        wk = tuple(c.rep.terms for c in yq.coeffs)
+        key = (tuple(c.rep.terms for c in xq.coeffs), wk)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = project_tangent(hyper, _tangent_derivative(hyper, xq, yq))
+            _check_tangent(hyper, xq, yq)
+            ring, n = hyper.quotient.ring, hyper.quotient.nvars
+            dw = self._partials.get(wk)
+            if dw is None:
+                dw = self._partials[wk] = [[w.rep.diff(i) for i in range(n)] for w in yq.coeffs]
+            xs = [(i, c.rep) for i, c in enumerate(xq.coeffs) if c.rep.terms]
+            hit = self._memo[key] = _project(hyper, [
+                sum_products(ring, n, [(a, dwk[i]) for i, a in xs]) for dwk in dw])
         return hit
 
 
-def _tangent_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
-    """The ambient derivative of two quotient fields, which must be tangent."""
+def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
     if not is_tangent(hyper, xq):
         raise NotTangent("x")
     if not is_tangent(hyper, yq):
         raise NotTangent("y")
-    return ambient_derivative(hyper.quotient, xq, yq)
 
 
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
     """h(X, Y) = normal part of the ambient derivative of tangent fields."""
-    return project_normal(hyper, _tangent_derivative(hyper, hyper.to_quotient(x),
-                                                     hyper.to_quotient(y)))
+    xq, yq = hyper.to_quotient(x), hyper.to_quotient(y)
+    _check_tangent(hyper, xq, yq)
+    return project_normal(hyper, ambient_derivative(hyper.quotient, xq, yq))
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:
@@ -238,6 +262,4 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormRep
     if gap is not None:
         return SpaceFormReport(False, True, {"identity": "induced-metric", **gap})
     report = check_constant_curvature(space, InducedConnection(hyper), c, spanning)
-    if not report.ok:
-        return SpaceFormReport(True, False, report.counterexample)
-    return SpaceFormReport(True, True, None)
+    return SpaceFormReport(True, report.ok, report.counterexample)

@@ -15,8 +15,9 @@ it: parentheses nest at most MAX_NESTING deep, integers have at most
 MAX_DIGITS digits, powers stay within the kernel's MAX_DEGREE, and no sum
 has more than MAX_TERMS terms.  Products and powers are refused before they
 are expanded when their term bound passes MAX_TERMS: a product by the
-smaller of t_a * t_b and the monomial count C(n + d_a + d_b, n), a power by
-the multinomial bound C(t + k - 1, k).
+smaller of t_a * t_b and the count C(n + hi, n) - C(n + lo - 1, n) of the
+monomials with degree from lo, the sum of the factors' lowest degrees, to
+hi = d_a + d_b, and a power by the multinomial bound C(t + k - 1, k).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOverflow, NotAUnit, ParseError
-from .poly import MAX_DEGREE, Poly
+from .poly import MAX_DEGREE, Poly, _degree
 from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 
 _TOKEN = r"(\d+)|([^\W\d]\w*)|[-+*/^()]"
@@ -126,11 +127,13 @@ class _Parser:
         while self.peek()[0] == "*":
             at = self.advance()[2]
             rhs = self.parse_factor()
-            # a product has at most t_a * t_b terms, and at most C(n + d, n) monomials
-            # of degree d = d_a + d_b or less exist
-            degree = acc.total_degree() + rhs.total_degree()
-            if min(len(acc.terms) * len(rhs.terms),
-                   comb(len(self.names) + max(degree, 0), len(self.names))) > MAX_TERMS:
+            # a product has at most t_a * t_b terms, and C(n + hi, n) - C(n + lo - 1, n)
+            # monomials have a degree from lo, the sum of the lowest degrees (where grevlex
+            # term lists end), to hi = d_a + d_b
+            n, pairs = len(self.names), len(acc.terms) * len(rhs.terms)
+            lo = pairs and _degree(acc.terms[-1][0], n) + _degree(rhs.terms[-1][0], n)
+            hi = max(acc.total_degree() + rhs.total_degree(), 0)
+            if min(pairs, comb(n + hi, n) - (comb(n + lo - 1, n) if lo else 0)) > MAX_TERMS:
                 raise ParseError(f"product could have more than {MAX_TERMS} terms", at)
             acc = acc * rhs
         return acc

@@ -18,11 +18,12 @@ import pytest
 from rinehart import (CharTwoUnsupported, EuclideanConnection,
                       HypersurfaceSpace, InducedConnection, NotAUnit,
                       NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
-                      curvature, derive, inner, is_tangent, lie_bracket,
-                      make_sphere, parse_poly, project_normal,
-                      project_tangent, quotient_equal,
-                      second_fundamental_form, spanning_fields,
+                      ambient_derivative, check_constant_curvature, curvature,
+                      derive, inner, is_tangent, lie_bracket, make_sphere,
+                      parse_poly, project_normal, project_tangent,
+                      quotient_equal, second_fundamental_form, spanning_fields,
                       verify_space_form)
+from rinehart.hypersurface import induced_metric_gap
 from rinehart.poly import normal_form
 from rinehart.randgen import random_field
 from rinehart.tensors import VectorField
@@ -150,16 +151,16 @@ def test_induced_connection_circle_frozen():
 
 
 def test_induced_connection_rejects_non_tangent():
-    hyper = circle()
-    conn = InducedConnection(hyper)
-    y1, _ = spanning_fields(hyper)
-    nq = hyper.to_quotient(hyper.normal)
-    with pytest.raises(NotTangent) as err:
-        conn(nq, y1)
-    assert err.value.argument == "x"
-    with pytest.raises(NotTangent) as err:
-        conn(y1, nq)
-    assert err.value.argument == "y"
+    for hyper in [circle()] + [_sphere(name, 3)[0] for name in sorted(SWEEP_RINGS)]:
+        conn = InducedConnection(hyper)
+        y1 = spanning_fields(hyper)[0]
+        nq = hyper.to_quotient(hyper.normal)
+        with pytest.raises(NotTangent) as err:
+            conn(nq, y1)
+        assert err.value.argument == "x"
+        with pytest.raises(NotTangent) as err:
+            conn(y1, nq)
+        assert err.value.argument == "y"
 
 
 def _naive_project(hyper, field):
@@ -371,3 +372,93 @@ def test_induced_connections_of_one_hypersurface_share_their_values():
         assert ref() is None   # freed without the cycle collector
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the fused induced connection and the i < j curvature loop against references
+
+SWEEP_RINGS = {"Q": Q, "F7": PrimeField(7), "Qi": QuadExt(Q, -1), "Qj": QuadExt(Q, 1)}
+
+
+def _sphere(ring_name, n):
+    ring = SWEEP_RINGS[ring_name]
+    c = ring.from_int(3) if ring_name == "F7" else ring.one()
+    return make_sphere(ring, n, c), c
+
+
+def _tangent_samples(hyper, rng):
+    """Spanning fields, rotation fields x_j e_i - x_i e_j (with zero components)
+    and projected random fields."""
+    sp = hyper.quotient
+    n = sp.nvars
+    fields = list(spanning_fields(hyper))
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = [sp.constant(sp.ring.zero())] * n
+            coeffs[i], coeffs[j] = sp.coordinate(j), -sp.coordinate(i)
+            fields.append(VectorField(sp, tuple(coeffs)))
+    fields += [project_tangent(hyper, random_field(rng, sp, 1)) for _ in range(3)]
+    return fields
+
+
+@pytest.mark.parametrize("ring_name", sorted(SWEEP_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_induced_connection_matches_unfused_projection(ring_name, n):
+    hyper, _ = _sphere(ring_name, n)
+    sp = hyper.quotient
+    conn = InducedConnection(hyper)
+    fields = _tangent_samples(hyper, seeded(f"fused:{ring_name}:{n}"))
+    for x in fields:
+        assert is_tangent(hyper, x)
+        for y in fields[:n + 2]:
+            whole = ambient_derivative(sp, x, y)
+            # the unfused path: a reduced derivative, then X - q<X, N>N
+            want = whole - project_normal(hyper, whole)
+            assert project_tangent(hyper, whole) == want
+            assert conn(x, y) == want
+
+
+def _full_space_form_reference(hyper, c):
+    """verify_space_form as it was: the induced metric, then all n^3 triples,
+    each with its own bracket and inner products."""
+    ys = spanning_fields(hyper)
+    gap = induced_metric_gap(hyper, c, ys)
+    if gap is not None:
+        return {"identity": "induced-metric", **gap}
+    return _full_curvature_reference(hyper, c, ys)
+
+
+def _full_curvature_reference(hyper, c, ys):
+    sp = hyper.quotient
+    conn = InducedConnection(hyper)
+    c_fn = sp.constant(c)
+    for i, x in enumerate(ys):
+        for j, y in enumerate(ys):
+            for k, z in enumerate(ys):
+                lhs = (conn(x, conn(y, z)) - conn(y, conn(x, z))
+                       - conn(ambient_derivative(sp, x, y) - ambient_derivative(sp, y, x), z))
+                rhs = c_fn * ((inner(y, z, sp.metric) * x) - (inner(x, z, sp.metric) * y))
+                if not (lhs - rhs).is_zero():
+                    return {"triple": f"({i + 1}, {j + 1}, {k + 1})",
+                            "lhs": sp.format_field(lhs), "rhs": sp.format_field(rhs)}
+    return None
+
+
+@pytest.mark.parametrize("ring_name", sorted(SWEEP_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_loop_over_i_lt_j_finds_the_full_loops_counterexample(ring_name, n):
+    hyper, c = _sphere(ring_name, n)
+    ring = hyper.quotient.ring
+    assert verify_space_form(hyper, c).ok
+    assert _full_space_form_reference(hyper, c) is None
+    wrong = c + ring.one()
+    assert verify_space_form(hyper, wrong).counterexample == \
+        _full_space_form_reference(hyper, wrong)
+    # a wrong c fails at the induced metric first; the curvature loop on its own
+    # must report the triple the n^3 loop reports (none at n = 2: a curve is flat)
+    ys = spanning_fields(hyper)
+    for bad in (wrong, ring.zero(), c + c):
+        report = check_constant_curvature(hyper.quotient, InducedConnection(hyper), bad, ys)
+        want = _full_curvature_reference(hyper, bad, ys)
+        assert report.counterexample == want
+        assert report.ok == (want is None) == (n == 2)

@@ -150,3 +150,23 @@ def test_products_are_refused_before_they_are_expanded():
     x = Poly.variable(Q, 1, 0)
     one = Poly.constant(Q, 1, Q.one())
     assert parse_poly("(x+1)^30*(x+1)^30", Q, ("x",)) == (x + one) ** 60
+
+
+def test_product_bound_counts_only_the_degrees_a_product_can_reach():
+    from math import comb
+    from rinehart.parse import MAX_TERMS
+    names = ("x", "y")
+    x, y = Poly.variable(Q, 2, 0), Poly.variable(Q, 2, 1)
+    # degrees 50..50 only: C(52, 2) - C(51, 2) = 51 monomials, though C(52, 2) > MAX_TERMS
+    assert comb(52, 2) > MAX_TERMS and comb(52, 2) - comb(51, 2) == 51
+    got = parse_poly("(x+y)^25*(x+y)^25", Q, names)
+    assert got == (x + y) ** 50 and len(got.terms) == 51
+    assert parse_poly("x^2*(x+y)^20*y", Q, names) == x * x * (x + y) ** 20 * y
+    # a factor with a constant term reaches every degree from 0: still refused
+    big = "1" + "7" * 199
+    for text in ("(x+y+1)^30*(x+y+1)^30", f"({big}*x+{big}*y+1)^30*({big}*x+{big}*y+1)^30"):
+        with pytest.raises(ParseError, match="product could have more than"):
+            parse_poly(text, Q, names)
+    # zero and constant factors stay cheap, also with no variables at all
+    assert parse_poly("0*(x+y+1)^30*(x+y+1)^30", Q, names) == Poly.zero(Q, 2)
+    assert parse_scalar("2*3", Q) == Q.from_int(6)
