@@ -11,7 +11,9 @@ The spec file is JSON:
       "quotient": {"sphere": {"c": "1"}} | {"generator": "...", "q": "..."},
       "checks": ["space-form", ...],      # optional, defaults to all applicable
       "seed": 0,                          # optional
-      "max_degree": 2                     # optional, 1..41 (MAX_RANDOM_DEGREE)
+      "max_degree": 2                     # optional, 1..41 (MAX_RANDOM_DEGREE), less for
+                                          # checks that read a high-degree metric or quotient
+                                          # (suites.degree_cap)
     }
 
 Exit codes: 0 all requested checks pass (or the computation succeeded),
@@ -37,7 +39,8 @@ from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import QuotientElem
 from .rings import ring_from_json
 from .space import RinehartSpace, curvature, gradient
-from .suites import CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace, run_checks
+from .suites import (CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace, degree_cap,
+                     run_checks)
 from .tensors import Metric, VectorField
 
 DEFAULT_CASES = 40
@@ -256,6 +259,11 @@ def _cmd_check(ws, meta, args) -> int:
     seed = meta.seed if args.seed is None else _run_setting("seed", args.seed)
     max_degree = (meta.max_degree if args.max_degree is None
                   else _run_setting("max_degree", args.max_degree))
+    cap = degree_cap(ws, meta.checks)
+    if max_degree > cap:
+        raise ValidationError("max_degree", f"must be an integer in 1..{cap} for these checks"
+                              if cap >= 1 else "the metric and quotient degrees of these "
+                              "checks leave no room below total degree 127")
     results = run_checks(ws, names=meta.checks, seed=seed,
                          max_degree=max_degree, cases=DEFAULT_CASES)
     _emit_report(ws, args, results)

@@ -75,10 +75,9 @@ class HypersurfaceSpace:
                      for k, g in enumerate(gn.coeffs))
 
     @cached_property
-    def _induced_memo(self) -> tuple:
-        # the values of every InducedConnection of this hypersurface and the partials
-        # of each W it derives; holding no connection keeps it free of a cycle
-        return {}, {}
+    def _induced_memo(self) -> dict:
+        # the values of every InducedConnection here; holding no connection avoids a cycle
+        return {}
 
     # -- coercion -------------------------------------------------------------
 
@@ -172,32 +171,28 @@ class InducedConnection:
 
     P(D_X W)_l = sum_k (sum_i X_i d_i W_k) M_kl, with one normal form per
     component.  Values are computed on canonical representatives; the result
-    is independent of the representatives for tangent arguments.  Values and
-    the partials d_i W_k are memoised per hypersurface, keyed by coefficients,
-    so all connections built on one hypersurface compute each once.
+    is independent of the representatives for tangent arguments.  Values are
+    memoised per hypersurface, keyed by coefficients, so all connections built
+    on one hypersurface compute each once; each W_k keeps its own partials.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
         self.hyper = hyper
-        self._memo, self._partials = hyper._induced_memo
+        self._memo = hyper._induced_memo
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
         hyper = self.hyper
         xq = hyper.to_quotient(x)
         yq = hyper.to_quotient(y)
         # canonical representatives of one quotient ring: their terms identify them
-        wk = tuple(c.rep.terms for c in yq.coeffs)
-        key = (tuple(c.rep.terms for c in xq.coeffs), wk)
+        key = (tuple(c.rep.terms for c in xq.coeffs), tuple(c.rep.terms for c in yq.coeffs))
         hit = self._memo.get(key)
         if hit is None:
             _check_tangent(hyper, xq, yq)
             ring, n = hyper.quotient.ring, hyper.quotient.nvars
-            dw = self._partials.get(wk)
-            if dw is None:
-                dw = self._partials[wk] = [[w.rep.diff(i) for i in range(n)] for w in yq.coeffs]
-            xs = [(i, c.rep) for i, c in enumerate(xq.coeffs) if c.rep.terms]
+            xs = [c.rep for c in xq.coeffs]
             hit = self._memo[key] = _project(hyper, [
-                sum_products(ring, n, [(a, dwk[i]) for i, a in xs]) for dwk in dw])
+                sum_products(ring, n, zip(xs, w.rep.partials)) for w in yq.coeffs])
         return hit
 
 

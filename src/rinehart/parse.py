@@ -17,14 +17,19 @@ has more than MAX_TERMS terms.  Products and powers are refused before they
 are expanded when their term bound passes MAX_TERMS: a product by the
 smaller of t_a * t_b and the count C(n + hi, n) - C(n + lo - 1, n) of the
 monomials with degree from lo, the sum of the factors' lowest degrees, to
-hi = d_a + d_b, and a power by the multinomial bound C(t + k - 1, k).
+hi = d_a + d_b, and a power by the multinomial bound C(t + k - 1, k).  They are
+also refused when a bound on their coefficients has more than MAX_DIGITS
+digits: |c| <= min(t_a, t_b) * max|a| * max|b| for a product and
+|c| <= (sum |c_i|)^k for a power, where |a + b*al| = |a| + |b|.  Over Q the
+bound is taken on coefficients brought to the lcm D of their denominators,
+whose powers bound the denominators; over F_p coefficients cannot grow.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DegreeOverflow, NotAUnit, ParseError
 from .poly import MAX_DEGREE, Poly, _degree
@@ -34,6 +39,13 @@ _TOKEN = r"(\d+)|([^\W\d]\w*)|[-+*/^()]"
 MAX_NESTING = 100
 MAX_DIGITS = 1000
 MAX_TERMS = 500
+_DIGITS_LIMIT = 10 ** MAX_DIGITS
+
+
+def _too_long(base: int, k: int = 1) -> bool:
+    """Whether base**k has more than MAX_DIGITS digits, with no large power formed."""
+    return base > 1 and ((base.bit_length() - 1) * k >= _DIGITS_LIMIT.bit_length()
+                         or base ** k >= _DIGITS_LIMIT)
 
 
 def _tokenize(text: str):
@@ -105,6 +117,17 @@ class _Parser:
 
     # -- grammar -------------------------------------------------------------
 
+    def _sizes(self, poly: Poly):
+        """(sum, max, D) of the coefficient sizes |c| * D, D the lcm of the denominators,
+        or None over F_p."""
+        ring = self.ring
+        if isinstance(ring.base if isinstance(ring, QuadExt) else ring, PrimeField):
+            return None
+        parts = [c if isinstance(ring, QuadExt) else (c,) for _, c in poly.terms]
+        d = lcm(*(v.denominator for part in parts for v in part))
+        sizes = [sum(abs(v.numerator) * (d // v.denominator) for v in part) for part in parts]
+        return sum(sizes), max(sizes, default=0), d
+
     @staticmethod
     def _capped(poly: Poly, at: int) -> Poly:
         if len(poly.terms) > MAX_TERMS:
@@ -135,6 +158,11 @@ class _Parser:
             hi = max(acc.total_degree() + rhs.total_degree(), 0)
             if min(pairs, comb(n + hi, n) - (comb(n + lo - 1, n) if lo else 0)) > MAX_TERMS:
                 raise ParseError(f"product could have more than {MAX_TERMS} terms", at)
+            sa, sb = self._sizes(acc), self._sizes(rhs)
+            if sa and (_too_long(min(len(acc.terms), len(rhs.terms)) * sa[1] * sb[1])
+                       or _too_long(sa[2] * sb[2])):
+                raise ParseError(f"product could have coefficients of more than {MAX_DIGITS} "
+                                 "digits", at)
             acc = acc * rhs
         return acc
 
@@ -151,6 +179,10 @@ class _Parser:
             # t terms raised to the k-th power give at most C(t + k - 1, k) monomials
             if comb(len(base.terms) + exp - 1, exp) > MAX_TERMS:
                 raise ParseError(f"power could have more than {MAX_TERMS} terms", tok[2])
+            size = self._sizes(base)
+            if size and (_too_long(size[0], exp) or _too_long(size[2], exp)):
+                raise ParseError(f"power could have coefficients of more than {MAX_DIGITS} "
+                                 "digits", tok[2])
             base = base ** exp
         return base
 

@@ -223,17 +223,21 @@ class Poly:
         """Formal partial derivative with respect to variable i (0-based)."""
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range for {self.nvars} variables")
-        n = self.nvars
-        at = FIELD_BITS * i
-        step = (1 << (FIELD_BITS * n)) - (1 << at)  # the key of x_i
-        mul, from_int = self.ring.mul, self.ring._from_int
-        out = []
+        return self.partials[i]
+
+    @cached_property
+    def partials(self) -> tuple:
+        """All n first partials, taken once per polynomial: the one place derivatives are taken."""
+        n, mul, from_int = self.nvars, self.ring.mul, self.ring._from_int
+        # dividing every term by x_i shifts its key by the same step, the key of x_i
+        steps = [(FIELD_BITS * i, (1 << (FIELD_BITS * n)) - (1 << (FIELD_BITS * i)), [])
+                 for i in range(n)]
         for k, c in self.terms:
-            e = (_digits(k, n) >> at) & (W - 1)
-            if e:
-                # dividing every term by x_i shifts its key by the same step
-                out.append((k - step, mul(c, from_int(e))))
-        return _canonical(self.ring, n, out)
+            low = _digits(k, n)
+            for at, step, part in steps:
+                if e := (low >> at) & (W - 1):
+                    part.append((k - step, mul(c, from_int(e))))
+        return tuple(_canonical(self.ring, n, part) for _, _, part in steps)
 
 
 def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable) -> Poly:

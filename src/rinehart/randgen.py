@@ -13,32 +13,35 @@ from functools import cache
 from math import comb
 from random import Random
 
-from .poly import Poly, QuotientElem
+from .poly import FIELD_BITS, Poly, QuotientElem, _canonical, pack, unpack
 from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 from .tensors import VectorField
 
 
 @cache
 def scalar_pool(ring: RingDescriptor) -> tuple:
-    """The coefficients a ring draws from, built once per ring."""
+    """The raw coefficient values a ring draws from, built once per ring."""
     if isinstance(ring, Rationals):
-        values = [0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
-        return tuple(ring.scalar(v) for v in values)
+        return tuple(ring._norm(v) for v in (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)))
     if isinstance(ring, PrimeField):
         # the first residues only; random_scalar draws from all of F_p
-        return tuple(ring.scalar(v) for v in range(min(ring.p, 4)))
+        return tuple(ring._norm(v) for v in range(min(ring.p, 4)))
     if isinstance(ring, QuadExt):
-        base_pool = scalar_pool(ring.base)
-        return tuple(ring.scalar((a.value, b.value))
-                     for a in base_pool[:4] for b in base_pool[:4])
+        base_pool = scalar_pool(ring.base)[:4]
+        return tuple(ring._norm((a, b)) for a in base_pool for b in base_pool)
     raise TypeError(f"no sampling pool for {ring!r}")
 
 
-def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
+def _draw(rng: Random, ring: RingDescriptor):
+    """One raw ring value, from all of F_p or else from the ring's pool."""
     if isinstance(ring, PrimeField):
         # the draw rng.choice makes from all p residues, without listing them
-        return ring.scalar(rng.randrange(ring.p))
+        return rng.randrange(ring.p)
     return rng.choice(scalar_pool(ring))
+
+
+def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
+    return GroundScalar(ring, _draw(rng, ring))
 
 
 class Monomials:
@@ -49,24 +52,30 @@ class Monomials:
     """
 
     def __init__(self, nvars: int, max_degree: int):
+        pack((max_degree,))  # DegreeOverflow past MAX_DEGREE, where keys would overflow
         self.nvars, self.max_degree = nvars, max_degree
+        self.size = comb(nvars + max_degree, nvars)  # len() fails past sys.maxsize
 
     def __len__(self) -> int:
-        return comb(self.nvars + self.max_degree, self.nvars)
+        return self.size
 
     def __getitem__(self, i: int) -> tuple:
-        if not 0 <= i < len(self):
+        return unpack(self.key(i), self.nvars)
+
+    def key(self, i: int) -> int:
+        """The packed key (`poly.pack`) of item i, unranked with no exponent tuple."""
+        if not 0 <= i < self.size:
             raise IndexError("monomial index out of range")
-        out, budget = [], self.max_degree
-        for rest in range(self.nvars - 1, -1, -1):
+        low, budget = 0, self.max_degree
+        for at in range(self.nvars):
             # C(rest + budget - e, rest) vectors continue a prefix ending in e
-            e = 0
+            rest, e = self.nvars - 1 - at, 0
             while i >= (count := comb(rest + budget - e, rest)):
                 i -= count
                 e += 1
-            out.append(e)
+            low += e << (FIELD_BITS * at)
             budget -= e
-        return tuple(out)
+        return ((self.max_degree - budget) << (FIELD_BITS * self.nvars)) - low
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> Monomials:
@@ -75,13 +84,14 @@ def monomials_up_to(nvars: int, max_degree: int) -> Monomials:
 
 def random_poly(rng: Random, ring: RingDescriptor, nvars: int,
                 max_degree: int = 2, max_terms: int = 3) -> Poly:
+    """A sum of 1..max_terms random terms.  The rng sees the calls choosing from Monomials and
+    then random_scalar would make; raw values add under packed keys, made canonical once."""
     monos = monomials_up_to(nvars, max_degree)
-    acc: dict = {}
-    zero = ring.zero()
+    add, zero, acc = ring.add, ring._zero, {}
     for _ in range(rng.randint(1, max_terms)):
-        m = rng.choice(monos)
-        acc[m] = acc.get(m, zero) + random_scalar(rng, ring)
-    return Poly.from_dict(ring, nvars, acc)
+        k = monos.key(rng.randrange(monos.size))  # the index rng.choice(monos) draws
+        acc[k] = add(acc.get(k, zero), _draw(rng, ring))
+    return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
 
 
 def random_fn(rng: Random, space, max_degree: int = 2) -> QuotientElem:

@@ -121,9 +121,7 @@ def _check_field(space: RinehartSpace, x: VectorField):
 def differential(space: RinehartSpace, f: QuotientElem) -> OneForm:
     """df = sum_i (partial f / partial x_i) om_i on the canonical representative."""
     _check_fn(space, f)
-    coeffs = tuple(QuotientElem(f.rep.diff(i), space.ideal)
-                   for i in range(space.nvars))
-    return OneForm(space, coeffs)
+    return OneForm(space, tuple(QuotientElem(d, space.ideal) for d in f.rep.partials))
 
 
 def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientElem:
@@ -131,7 +129,7 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_field(space, x)
     _check_fn(space, f)
     f.check_peers(x.coeffs)
-    pairs = [(c.rep, f.rep.diff(i)) for i, c in enumerate(x.coeffs) if c.rep.terms]
+    pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms]
     return QuotientElem(sum_products(space.ring, space.nvars, pairs), space.ideal)
 
 
@@ -151,8 +149,15 @@ def ambient_derivative(space: RinehartSpace, x: VectorField, y: VectorField) -> 
 
 
 def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y] = D(X, Y) - D(Y, X) for the ambient derivative D; coordinate fields commute."""
-    return ambient_derivative(space, x, y) - ambient_derivative(space, y, x)
+    """[X, Y]^k = sum_i X^i d_i Y^k - Y^i d_i X^k = D(X, Y) - D(Y, X), one normal form each."""
+    _check_field(space, x)
+    _check_field(space, y)
+    _check_fn(space, *y.coeffs)
+    y.coeffs[0].check_peers(x.coeffs)
+    xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
+    return VectorField(space, tuple(QuotientElem(sum_products(
+        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)]), space.ideal)
+        for p, q in zip(xs, ys)))
 
 
 class EuclideanConnection:
@@ -227,7 +232,7 @@ class KoszulConnection:
         n, one = space.nvars, ((0, space.ring._from_int(1)),)
         xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
         live = [i for i in range(n) if xs[i].terms]
-        dy = [[(xs[i], ys[j].diff(i)) for i in live] for j in range(n)]
+        dy = [[(xs[i], ys[j].partials[i]) for i in live] for j in range(n)]
         xy = [(xs[i] * ys[j], table[(i, j)]) for i in live for j in range(n) if ys[j].terms]
         out = []
         for k in range(n):

@@ -9,7 +9,24 @@ Random polynomials have degree at most d = max_degree.  The deepest
 product any check forms is second-form-symmetric's f * h(X, Y), of degree
 d + (2d + 4) with tangent fields of degree d + 2; pairing-duality reaches
 3d.  Keeping 3d + 4 <= poly.MAX_DEGREE = 127 gives MAX_RANDOM_DEGREE = 41,
-for metric entries and quotient generators of degree at most 2.
+for constant metrics and quotient generators of degree at most 2.
+
+Inputs of higher degree lower the cap of the checks that read them
+(`degree_cap`).  A check that reads no metric keeps MAX_RANDOM_DEGREE; any
+other gets (127 - a*deg G - b*deg f) // 3, at most 41, with a = b = 2.
+deg f is the larger degree of the quotient generator and its witness q, 0
+without a quotient.  deg G is the largest degree m of a metric entry, plus,
+for the checks that read the connection, the largest degree g of the
+second-kind symbols Gamma^k_ij, which the Koszul connection holds when
+det G is a unit.  Without them those checks stay at the one-form level,
+which reaches 3d + m - 1 (G X times d_X(fY)).  With them levi-civita's
+<nabla_X Y, Z> multiplies X Y Gamma^k_ij by G and Z, degree 3d + m + g,
+and a curvature nabla_X nabla_Y Z reaches 3d + 2g.  musical-roundtrip forms
+sharp(flat X) = adj(G) G X / det G, of degree d + m + deg adj(G), so it is
+also capped at 127 - m - deg adj(G).  The sphere (deg f = 2), Euclidean and
+constant metrics and [[x^2+1, x], [x, 1]], whose symbols are constant, keep
+41; a dense 3 x 3 G = L L^T with linear L has symbols of degree 5 and gets 37.
+Quotients take only a constant metric, so there deg f alone lowers the cap.
 """
 
 from __future__ import annotations
@@ -25,7 +42,7 @@ from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            project_tangent, quotient_equal,
                            second_fundamental_form, spanning_fields,
                            sphere_metric_entry, verify_space_form)
-from .poly import sum_products
+from .poly import MAX_DEGREE, sum_products
 from .randgen import random_field, random_fn, random_poly, rng_for
 from .rings import GroundScalar
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
@@ -533,21 +550,22 @@ class CheckSpec:
     name: str
     needs: str  # "space" | "quotient" | "sphere"
     runner: Callable
+    reads: str = "metric"  # "nothing" | "metric" | "connection" | "inverse": see degree_cap
 
 
 REGISTRY = [
-    CheckSpec("pairing-duality", "space", _check_pairing_duality),
-    CheckSpec("differential-leibniz", "space", _check_differential_leibniz),
-    CheckSpec("anchor-compatibility", "space", _check_anchor),
-    CheckSpec("jacobi-identity", "space", _check_jacobi),
-    CheckSpec("connection-leibniz", "space", _check_connection_leibniz),
-    CheckSpec("flat-curvature", "space", _check_flat_curvature),
-    CheckSpec("koszul-flat-agreement", "space", _check_koszul_flat),
-    CheckSpec("levi-civita", "space", _check_levi_civita_suite),
-    CheckSpec("musical-roundtrip", "space", _check_musical_roundtrip),
+    CheckSpec("pairing-duality", "space", _check_pairing_duality, "nothing"),
+    CheckSpec("differential-leibniz", "space", _check_differential_leibniz, "nothing"),
+    CheckSpec("anchor-compatibility", "space", _check_anchor, "nothing"),
+    CheckSpec("jacobi-identity", "space", _check_jacobi, "nothing"),
+    CheckSpec("connection-leibniz", "space", _check_connection_leibniz, "connection"),
+    CheckSpec("flat-curvature", "space", _check_flat_curvature, "connection"),
+    CheckSpec("koszul-flat-agreement", "space", _check_koszul_flat, "connection"),
+    CheckSpec("levi-civita", "space", _check_levi_civita_suite, "connection"),
+    CheckSpec("musical-roundtrip", "space", _check_musical_roundtrip, "inverse"),
     CheckSpec("metric-transfer", "space", _check_metric_transfer),
-    CheckSpec("curvature-tensorial", "space", _check_curvature_tensorial),
-    CheckSpec("normal-form-homomorphism", "quotient", _check_normal_form_hom),
+    CheckSpec("curvature-tensorial", "space", _check_curvature_tensorial, "connection"),
+    CheckSpec("normal-form-homomorphism", "quotient", _check_normal_form_hom, "nothing"),
     CheckSpec("tangency", "quotient", _check_tangency),
     CheckSpec("projection-retraction", "quotient", _check_projection_retraction),
     CheckSpec("projection-orthogonal", "quotient", _check_projection_orthogonal),
@@ -573,6 +591,37 @@ def _missing(spec: CheckSpec, ws: Workspace) -> Optional[str]:
 
 def applicable_checks(ws: Workspace) -> list:
     return [spec.name for spec in REGISTRY if _missing(spec, ws) is None]
+
+
+def _degree(rows) -> int:
+    """The largest total degree of a table of functions, 0 for constants or none."""
+    return max([0] + [e.rep.total_degree() for row in rows for e in row])
+
+
+def degree_cap(ws: Workspace, names: Optional[list] = None) -> int:
+    """The largest max_degree at which the named checks (all applicable ones by
+    default) stay below total degree 127: see the module docstring."""
+    chosen = names if names is not None else applicable_checks(ws)
+    reads = {spec.reads for spec in REGISTRY
+             if spec.name in chosen and _missing(spec, ws) is None} - {"nothing"}
+    if not reads:
+        return MAX_RANDOM_DEGREE
+    metric = ws.space.metric
+    m = _degree(metric.entries)
+    g = 0
+    if "connection" in reads:
+        try:
+            conn = ws.plain_connection
+        except TwoNotAUnit:  # the connection checks skip
+            conn = None
+        if isinstance(conn, KoszulConnection) and conn.fully_solvable:
+            g = _degree(conn._gamma.values())
+    deg_f = 0 if ws.hyper is None else max(ws.hyper.generator.total_degree(),
+                                           ws.hyper.q.rep.total_degree())
+    cap = min(MAX_RANDOM_DEGREE, (MAX_DEGREE - 2 * (m + g) - 2 * deg_f) // 3)
+    if "inverse" in reads and metric.det_status[1] is not None:
+        cap = min(cap, MAX_DEGREE - m - _degree(metric.adjugate()))
+    return cap
 
 
 def run_checks(ws: Workspace, names: Optional[list] = None, seed: int = 0,

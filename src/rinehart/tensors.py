@@ -76,6 +76,9 @@ class Metric:
             raise ValueError("metric matrix must be square")
         if any(self.entries[i][j] != self.entries[j][i] for i in range(n) for j in range(i)):
             raise ValueError("metric matrix must be symmetric")
+        if n:
+            # once per metric: every entry in one quotient ring, so `inner` checks only fields
+            self.entries[0][0].check_peers(sum(self.entries, ()))
 
     @staticmethod
     def euclidean(ring, nvars: int, ideal: PrincipalIdeal | None) -> "Metric":
@@ -165,7 +168,7 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     if metric.n != len(x.coeffs):
         raise SpaceMismatch("metric dimension does not match the space")
     like = metric.entries[0][0]
-    like.check_peers(x.coeffs + y.coeffs + sum(metric.entries, ()))
+    like.check_peers(x.coeffs + y.coeffs)
     one = ((0, like.ring._from_int(1)),)
     pairs = [(u.rep if g.rep.terms == one else u.rep * g.rep, v.rep)
              for u, row in zip(x.coeffs, metric.entries) if u.rep.terms

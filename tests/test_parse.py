@@ -139,12 +139,20 @@ def test_powers_are_capped_by_the_degree_bound_and_term_count():
 def test_products_are_refused_before_they_are_expanded():
     import time
     from rinehart.parse import MAX_TERMS
-    big = "1" + "7" * 199                  # a 200-digit literal
-    factor = f"({big}*x+{big}*y+1)^30"     # 496 terms with large coefficients
+    big = "1" + "7" * 19                   # a 20-digit literal: the power stays below MAX_DIGITS
+    factor = f"({big}*x+{big}*y+1)^30"     # 496 terms with 600-digit coefficients
     start = time.perf_counter()
     with pytest.raises(ParseError, match="product could have more than"):
         parse_poly(f"{factor}*{factor}", Q, ("x", "y"))
-    assert time.perf_counter() - start < 5  # 38 s when the product was formed first
+    assert time.perf_counter() - start < 5
+    # the 200-digit factor that took 38 s when the product was formed first: its power
+    # already passes the coefficient bound
+    big = "1" + "7" * 199
+    factor = f"({big}*x+{big}*y+1)^30"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="could have"):
+        parse_poly(f"{factor}*{factor}", Q, ("x", "y"))
+    assert time.perf_counter() - start < 5
     # 31 * 31 = 961 term pairs, but only 61 monomials of degree at most 60 in one variable
     assert 31 * 31 > MAX_TERMS
     x = Poly.variable(Q, 1, 0)
@@ -163,10 +171,39 @@ def test_product_bound_counts_only_the_degrees_a_product_can_reach():
     assert got == (x + y) ** 50 and len(got.terms) == 51
     assert parse_poly("x^2*(x+y)^20*y", Q, names) == x * x * (x + y) ** 20 * y
     # a factor with a constant term reaches every degree from 0: still refused
-    big = "1" + "7" * 199
+    big = "1" + "7" * 19
     for text in ("(x+y+1)^30*(x+y+1)^30", f"({big}*x+{big}*y+1)^30*({big}*x+{big}*y+1)^30"):
         with pytest.raises(ParseError, match="product could have more than"):
             parse_poly(text, Q, names)
     # zero and constant factors stay cheap, also with no variables at all
     assert parse_poly("0*(x+y+1)^30*(x+y+1)^30", Q, names) == Poly.zero(Q, 2)
     assert parse_scalar("2*3", Q) == Q.from_int(6)
+
+
+def test_coefficient_bounds_refuse_long_powers_and_products_before_expanding():
+    import json
+    import time
+    from pathlib import Path
+    from rinehart.cli import build_workspace
+    from rinehart.parse import MAX_DIGITS
+    names = ("x", "y")
+    big = "1" + "7" * (MAX_DIGITS - 1)     # the longest literal allowed
+    start = time.perf_counter()
+    long_power = f"power could have coefficients of more than {MAX_DIGITS} digits"
+    with pytest.raises(ParseError, match=long_power):
+        parse_poly(f"({big}*x+{big}*y+1)^30", Q, names)  # 496 terms: 14 s when expanded
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ParseError, match="product could have coefficients"):
+        parse_poly(f"{big}*{big}", Q, names)
+    with pytest.raises(ParseError, match="power could have coefficients"):
+        parse_poly(f"(1/{big}*x + 1)^2", Q, names)  # the denominators are bounded too
+    with pytest.raises(ParseError, match="power could have coefficients"):
+        parse_poly(f"({big}*al + x)^2", QI, ("x",))
+    # (sum |c_i|)^k is the bound: 2^127 and (1/3 x + 1/7)^120 are short, and F_p has none
+    assert parse_scalar("2^127", Q) == Q.from_int(2 ** 127)
+    assert len(parse_poly("(1/3*x + 1/7)^120", Q, ("x",)).terms) == 121
+    assert len(parse_poly(f"({big}*x+1)^100", F7, ("x",)).terms) <= 101
+    x, y = Poly.variable(Q, 2, 0), Poly.variable(Q, 2, 1)
+    assert parse_poly("(x+y)^25*(x+y)^25", Q, names) == (x + y) ** 50
+    for path in sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json")):
+        build_workspace(json.loads(path.read_text()))

@@ -157,6 +157,32 @@ def test_derivative_basics():
     assert p.diff(1) == x * x + Poly.constant(Q, 2, Q.one())
     with pytest.raises(IndexError):
         p.diff(2)
+    with pytest.raises(IndexError):
+        p.diff(-1)
+
+
+def reference_partial(p: Poly, i: int) -> Poly:
+    """d_i p term by term over exponent tuples: e x^m -> e m_i x^(m - e_i)."""
+    out = {}
+    for exp, c in p.items():
+        if exp[i]:
+            lowered = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+            out[lowered] = out.get(lowered, p.ring.zero()) + c * p.ring.from_int(exp[i])
+    return Poly.from_dict(p.ring, p.nvars, out)
+
+
+def test_partials_match_the_term_by_term_derivative(any_ring):
+    rng = seeded(f"poly-partials:{any_ring}")
+    for nvars in (1, 2, 4):
+        for _ in range(60):
+            p = random_small_poly(rng, any_ring, nvars, max_degree=6, max_terms=6)
+            assert len(p.partials) == nvars
+            assert p.partials == tuple(reference_partial(p, i) for i in range(nvars))
+            # taken once: diff reads the same objects
+            assert all(p.diff(i) is p.partials[i] for i in range(nvars))
+    # e = p in characteristic p: the term drops
+    x = Poly.variable(PrimeField(5), 1, 0)
+    assert (x ** 5).partials == (Poly.zero(PrimeField(5), 1),)
 
 
 def test_total_degree_and_zero_conventions():

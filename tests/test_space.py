@@ -12,12 +12,13 @@ Independent oracles:
 
 import pytest
 
-from rinehart import (EuclideanConnection, KoszulConnection, Metric,
+from rinehart import (EuclideanConnection, IdealMismatch, KoszulConnection, Metric,
                       MetricNotMusical, NotEuclidean, PrimeField, QuadExt,
-                      Rationals, RinehartSpace, TwoNotAUnit,
-                      check_constant_curvature, check_levi_civita, curvature,
-                      derive, differential, flat, gradient, inner,
+                      Rationals, RinehartSpace, SpaceMismatch, TwoNotAUnit,
+                      ambient_derivative, check_constant_curvature, check_levi_civita,
+                      curvature, derive, differential, flat, gradient, inner,
                       lie_bracket, pairing)
+from rinehart.tensors import VectorField
 from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_fn
 from rinehart.suites import Workspace, run_checks
@@ -121,6 +122,40 @@ def test_bracket_antisymmetric_and_jacobi(any_ring):
                  + lie_bracket(sp, y, lie_bracket(sp, z, x))
                  + lie_bracket(sp, z, lie_bracket(sp, x, y)))
         assert total.is_zero()
+
+
+def _bracket_spaces(ring):
+    euclidean = RinehartSpace.euclidean(ring, ("x", "y", "z"))
+    helper = RinehartSpace.euclidean(ring, ("x", "y"))
+    koszul = RinehartSpace.with_metric(ring, ("x", "y"), Metric(
+        ((helper.fn("x^2 + 1"), helper.fn("x")), (helper.fn("x"), helper.fn("1")))))
+    sphere = make_sphere(ring, 3, ring.from_int(2), var_names=("x", "y", "z")).quotient
+    return {"euclidean": euclidean, "koszul": koszul, "sphere": sphere}
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeField(7), QuadExt(Q, -1)], ids=str)
+def test_bracket_is_the_difference_of_ambient_derivatives(ring):
+    for label, sp in _bracket_spaces(ring).items():
+        rng = seeded(f"space-bracket:{ring}:{label}")
+        fields = sp.basis_fields() + [random_field(rng, sp, 3) for _ in range(8)]
+        for x in fields:
+            for y in fields[-4:]:
+                want = ambient_derivative(sp, x, y) - ambient_derivative(sp, y, x)
+                assert lie_bracket(sp, x, y) == want, label
+
+
+def test_bracket_keeps_its_space_and_peer_checks():
+    plain = _sp()
+    sphere = make_sphere(Q, 2, Q.one(), var_names=("x", "y")).quotient
+    x = plain.field([plain.fn("x"), plain.fn("y")])
+    on_sphere = sphere.field([sphere.fn("y"), sphere.fn("x")])
+    foreign = VectorField(plain, on_sphere.coeffs)  # coefficients mod (f)
+    with pytest.raises(SpaceMismatch):
+        lie_bracket(plain, x, on_sphere)
+    with pytest.raises(SpaceMismatch):
+        lie_bracket(plain, x, foreign)
+    with pytest.raises(IdealMismatch):
+        lie_bracket(plain, foreign, x)
 
 
 def test_anchor_law():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from rinehart import (Metric, MetricNotMusical, PrimeField, QuadExt, Rationals,
+from rinehart import (IdealMismatch, Metric, MetricNotMusical, PrimeField, QuadExt, Rationals,
                       RinehartSpace, flat, in_maximal_ideal_submodule, inner,
                       pairing, sharp)
 from rinehart.hypersurface import make_sphere
@@ -43,6 +43,20 @@ def test_metric_validation():
         Metric(((one, x), (one, one)))           # not symmetric
     with pytest.raises(ValueError):
         Metric(((one, x),))                      # not square
+    sphere = make_sphere(Q, 2, Q.one(), var_names=("x", "y")).quotient
+    with pytest.raises(IdealMismatch):
+        Metric(((one, sphere.fn("0")), (sphere.fn("0"), one)))  # entries in two rings
+
+
+def test_inner_refuses_a_field_of_another_quotient():
+    names = ("x", "y")
+    unit, other = (make_sphere(Q, 2, Q.from_int(c), var_names=names).quotient for c in (1, 2))
+    x = unit.field([unit.fn("x"), unit.fn("y")])
+    assert inner(x, x, unit.metric) == unit.fn("1")  # x^2 + y^2 = 1 on the unit circle
+    y = other.field([other.fn("x"), other.fn("y")])
+    for metric in (unit.metric, _space(names).metric):
+        with pytest.raises(IdealMismatch):
+            inner(y, y, metric)
 
 
 def test_euclidean_metric_predicates():
