@@ -39,8 +39,8 @@ from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import QuotientElem
 from .rings import ring_from_json
 from .space import RinehartSpace, curvature, gradient
-from .suites import (CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace, degree_cap,
-                     run_checks)
+from .suites import (CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace,
+                     applicable_checks, degree_cap, run_checks)
 from .tensors import Metric, VectorField
 
 DEFAULT_CASES = 40
@@ -271,14 +271,9 @@ def _cmd_check(ws, meta, args) -> int:
 
 
 def _cmd_space_form(ws, meta, args) -> int:
-    if ws.hyper is None:
-        raise ValidationError("quotient", "space-form needs a quotient space")
-    if args.c is not None:
-        c = parse_scalar(args.c, ws.space.ring)
-    elif ws.c is not None:
-        c = ws.c
-    else:
-        raise ValidationError("c", "this spec has no sphere constant; pass --c")
+    if "space-form" not in applicable_checks(ws):
+        raise ValidationError("quotient", "space-form needs a sphere quotient")
+    c = ws.c if args.c is None else parse_scalar(args.c, ws.space.ring)
     report = verify_space_form(ws.hyper, c)
     status = "pass" if report.ok else "fail"
     if report.ok:

@@ -5,9 +5,9 @@ unit, so that N = grad f = G^-1 df is a polynomial field.  A hypersurface
 is cut out by one equation f = 0 together with a scaling witness q such
 that 1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the
 induced connection and the second fundamental form are all computed on
-canonical representatives modulo (f), from N reduced once; two fields are
-equal in the quotient exactly when all coefficients of their difference
-reduce to zero.  The tangent projection is (P X)_l = sum_k X_k M_kl with
+canonical representatives modulo (f), from N reduced once, so two quotient
+fields are equal as classes exactly when they compare equal with `==`.
+The tangent projection is (P X)_l = sum_k X_k M_kl with
 M_kl = delta_kl - q (G N)_k N_l, built once per hypersurface on first use.
 """
 
@@ -153,8 +153,8 @@ def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
-    """Equality of quotient classes: X - Y vanishes coefficientwise mod (f)."""
-    return (hyper.to_quotient(x) - hyper.to_quotient(y)).is_zero()
+    """Equality of quotient classes, for ambient or quotient fields: equal canonical reps."""
+    return hyper.to_quotient(x) == hyper.to_quotient(y)
 
 
 def spanning_fields(hyper: HypersurfaceSpace) -> list:

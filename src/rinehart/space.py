@@ -302,12 +302,12 @@ class ConstantCurvatureReport:
     counterexample: Optional[dict]
 
 
-def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
+def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
                       max_degree: int = 2) -> LeviCivitaReport:
     """Verify torsion-freeness and metric compatibility exactly.
 
-    Both identities are checked exhaustively on the coordinate basis and,
-    when a generator is supplied, on random fields.  For a Koszul connection
+    Both identities are checked exhaustively on the coordinate basis and on
+    `cases` random fields drawn from `rng`.  For a Koszul connection
     whose vector values are only partially defined the identities are
     checked at the one-form level, which is equivalent whenever the Gram
     matrix has nonzero determinant over a domain.
@@ -328,14 +328,13 @@ def check_levi_civita(space: RinehartSpace, conn, rng=None, cases: int = 10,
             return lhs - (pairing(z, conn.form(x, y)) + pairing(y, conn.form(x, z)))
         return lhs - (inner(conn(x, y), z, metric) + inner(y, conn(x, z), metric))
 
+    from .randgen import random_field  # imported here, so `import rinehart` skips randgen
     samples_pairs = [(x, y) for x in fields for y in fields]
     samples_triples = [(x, y, z) for x in fields for y in fields for z in fields]
-    if rng is not None:
-        from .randgen import random_field  # imported here, so `import rinehart` skips randgen
-        for _ in range(cases):
-            trio = tuple(random_field(rng, space, max_degree) for _ in range(3))
-            samples_pairs.append(trio[:2])
-            samples_triples.append(trio)
+    for _ in range(cases):
+        trio = tuple(random_field(rng, space, max_degree) for _ in range(3))
+        samples_pairs.append(trio[:2])
+        samples_triples.append(trio)
 
     render = space.format_field
     for x, y in samples_pairs:

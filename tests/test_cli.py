@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from rinehart import parse_poly
+from rinehart import InducedConnection, parse_poly
 from rinehart.cli import main
 from rinehart.rings import Rationals
 from rinehart.suites import CHECK_NAMES
@@ -237,6 +237,36 @@ def test_space_form_mismatched_c_fails(capsys):
     assert "FAIL" in out
 
 
+# x^2 + y^2 - z^2 = 1 under diag(1, 1, -1): de Sitter space, a generator quotient of curvature 1
+DE_SITTER = dict(BASE, vars=["x", "y", "z"], metric={"diag": ["1", "1", "-1"]},
+                 quotient={"generator": "x^2 + y^2 - z^2 - 1", "q": "1/4"})
+
+
+@pytest.mark.parametrize("spec, flags", [
+    (DE_SITTER, ["--c", "1"]),
+    (DE_SITTER, ["--c", "-1"]),
+    (str(SPECS / "euclidean_q_n2.json"), []),
+])
+def test_space_form_refuses_non_sphere_specs(tmp_path, capsys, spec, flags):
+    # the sphere identities delta_ij - c x_i x_j hold on spheres only, whatever --c says
+    path = spec if isinstance(spec, str) else write_spec(tmp_path, spec)
+    code, out, err = run(capsys, ["space-form", path, "--json"] + flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[ValidationError]: quotient:")
+
+
+def test_space_form_reports_a_planted_curvature_bug(capsys, monkeypatch):
+    # a connection off by a factor of 2 keeps the induced metric, so only curvature fails
+    original = InducedConnection.__call__
+    monkeypatch.setattr(InducedConnection, "__call__",
+                        lambda self, x, y: original(self, x, y) + original(self, x, y))
+    code, out, _ = run(capsys, ["space-form", str(SPECS / "sphere_q_n3.json"), "--json"])
+    assert code == 1
+    (entry,) = json.loads(out)["checks"]
+    assert entry["detail"] == "constant curvature identity fails"
+    assert entry["counterexample"]["triple"] == "(1, 2, 1)"
+
+
 def test_spanning_flag(capsys):
     code, out, _ = run(capsys, ["space-form", str(SPECS / "sphere_q_n3.json"),
                                 "--spanning"])
@@ -371,6 +401,15 @@ def test_generator_quotient_over_a_constant_metric_matches_golden_digests(
     code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_de_sitter_check_matches_golden_digest(tmp_path, capsys):
+    # the first pinned generator quotient over an indefinite metric; 16 checks pass, 2 skip
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, DE_SITTER), "--json",
+                                  "--seed", "7"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "359899c772dc916fed13cea1fd8449b939155435b552d6908211382fd9aeaa3b"
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -16,9 +16,9 @@ import weakref
 import pytest
 
 from rinehart import (CharTwoUnsupported, EuclideanConnection,
-                      HypersurfaceSpace, InducedConnection, NotAUnit,
+                      HypersurfaceSpace, InducedConnection, Metric, NotAUnit,
                       NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
-                      ambient_derivative, check_constant_curvature, curvature,
+                      RinehartSpace, ambient_derivative, check_constant_curvature, curvature,
                       derive, inner, is_tangent, lie_bracket, make_sphere,
                       parse_poly, project_normal, project_tangent,
                       quotient_equal, second_fundamental_form, spanning_fields,
@@ -338,6 +338,19 @@ def test_verify_space_form_quad_ext():
     c = ring.scalar((Q.one().value, Q.zero().value))
     hyper = make_sphere(ring, 2, c, var_names=("x", "y"))
     assert verify_space_form(hyper, c).ok
+
+
+def test_de_sitter_quotient_has_constant_curvature_one():
+    # x^2 + y^2 - z^2 = 1 under diag(1, 1, -1): N = G^-1 df = (2x, 2y, 2z), <N, N> = 4
+    plain = sphere3().ambient
+    metric = Metric.diagonal([plain.fn("1"), plain.fn("1"), plain.fn("-1")])
+    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
+    f = parse_poly("x^2 + y^2 - z^2 - 1", Q, plain.var_names)
+    hyper = HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+    conn, fields = InducedConnection(hyper), spanning_fields(hyper)
+    assert check_constant_curvature(hyper.quotient, conn, Q.one(), fields).ok
+    report = check_constant_curvature(hyper.quotient, conn, Q.from_int(-1), fields)
+    assert not report.ok and "triple" in report.counterexample
 
 
 def test_intermediate_identities_n3():
