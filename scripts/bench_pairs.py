@@ -13,6 +13,10 @@ end-to-end metric the median and quartiles (`statistics.quantiles`, n = 4)
 of each side and the number of pairs the change won.  A metric's direction
 comes from BENCHMARK.json in CHANGE_DIR.  An existing output file is
 updated: the workload's entry is replaced and the others are kept.
+
+Both checkouts must hold compiled bytecode (`src/rinehart/__pycache__`)
+or neither: a compiled side skips compiling rinehart inside `setup_s`.
+The script exits 2 when exactly one of them does.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
+    compiled = [side for side in ("parent", "change")
+                if (getattr(args, side) / "src" / "rinehart" / "__pycache__").is_dir()]
+    if len(compiled) == 1:
+        parser.error(f"only the {compiled[0]} checkout holds src/rinehart/__pycache__, which"
+                     " shortens its setup_s; remove it or compile both checkouts")
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     runs = []

@@ -23,7 +23,7 @@ from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products
 from .rings import GroundScalar, RingDescriptor
 from .space import (RinehartSpace, ambient_derivative,
                     check_constant_curvature, gradient)
-from .tensors import VectorField, flat, inner
+from .tensors import VectorField, flat, gram_table, inner
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,11 @@ class HypersurfaceSpace:
     def _induced_memo(self) -> dict:
         # the values of every InducedConnection here; holding no connection avoids a cycle
         return {}
+
+    @cached_property
+    def _tangent_keys(self) -> set:
+        # the coefficient terms of every quotient field proved tangent here
+        return set()
 
     # -- coercion -------------------------------------------------------------
 
@@ -174,6 +179,7 @@ class InducedConnection:
     is independent of the representatives for tangent arguments.  Values are
     memoised per hypersurface, keyed by coefficients, so all connections built
     on one hypersurface compute each once; each W_k keeps its own partials.
+    Tangency of each distinct argument is proved once per hypersurface.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
@@ -197,10 +203,16 @@ class InducedConnection:
 
 
 def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
-    if not is_tangent(hyper, xq):
-        raise NotTangent("x")
-    if not is_tangent(hyper, yq):
-        raise NotTangent("y")
+    """Raise NotTangent for the first of X, Y that is not tangent.  Each field
+    proved tangent is recorded by its coefficient terms and never proved again;
+    a field that is not tangent is never recorded, so it raises on every call."""
+    proved = hyper._tangent_keys
+    for name, field in (("x", xq), ("y", yq)):
+        key = tuple(c.rep.terms for c in field.coeffs)
+        if key not in proved:
+            if not is_tangent(hyper, field):
+                raise NotTangent(name)
+            proved.add(key)
 
 
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
@@ -218,12 +230,12 @@ def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -
 
 
 def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
-                       spanning: list) -> Optional[dict]:
-    """The first pair with <Y_i, Y_j> != delta_ij - c x_i x_j as a counterexample, or None."""
+                       gram: tuple) -> Optional[dict]:
+    """The first pair with <Y_i, Y_j> != delta_ij - c x_i x_j as a counterexample, or None,
+    from the Gram table `gram` of the spanning fields."""
     space = hyper.quotient
-    for i, yi in enumerate(spanning):
-        for j, yj in enumerate(spanning):
-            got = inner(yi, yj, space.metric)
+    for i, row in enumerate(gram):
+        for j, got in enumerate(row):
             want = sphere_metric_entry(space, c, i, j)
             if got != want:
                 return {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got),
@@ -247,14 +259,16 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormRep
 
     The induced metric must satisfy <Y_i, Y_j> = delta_ij - c x_i x_j and
     the curvature of the induced connection must equal
-    c(<Y,Z>X - <X,Z>Y) on all triples of the spanning fields.
+    c(<Y,Z>X - <X,Z>Y) on all triples of the spanning fields.  The Gram
+    table <Y_i, Y_j> is computed once and read by both checks.
     """
     space = hyper.quotient
     if c.ring != space.ring:
         raise NotAUnit("curvature constant belongs to a different ring")
     spanning = spanning_fields(hyper)
-    gap = induced_metric_gap(hyper, c, spanning)
+    gram = gram_table(spanning, space.metric)
+    gap = induced_metric_gap(hyper, c, gram)
     if gap is not None:
         return SpaceFormReport(False, True, {"identity": "induced-metric", **gap})
-    report = check_constant_curvature(space, InducedConnection(hyper), c, spanning)
+    report = check_constant_curvature(space, InducedConnection(hyper), c, spanning, gram)
     return SpaceFormReport(True, report.ok, report.counterexample)

@@ -276,7 +276,8 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
     lk, lc = f.terms[0]
-    lc_inv = ring._inv(lc)
+    # a monic f (every ideal generator is stored monic) needs no inverse and no scaling
+    lc_inv = None if lc == ring._from_int(1) else ring._inv(lc)
     add, mul, neg, reduce = ring.add, ring.mul, ring.neg, ring.reduce
     # the term q*x^t of the quotient adds q * (-fc) at key m + (fk - lk)
     tail = [(fk - lk, neg(fc)) for fk, fc in f.terms[1:]]
@@ -293,7 +294,7 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         if (lk - m) & guard:
             rem.append((m, c))
             continue
-        q = reduce(mul(c, lc_inv))
+        q = c if lc_inv is None else reduce(mul(c, lc_inv))
         quo.append((m - lk, q))
         for offset, fc in tail:
             k = m + offset

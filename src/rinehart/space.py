@@ -19,8 +19,8 @@ from .parse import parse_poly
 from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
                    format_poly, sum_products)
 from .rings import GroundScalar, RingDescriptor
-from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, inner,
-                      pairing, sharp)
+from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, gram_table,
+                      inner, pairing, sharp)
 
 
 @dataclass(frozen=True)
@@ -274,11 +274,9 @@ class KoszulConnection:
 
 
 def curvature(space: RinehartSpace, conn: Callable, x: VectorField,
-              y: VectorField, z: VectorField, bracket=None) -> VectorField:
-    """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
-    with `bracket` = [X, Y] when the caller already has it."""
-    bracket = lie_bracket(space, x, y) if bracket is None else bracket
-    return conn(x, conn(y, z)) - conn(y, conn(x, z)) - conn(bracket, z)
+              y: VectorField, z: VectorField) -> VectorField:
+    """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+    return conn(x, conn(y, z)) - conn(y, conn(x, z)) - conn(lie_bracket(space, x, y), z)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +351,41 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
 
 
 def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
-                             spanning: list) -> ConstantCurvatureReport:
+                             spanning: list, gram: Optional[tuple] = None
+                             ) -> ConstantCurvatureReport:
     """Check R(X, Y)Z = c(<Y,Z>X - <X,Z>Y) on all triples of spanning fields.
 
     Only i < j is evaluated, yet every triple is proved, with no Bianchi identity
     (it needs torsion-freeness): [Y, X] = -[X, Y] exactly on reduced parts and conn
     is additive in its first slot, so the gap at (j, i, k) is exactly minus that at
     (i, j, k), and zero at i = j.  So the full loop's first failure has i < j and is
-    the one reported here.  Each bracket and each <Y_a, Y_b> is computed once."""
+    the one reported here.  `gram` is the table <Y_a, Y_b> when the caller has it;
+    it is scaled by c once, and each bracket is computed once per pair.  With
+    A = nabla_X nabla_Y Z, B = nabla_Y nabla_X Z and D = nabla_[X,Y] Z, component l
+    is proved as A_l == B_l + D_l + (c g_jk) X_l - (c g_ik) Y_l, one raw sum of
+    products with one normal form; A_l is canonical, so `==` decides the class.
+    lhs = A - B - D and rhs are formed only for the counterexample."""
+    ring, n, ideal = space.ring, space.nvars, space.ideal
+    if gram is None:
+        gram = gram_table(spanning, space.metric)
     c_fn = space.constant(c)
-    gram = [[inner(a, b, space.metric) for b in spanning] for a in spanning]
+    scaled = [[(c_fn * g).rep for g in row] for row in gram]
+    one = Poly.constant(ring, n, ring.one())
+    reps = [[a.rep for a in f.coeffs] for f in spanning]
+    negs = [[-a for a in f] for f in reps]
     for i, x in enumerate(spanning):
         for j, y in enumerate(spanning[i + 1:], i + 1):
             bracket = lie_bracket(space, x, y)
             for k, z in enumerate(spanning):
-                lhs = curvature(space, conn, x, y, z, bracket)
+                a, b, d = conn(x, conn(y, z)), conn(y, conn(x, z)), conn(bracket, z)
+                if all(al == QuotientElem(sum_products(ring, n, [
+                        (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)]),
+                        ideal) for al, bl, dl, xl, nyl
+                       in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
+                    continue
+                lhs = a - b - d
                 rhs = c_fn * ((gram[j][k] * x) - (gram[i][k] * y))
-                if lhs != rhs:
-                    ce = {"triple": f"({i + 1}, {j + 1}, {k + 1})",
-                          "lhs": space.format_field(lhs),
-                          "rhs": space.format_field(rhs)}
-                    return ConstantCurvatureReport(False, ce)
+                ce = {"triple": f"({i + 1}, {j + 1}, {k + 1})",
+                      "lhs": space.format_field(lhs), "rhs": space.format_field(rhs)}
+                return ConstantCurvatureReport(False, ce)
     return ConstantCurvatureReport(True, None)

@@ -47,7 +47,7 @@ from .rings import GroundScalar
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
                     ambient_derivative, check_constant_curvature, check_levi_civita,
                     curvature, derive, differential, lie_bracket)
-from .tensors import OneForm, flat, inner, pairing, sharp
+from .tensors import OneForm, flat, gram_table, inner, pairing, sharp
 
 
 MAX_RANDOM_DEGREE = 41
@@ -463,10 +463,11 @@ def _check_representative_independence(ws, rng, cases, max_degree):
 
 
 def _check_induced_metric(ws, rng, cases, max_degree):
-    gap = induced_metric_gap(ws.hyper, ws.c, spanning_fields(ws.hyper))
+    space = ws.hyper.quotient
+    gap = induced_metric_gap(ws.hyper, ws.c, gram_table(spanning_fields(ws.hyper), space.metric))
     if gap is not None:
         return _fail("<Y_i, Y_j> != delta_ij - c x_i x_j", gap)
-    n = ws.hyper.quotient.nvars
+    n = space.nvars
     return _ok(f"{n * n} spanning pairs")
 
 

@@ -176,6 +176,11 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     return QuotientElem(sum_products(like.ring, like.nvars, pairs), like.ideal)
 
 
+def gram_table(fields: list, metric: Metric) -> tuple:
+    """The Gram table <X_a, X_b> of a list of fields, one inner product per entry."""
+    return tuple(tuple(inner(a, b, metric) for b in fields) for a in fields)
+
+
 def flat(x: VectorField, metric: Metric) -> OneForm:
     """Lower an index: (X^flat)_j = sum_i G_ij X^i.  Always defined."""
     if metric.n != len(x.coeffs):

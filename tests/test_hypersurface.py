@@ -26,7 +26,7 @@ from rinehart import (CharTwoUnsupported, EuclideanConnection,
 from rinehart.hypersurface import induced_metric_gap
 from rinehart.poly import normal_form
 from rinehart.randgen import random_field
-from rinehart.tensors import VectorField
+from rinehart.tensors import VectorField, gram_table
 from conftest import seeded
 
 Q = Rationals()
@@ -435,15 +435,15 @@ def _full_space_form_reference(hyper, c):
     """verify_space_form as it was: the induced metric, then all n^3 triples,
     each with its own bracket and inner products."""
     ys = spanning_fields(hyper)
-    gap = induced_metric_gap(hyper, c, ys)
+    gap = induced_metric_gap(hyper, c, gram_table(ys, hyper.quotient.metric))
     if gap is not None:
         return {"identity": "induced-metric", **gap}
     return _full_curvature_reference(hyper, c, ys)
 
 
-def _full_curvature_reference(hyper, c, ys):
+def _full_curvature_reference(hyper, c, ys, conn=None):
     sp = hyper.quotient
-    conn = InducedConnection(hyper)
+    conn = InducedConnection(hyper) if conn is None else conn
     c_fn = sp.constant(c)
     for i, x in enumerate(ys):
         for j, y in enumerate(ys):
@@ -475,3 +475,78 @@ def test_curvature_loop_over_i_lt_j_finds_the_full_loops_counterexample(ring_nam
         want = _full_curvature_reference(hyper, bad, ys)
         assert report.counterexample == want
         assert report.ok == (want is None) == (n == 2)
+
+
+# ---------------------------------------------------------------------------
+# tangency proved once per field, one Gram table, planted bugs in the fused loop
+
+
+def test_tangency_record_never_admits_a_non_tangent_field():
+    hyper = sphere3()
+    conn = InducedConnection(hyper)
+    y1, y2, y3 = spanning_fields(hyper)
+    conn(y1, y2)
+    conn(y3, conn(y1, y2))   # the spanning fields and a connection value are now recorded
+    nq = hyper.quotient_normal
+    for bad in (nq, y1 + nq):
+        for _ in range(2):   # a field found not tangent is refused on every call
+            with pytest.raises(NotTangent) as err:
+                conn(bad, y1)
+            assert err.value.argument == "x"
+            with pytest.raises(NotTangent) as err:
+                conn(y2, bad)
+            assert err.value.argument == "y"
+            with pytest.raises(NotTangent) as err:
+                second_fundamental_form(hyper, y3, bad)
+            assert err.value.argument == "y"
+
+
+def test_verify_space_form_proves_each_field_tangent_once(monkeypatch):
+    import rinehart.hypersurface as hs
+    import rinehart.space as space_module
+    import rinehart.tensors as tensors
+    hyper = sphere3()
+    counts = {"is_tangent": 0, "inner": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    inner_counted = counting("inner", tensors.inner)
+    for module in (tensors, hs, space_module):
+        monkeypatch.setattr(module, "inner", inner_counted)
+    monkeypatch.setattr(hs, "is_tangent", counting("is_tangent", hs.is_tangent))
+    assert verify_space_form(hyper, Q.one()).ok
+    fields = {key for pair in hyper._induced_memo for key in pair}
+    # one proof per distinct argument of the induced connection, one inner product
+    # per proof, and the n^2 = 9 entries of the one Gram table
+    assert counts["is_tangent"] == len(fields) == 15
+    assert counts["inner"] == 9 + 15
+    assert verify_space_form(hyper, Q.one()).ok
+    assert counts["is_tangent"] == 15 and counts["inner"] == 2 * 9 + 15
+
+
+def _doubled(hyper):
+    induced = InducedConnection(hyper)
+    return lambda x, y: induced(x, y) + induced(x, y)
+
+
+def _unprojected(hyper):
+    return lambda x, y: ambient_derivative(hyper.quotient, x, y)
+
+
+@pytest.mark.parametrize("ring_name", sorted(SWEEP_RINGS))
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("planted", [_doubled, _unprojected])
+def test_fused_curvature_comparison_catches_planted_bugs(ring_name, n, planted):
+    # a connection off by a factor of 2, or one that skips the projection, keeps the metric;
+    # the fused comparison must report the full loop's first triple, lhs and rhs
+    hyper, c = _sphere(ring_name, n)
+    ys = spanning_fields(hyper)
+    conn = planted(hyper)
+    report = check_constant_curvature(hyper.quotient, conn, c, ys)
+    want = _full_curvature_reference(hyper, c, ys, conn)
+    assert want is not None and not report.ok
+    assert report.counterexample == want

@@ -79,3 +79,29 @@ def test_summary_counts_ties_for_neither_side():
                                     {"identities_per_s": "higher", "wall_s": "lower"})
     assert summary["identities_per_s"]["change_won_pairs"] == 1
     assert summary["wall_s"]["change_won_pairs"] == 1
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_pairs_refuse_one_compiled_checkout(tmp_path, capsys, side):
+    roots = {name: tmp_path / name for name in ("parent", "change")}
+    (roots[side] / "src" / "rinehart" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
+                          "--seed", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"only the {side} checkout holds src/rinehart/__pycache__" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("compiled", [(), ("parent", "change")])
+def test_pairs_pass_the_bytecode_gate_when_both_sides_agree(tmp_path, compiled):
+    roots = {name: tmp_path / name for name in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    for side in compiled:
+        (roots[side] / "src" / "rinehart" / "__pycache__").mkdir(parents=True)
+    # past the gate, the next step reads BENCHMARK.json, which these checkouts lack
+    with pytest.raises(FileNotFoundError):
+        bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
+                          "--seed", "1", "--out", str(tmp_path / "bench.json")])
