@@ -8,7 +8,10 @@ induced connection and the second fundamental form are all computed on
 canonical representatives modulo (f), from N reduced once, so two quotient
 fields are equal as classes exactly when they compare equal with `==`.
 The tangent projection is (P X)_l = sum_k X_k M_kl with
-M_kl = delta_kl - q (G N)_k N_l, built once per hypersurface on first use.
+M_kl = delta_kl - q (G N)_k N_l, and the normal part is q<X, N>N with
+q<X, N> = sum_k X_k q (G N)_k; the covector q G N and M are built once per
+hypersurface on first use.  Each component is one raw sum of products with
+one normal form.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
 from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products
 from .rings import GroundScalar, RingDescriptor
-from .space import (RinehartSpace, ambient_derivative,
-                    check_constant_curvature, gradient)
+from .space import RinehartSpace, check_constant_curvature, gradient
 from .tensors import VectorField, flat, gram_table, inner
 
 
@@ -68,11 +70,17 @@ class HypersurfaceSpace:
         return self.to_quotient(self.normal)
 
     @cached_property
+    def normal_covector(self) -> tuple:
+        """q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
+        gn = flat(self.quotient_normal, self.quotient.metric)
+        return tuple(self.q * g for g in gn.coeffs)
+
+    @cached_property
     def tangent_projector(self) -> tuple:
         """The rows of M_kl = delta_kl - q (G N)_k N_l modulo (f)."""
-        nq, gn = self.quotient_normal.coeffs, flat(self.quotient_normal, self.quotient.metric)
-        return tuple(tuple(e - self.q * g * v for e, v in zip(self.quotient._unit_vector(k), nq))
-                     for k, g in enumerate(gn.coeffs))
+        nq = self.quotient_normal.coeffs
+        return tuple(tuple(e - g * v for e, v in zip(self.quotient._unit_vector(k), nq))
+                     for k, g in enumerate(self.normal_covector))
 
     @cached_property
     def _induced_memo(self) -> dict:
@@ -137,15 +145,29 @@ def is_tangent(hyper: HypersurfaceSpace, x: VectorField) -> bool:
     return inner(hyper.to_quotient(x), hyper.quotient_normal, hyper.quotient.metric).is_zero()
 
 
+def _representatives(hyper: HypersurfaceSpace, x: VectorField) -> list:
+    """The reduced coefficients of an ambient or quotient field.  An ambient field is
+    reduced before it is projected: its coefficients may hold many multiples of the
+    leading monomial, and projecting them unreduced multiplies more terms."""
+    return [c.rep for c in hyper.to_quotient(x).coeffs]
+
+
 def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The normal part q<X, N>N of X, with coefficients reduced modulo (f)."""
-    nq = hyper.quotient_normal
-    return (hyper.q * inner(hyper.to_quotient(x), nq, hyper.quotient.metric)) * nq
+    return _normal_part(hyper, _representatives(hyper, x))
+
+
+def _normal_part(hyper: HypersurfaceSpace, v: list) -> VectorField:
+    """q<V, N>N for raw polynomials V_k: q<V, N> is one raw sum with one normal form."""
+    space = hyper.quotient
+    b = QuotientElem(sum_products(space.ring, space.nvars, [
+        (a, g.rep) for a, g in zip(v, hyper.normal_covector)], hyper.ideal), hyper.ideal)
+    return b * hyper.quotient_normal
 
 
 def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The tangent part X - q<X, N>N of X, with coefficients reduced modulo (f)."""
-    return _project(hyper, [c.rep for c in hyper.to_quotient(x).coeffs])
+    return _project(hyper, _representatives(hyper, x))
 
 
 def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
@@ -153,7 +175,7 @@ def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
     space = hyper.quotient
     live = [(a, row) for a, row in zip(v, hyper.tangent_projector) if a.terms]
     return VectorField(space, tuple(QuotientElem(sum_products(
-        space.ring, space.nvars, [(a, row[l].rep) for a, row in live]), hyper.ideal)
+        space.ring, space.nvars, [(a, row[l].rep) for a, row in live], hyper.ideal), hyper.ideal)
         for l in range(space.nvars)))
 
 
@@ -217,10 +239,14 @@ def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
 
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
-    """h(X, Y) = normal part of the ambient derivative of tangent fields."""
+    """h(X, Y) = q<D_X Y, N>N, the normal part of the ambient derivative of tangent
+    fields, with q<D_X Y, N> = sum_k (sum_i X_i d_i Y_k) q (G N)_k one raw sum."""
     xq, yq = hyper.to_quotient(x), hyper.to_quotient(y)
     _check_tangent(hyper, xq, yq)
-    return project_normal(hyper, ambient_derivative(hyper.quotient, xq, yq))
+    ring, n = hyper.quotient.ring, hyper.quotient.nvars
+    xs = [c.rep for c in xq.coeffs]
+    return _normal_part(hyper, [sum_products(ring, n, zip(xs, w.rep.partials))
+                                for w in yq.coeffs])
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:
@@ -232,12 +258,18 @@ def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -
 def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
                        gram: tuple) -> Optional[dict]:
     """The first pair with <Y_i, Y_j> != delta_ij - c x_i x_j as a counterexample, or None,
-    from the Gram table `gram` of the spanning fields."""
+    from the Gram table `gram` of the spanning fields.  Both sides are canonical, so they
+    agree exactly when gram_ij + c x_i x_j, one raw sum with one normal form, is delta_ij."""
     space = hyper.quotient
+    ring, n = space.ring, space.nvars
+    xs = [Poly.variable(ring, n, i) for i in range(n)]
+    cxs = [x.scale(c) for x in xs]
+    one = Poly.constant(ring, n, ring.one())
     for i, row in enumerate(gram):
         for j, got in enumerate(row):
-            want = sphere_metric_entry(space, c, i, j)
-            if got != want:
+            sum_ij = sum_products(ring, n, [(got.rep, one), (cxs[i], xs[j])], hyper.ideal)
+            if sum_ij.terms != (one.terms if i == j else ()):
+                want = sphere_metric_entry(space, c, i, j)
                 return {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got),
                         "want": space.format_fn(want)}
     return None

@@ -19,10 +19,15 @@ structural.  GroundScalar appears only at the API boundary: `constant`,
 (exponent tuple, GroundScalar) pairs.
 
 Normal forms modulo a principal ideal (f) are remainders of division by f,
-which takes each next leading term from a heap (Johnson, SIGSAM Bull.
-1974; Monagan and Pearce, JSC 46, 2011).  A single generator is a Groebner
-basis of its ideal, so the remainder is a canonical representative of the
-residue class and ideal membership is "remainder is zero".
+which takes each next divisible term from a heap (Johnson, SIGSAM Bull.
+1974; Monagan and Pearce, JSC 46, 2011).  The dividend is a raw
+{key: value} map: only keys divisible by the leading monomial of f enter
+the heap, every other key waits in the map, and the map is made canonical
+once at the end.  A sum of products reduced modulo (f) divides its own
+product accumulator this way, so nothing is sorted or made canonical
+before the division.  A single generator is a Groebner basis of its
+ideal, so the remainder is a canonical representative of the residue
+class and ideal membership is "remainder is zero".
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
@@ -240,10 +245,12 @@ class Poly:
         return tuple(_canonical(self.ring, n, part) for _, _, part in steps)
 
 
-def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable) -> Poly:
+def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
+                 ideal: Optional["PrincipalIdeal"] = None) -> Poly:
     """sum a*b over Poly pairs (a, b): every product goes into one raw {key: value}
-    map, made canonical once.  Operands are checked against (ring, nvars),
-    by identity first, and each product against MAX_DEGREE."""
+    map, made canonical once.  Given an ideal, that map is divided by its generator
+    first, so the result is the normal form of the sum.  Operands are checked
+    against (ring, nvars), by identity first, and each product against MAX_DEGREE."""
     add, mul = ring.add, ring.mul
     acc: dict = {}
     get = acc.get
@@ -260,39 +267,42 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable) -> Poly:
                 k = ka + kb
                 v = get(k)
                 acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
+    if ideal is not None:
+        gen = ideal.generator
+        if (gen.ring is not ring and gen.ring != ring) or gen.nvars != nvars:
+            raise IdealMismatch("sum and ideal live in different rings")
+        _divide(ring, acc, ideal.divisor)
     return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
 
 
-def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
-    """Divide g by a single f with invertible leading coefficient.
-
-    Returns (q, r) with g = q*f + r and no term of r divisible by the
-    leading monomial of f; r is the canonical normal form of g mod (f).
-    Only keys at or above the leading key of f can be divided; they wait
-    on a heap, and everything below goes straight to the remainder.
-    """
-    g._check(f)
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = g.ring
+def _divisor(f: Poly) -> tuple:
+    """(leading key, lc^-1 or None when f is monic, tail, guard) of a divisor f, where
+    the tail holds (key offset, -coefficient): a quotient term q at key m adds
+    q * (-fc) at key m + (fk - lk)."""
+    ring = f.ring
     lk, lc = f.terms[0]
     # a monic f (every ideal generator is stored monic) needs no inverse and no scaling
     lc_inv = None if lc == ring._from_int(1) else ring._inv(lc)
-    add, mul, neg, reduce = ring.add, ring.mul, ring.neg, ring.reduce
-    # the term q*x^t of the quotient adds q * (-fc) at key m + (fk - lk)
-    tail = [(fk - lk, neg(fc)) for fk, fc in f.terms[1:]]
-    guard = _guard(g.nvars)
-    work = dict(g.terms)
-    heap = [-k for k, _ in g.terms if k >= lk]  # ascending: already a heap
+    neg = ring.neg
+    return lk, lc_inv, [(fk - lk, neg(fc)) for fk, fc in f.terms[1:]], _guard(f.nvars)
+
+
+def _divide(ring: RingDescriptor, work: dict, divisor: tuple) -> list:
+    """Divide the raw {key: value} map `work` in place by `divisor` (see `_divisor`)
+    and return the quotient terms, in descending key order.
+
+    Only keys divisible by the leading monomial enter the heap, largest first;
+    each division adds only keys below the one it divides.  Every other key stays
+    in `work` unreduced, so afterwards `work` holds exactly the remainder."""
+    lk, lc_inv, tail, guard = divisor
+    add, mul, reduce = ring.add, ring.mul, ring.reduce
+    heap = [-k for k in work if k >= lk and not (lk - k) & guard]
+    heapify(heap)
     quo = []
-    rem = []
     while heap:
         m = -heappop(heap)
         c = reduce(work.pop(m))
         if c is None:
-            continue
-        if (lk - m) & guard:
-            rem.append((m, c))
             continue
         q = c if lc_inv is None else reduce(mul(c, lc_inv))
         quo.append((m - lk, q))
@@ -301,12 +311,26 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
             v = work.get(k)
             if v is None:
                 work[k] = mul(q, fc)
-                if k >= lk:
+                if k >= lk and not (lk - k) & guard:
                     heappush(heap, -k)
             else:
                 work[k] = add(v, mul(q, fc))
-    rest = _canonical(ring, g.nvars, sorted(work.items(), reverse=True))
-    return Poly(ring, g.nvars, tuple(quo)), Poly(ring, g.nvars, tuple(rem) + rest.terms)
+    return quo
+
+
+def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
+    """Divide g by a single f with invertible leading coefficient.
+
+    Returns (q, r) with g = q*f + r and no term of r divisible by the
+    leading monomial of f; r is the canonical normal form of g mod (f).
+    """
+    g._check(f)
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    work = dict(g.terms)
+    quo = _divide(g.ring, work, _divisor(f))
+    rem = _canonical(g.ring, g.nvars, sorted(work.items(), reverse=True))
+    return Poly(g.ring, g.nvars, tuple(quo)), rem
 
 
 def divide_exact(g: Poly, f: Poly) -> Optional[Poly]:
@@ -343,9 +367,9 @@ class PrincipalIdeal:
         return self.generator.nvars
 
     @cached_property
-    def lead(self) -> tuple:
-        """(leading key, guard mask) for divisibility tests."""
-        return self.generator.terms[0][0], _guard(self.nvars)
+    def divisor(self) -> tuple:
+        """The division data of the generator, built once (see `_divisor`)."""
+        return _divisor(self.generator)
 
 
 def normal_form(g: Poly, ideal: Optional[PrincipalIdeal]) -> Poly:
@@ -371,7 +395,7 @@ class QuotientElem:
             return
         if self.rep.ring != self.ideal.ring or self.rep.nvars != self.ideal.nvars:
             raise IdealMismatch("polynomial and ideal live in different rings")
-        lk, guard = self.ideal.lead
+        lk, _, _, guard = self.ideal.divisor
         # a cheap scan keeps reduced reps division-free; multiples of lm are >= lm
         for k, _ in self.rep.terms:
             if k < lk:
@@ -439,7 +463,8 @@ class QuotientElem:
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
             return NotImplemented
-        return QuotientElem(self.rep * other.rep, self.ideal)
+        return QuotientElem(sum_products(self.ring, self.nvars, ((self.rep, other.rep),),
+                                         self.ideal), self.ideal)
 
     __rmul__ = __mul__
     __pow__ = Poly.__pow__

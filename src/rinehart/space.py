@@ -130,7 +130,7 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_fn(space, f)
     f.check_peers(x.coeffs)
     pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms]
-    return QuotientElem(sum_products(space.ring, space.nvars, pairs), space.ideal)
+    return QuotientElem(sum_products(space.ring, space.nvars, pairs, space.ideal), space.ideal)
 
 
 def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
@@ -156,8 +156,8 @@ def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorF
     y.coeffs[0].check_peers(x.coeffs)
     xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
     return VectorField(space, tuple(QuotientElem(sum_products(
-        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)]), space.ideal)
-        for p, q in zip(xs, ys)))
+        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)], space.ideal),
+        space.ideal) for p, q in zip(xs, ys)))
 
 
 class EuclideanConnection:
@@ -212,7 +212,8 @@ class KoszulConnection:
             # Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
             self._first[(i, j)] = self._first[(j, i)] = tuple(QuotientElem(sum_products(
                 space.ring, n, [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
-                                (-half, g[i][j].rep.diff(k))]), space.ideal) for k in range(n))
+                                (-half, g[i][j].rep.diff(k))], space.ideal), space.ideal)
+                for k in range(n))
         for i, j in upper:
             value = self._solve(self._first[(i, j)])
             if value is None:
@@ -220,10 +221,15 @@ class KoszulConnection:
                 break
             self._gamma[(i, j)] = self._gamma[(j, i)] = value
         self.fully_solvable = bool(self._gamma)
+        # (i, j, column) of each table's nonzero symbol columns: the only X^i Y^j formed
+        self._first_live, self._gamma_live = (
+            [(i, j, col) for (i, j), col in table.items() if any(c.rep.terms for c in col)]
+            for table in (self._first, self._gamma))
 
-    def _contract(self, w: tuple, table: dict, x: VectorField, y: VectorField) -> tuple:
-        """Component k of sum_j w[k][j] d_X Y^j + sum_ij X^i Y^j table[(i, j)][k],
-        each one raw sum of products with one normal form."""
+    def _contract(self, w: tuple, symbols: list, x: VectorField, y: VectorField) -> tuple:
+        """Component k of sum_j w[k][j] d_X Y^j + sum_ij X^i Y^j table[(i, j)][k], over
+        the nonzero columns `symbols` of the table, each one raw sum of products with one
+        normal form."""
         space = self.space
         _check_field(space, x)
         _check_field(space, y)
@@ -233,18 +239,19 @@ class KoszulConnection:
         xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
         live = [i for i in range(n) if xs[i].terms]
         dy = [[(xs[i], ys[j].partials[i]) for i in live] for j in range(n)]
-        xy = [(xs[i] * ys[j], table[(i, j)]) for i in live for j in range(n) if ys[j].terms]
+        xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
         out = []
         for k in range(n):
             pairs = [(a if g.rep.terms == one else a * g.rep, b)
                      for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
             pairs += [(p, t[k].rep) for p, t in xy]
-            out.append(QuotientElem(sum_products(space.ring, n, pairs), space.ideal))
+            out.append(QuotientElem(sum_products(space.ring, n, pairs, space.ideal), space.ideal))
         return tuple(out)
 
     def form(self, x: VectorField, y: VectorField) -> OneForm:
         """The one-form Z |-> <nabla_X Y, Z>, from the first-kind symbols."""
-        return OneForm(self.space, self._contract(self.space.metric.entries, self._first, x, y))
+        return OneForm(self.space,
+                       self._contract(self.space.metric.entries, self._first_live, x, y))
 
     def _solve(self, beta: tuple) -> Optional[tuple]:
         """Solve G v = beta exactly, or return None."""
@@ -266,7 +273,7 @@ class KoszulConnection:
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
         if self.fully_solvable:
-            return VectorField(self.space, self._contract(self._identity, self._gamma, x, y))
+            return VectorField(self.space, self._contract(self._identity, self._gamma_live, x, y))
         value = self._solve(self.form(x, y).coeffs)
         if value is None:
             raise MetricNotMusical("Koszul value has no exact solution for this pair")
@@ -379,8 +386,8 @@ def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
             for k, z in enumerate(spanning):
                 a, b, d = conn(x, conn(y, z)), conn(y, conn(x, z)), conn(bracket, z)
                 if all(al == QuotientElem(sum_products(ring, n, [
-                        (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)]),
-                        ideal) for al, bl, dl, xl, nyl
+                        (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)],
+                        ideal), ideal) for al, bl, dl, xl, nyl
                        in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
                     continue
                 lhs = a - b - d

@@ -308,7 +308,8 @@ def _check_metric_transfer(ws, rng, cases, max_degree):
 
 def _check_curvature_tensorial(ws, rng, cases, max_degree):
     # The random O-coefficient carries the case variation; the vector slots
-    # draw from a small pool so the connection memo keeps this affordable.
+    # draw from a small pool, so on a hypersurface the induced connection's memo
+    # answers repeated pairs (the Euclidean and Koszul connections keep no memo).
     conn = ws.connection
     space = ws.working_space
     if ws.hyper is not None:

@@ -149,7 +149,8 @@ def _dot(a: tuple, b: tuple) -> QuotientElem:
     """sum_i a_i b_i as one raw sum of products with one normal form."""
     a[0].check_peers(a + b)
     pairs = [(u.rep, v.rep) for u, v in zip(a, b)]
-    return QuotientElem(sum_products(a[0].ring, a[0].nvars, pairs), a[0].ideal)
+    ideal = a[0].ideal
+    return QuotientElem(sum_products(a[0].ring, a[0].nvars, pairs, ideal), ideal)
 
 
 def apply_matrix(rows: tuple, vec: tuple) -> tuple:
@@ -173,7 +174,7 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     pairs = [(u.rep if g.rep.terms == one else u.rep * g.rep, v.rep)
              for u, row in zip(x.coeffs, metric.entries) if u.rep.terms
              for g, v in zip(row, y.coeffs) if g.rep.terms]
-    return QuotientElem(sum_products(like.ring, like.nvars, pairs), like.ideal)
+    return QuotientElem(sum_products(like.ring, like.nvars, pairs, like.ideal), like.ideal)
 
 
 def gram_table(fields: list, metric: Metric) -> tuple:

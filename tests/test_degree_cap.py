@@ -68,12 +68,12 @@ def full_degree(monkeypatch):
 
     kernel = poly_module.sum_products
 
-    def recording(ring, nvars, pairs):
+    def recording(ring, nvars, pairs, ideal=None):
         pairs = list(pairs)
         for a, b in pairs:
             if a.terms and b.terms:
                 peak[0] = max(peak[0], a.total_degree() + b.total_degree())
-        return kernel(ring, nvars, pairs)
+        return kernel(ring, nvars, pairs, ideal)
 
     monkeypatch.setattr(randgen, "random_poly", worst)
     monkeypatch.setattr(suites, "random_poly", worst)

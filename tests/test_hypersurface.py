@@ -18,12 +18,13 @@ import pytest
 from rinehart import (CharTwoUnsupported, EuclideanConnection,
                       HypersurfaceSpace, InducedConnection, Metric, NotAUnit,
                       NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
-                      RinehartSpace, ambient_derivative, check_constant_curvature, curvature,
+                      RinehartSpace, SpaceMismatch, ambient_derivative,
+                      check_constant_curvature, curvature,
                       derive, inner, is_tangent, lie_bracket, make_sphere,
                       parse_poly, project_normal, project_tangent,
                       quotient_equal, second_fundamental_form, spanning_fields,
                       verify_space_form)
-from rinehart.hypersurface import induced_metric_gap
+from rinehart.hypersurface import induced_metric_gap, sphere_metric_entry
 from rinehart.poly import normal_form
 from rinehart.randgen import random_field
 from rinehart.tensors import VectorField, gram_table
@@ -550,3 +551,110 @@ def test_fused_curvature_comparison_catches_planted_bugs(ring_name, n, planted):
     want = _full_curvature_reference(hyper, c, ys, conn)
     assert want is not None and not report.ok
     assert report.counterexample == want
+
+
+# ---------------------------------------------------------------------------
+# the one-sum second fundamental form and ambient projections, step by step
+
+
+def _de_sitter():
+    plain = sphere3().ambient
+    metric = Metric.diagonal([plain.fn("1"), plain.fn("1"), plain.fn("-1")])
+    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
+    f = parse_poly("x^2 + y^2 - z^2 - 1", Q, plain.var_names)
+    return HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+
+
+def _generator_quotient():
+    plain = circle().ambient
+    metric = Metric(((plain.fn("2"), plain.fn("1")), (plain.fn("1"), plain.fn("1"))))
+    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
+    f = parse_poly("2*x^2 + 2*x*y + y^2 - 1", Q, plain.var_names)
+    return HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+
+
+STEP_HYPERSURFACES = {
+    **{f"sphere-{name}-n{n}": (lambda name=name, n=n: _sphere(name, n)[0])
+       for name in ("Q", "F7", "Qi") for n in (3, 4)},
+    "generator-quotient": _generator_quotient,
+    "de-sitter": _de_sitter,
+}
+
+
+def _step_normal_part(hyper, v):
+    """q<V, N>N the long way: reduce V, one inner product with N, then scale by q."""
+    nq = hyper.quotient_normal
+    return (hyper.q * inner(hyper.to_quotient(v), nq, hyper.quotient.metric)) * nq
+
+
+@pytest.mark.parametrize("label", sorted(STEP_HYPERSURFACES))
+def test_second_form_and_ambient_projections_match_their_step_by_step_forms(label):
+    hyper = STEP_HYPERSURFACES[label]()
+    sp = hyper.quotient
+    rng = seeded(f"one-sum:{label}")
+    tangents = list(spanning_fields(hyper))
+    tangents += [project_tangent(hyper, random_field(rng, sp, 2)) for _ in range(3)]
+    for x in tangents:
+        assert is_tangent(hyper, x)
+        for y in tangents:
+            # n reduced components of D_X Y, an inner product, then the scaling
+            want = _step_normal_part(hyper, ambient_derivative(sp, x, y))
+            assert second_fundamental_form(hyper, x, y) == want
+    for _ in range(8):
+        w = random_field(rng, hyper.ambient, 3)   # unreduced representatives
+        wq = hyper.to_quotient(w)
+        normal = _step_normal_part(hyper, w)
+        assert project_normal(hyper, w) == project_normal(hyper, wq) == normal
+        assert project_tangent(hyper, w) == project_tangent(hyper, wq) == wq - normal
+
+
+def test_one_sum_forms_keep_their_refusals():
+    hyper = sphere3()
+    y1 = spanning_fields(hyper)[0]
+    nq = hyper.quotient_normal
+    for args, name in (((nq, y1), "x"), ((y1, nq), "y"), ((nq, nq), "x")):
+        with pytest.raises(NotTangent) as err:
+            second_fundamental_form(hyper, *args)
+        assert err.value.argument == name
+    foreign = [make_sphere(Q, 3, Q.from_int(2), var_names=("x", "y", "z")).quotient,
+               sphere3(PrimeField(7), PrimeField(7).from_int(3)).ambient,
+               circle().ambient]
+    for space in foreign:
+        field = space.basis_field(0)
+        for project in (project_tangent, project_normal):
+            with pytest.raises(SpaceMismatch):
+                project(hyper, field)
+        for args in ((field, y1), (y1, field)):
+            with pytest.raises(SpaceMismatch):
+                second_fundamental_form(hyper, *args)
+
+
+def _reference_metric_gap(hyper, c, gram):
+    sp = hyper.quotient
+    for i, row in enumerate(gram):
+        for j, got in enumerate(row):
+            want = sphere_metric_entry(sp, c, i, j)
+            if got != want:
+                return {"pair": f"({i + 1}, {j + 1})", "got": sp.format_fn(got),
+                        "want": sp.format_fn(want)}
+    return None
+
+
+@pytest.mark.parametrize("ring_name", sorted(SWEEP_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_induced_metric_gap_matches_the_entrywise_comparison(ring_name, n):
+    hyper, c = _sphere(ring_name, n)
+    sp = hyper.quotient
+    gram = gram_table(spanning_fields(hyper), sp.metric)
+    one = sp.constant(sp.ring.one())
+    assert induced_metric_gap(hyper, c, gram) is None
+    # a wrong c, and a table off by one at a single diagonal or off-diagonal entry
+    for i, j in ((0, 1), (n - 1, n - 1)):
+        bad = [list(row) for row in gram]
+        bad[i][j] = bad[i][j] + one
+        bad = tuple(tuple(row) for row in bad)
+        gap = induced_metric_gap(hyper, c, bad)
+        assert gap is not None and gap["pair"] == f"({i + 1}, {j + 1})"
+        assert gap == _reference_metric_gap(hyper, c, bad)
+    wrong = c + sp.ring.one()
+    assert induced_metric_gap(hyper, wrong, gram) == _reference_metric_gap(hyper, wrong, gram)

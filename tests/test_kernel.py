@@ -5,7 +5,8 @@ multiplies by convolution, differentiates term by term and divides by
 rescanning for the grevlex-largest remaining term: the representation and
 algorithm the kernel used before packed keys and heap division.  It is
 compared over Q, F_2, F_5, Q(i) and the split Q(j), which has zero
-divisors.
+divisors; sums of products reduced straight from their accumulator are
+compared with it over Q, F_7, Q(i) and Q(j).
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rinehart import DegreeOverflow, Poly, PrimeField, QuadExt, Rationals, divmod_poly
+from rinehart import (DegreeOverflow, IdealMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt,
+                      QuotientElem, Rationals, divmod_poly, normal_form, sum_products)
 from rinehart.poly import MAX_DEGREE, _guard, pack, unpack
 
 Q = Rationals()
@@ -197,3 +199,53 @@ def test_degree_bound_raises_instead_of_misordering():
         Poly.from_dict(Q, 2, {(MAX_DEGREE + 1, 0): Q.one()})
     # the largest representable monomials still order by grevlex
     assert pack((0, MAX_DEGREE)) < pack((1, MAX_DEGREE - 1)) < pack((MAX_DEGREE, 0))
+
+
+# ---------------------------------------------------------------------------
+# sums of products reduced from their accumulator
+
+REDUCE_RINGS = {"Q": Q, "F7": PrimeField(7), "Qi": RINGS["Qi"], "Qj": RINGS["Qj"]}
+# the monomials below xy in grevlex: a division by xy + tail adds tail terms that are
+# often divisible by xy again, so the divisions cascade
+BELOW_XY = [(0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+            (0, 0, 0)]
+
+
+@pytest.mark.parametrize("name", REDUCE_RINGS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduced_sum_of_products_is_the_normal_form(name, data):
+    ring = REDUCE_RINGS[name]
+    lc = data.draw(scalars(ring).filter(lambda c: c.is_unit()), label="lc")
+    tail = data.draw(st.dictionaries(st.sampled_from(BELOW_XY), scalars(ring), max_size=5),
+                     label="tail")
+    f = Poly.from_dict(ring, NVARS, {**tail, (1, 1, 0): lc})
+    ideal = PrincipalIdeal.of(f)
+    pairs = data.draw(st.lists(st.tuples(polys(ring), polys(ring)), max_size=4), label="pairs")
+    reduced = sum_products(ring, NVARS, pairs, ideal)
+    plain = sum_products(ring, NVARS, pairs)
+    assert reduced == normal_form(plain, ideal) == divmod_poly(plain, f)[1]
+    assert ref(reduced) == ref_divmod(ref(plain), ref(f), ring)[1]
+    if pairs:
+        a, b = pairs[0]
+        assert (QuotientElem(a, ideal) * QuotientElem(b, ideal)).rep == \
+            sum_products(ring, NVARS, [pairs[0]], ideal)
+
+
+def test_reduced_sum_past_max_degree_overflows():
+    x, y = Poly.variable(Q, 2, 0), Poly.variable(Q, 2, 1)
+    ideal = PrincipalIdeal.of(x * y - 1)
+    top = x ** MAX_DEGREE
+    # x^MAX_DEGREE * y reduces to x^(MAX_DEGREE - 1), but the product is formed first
+    with pytest.raises(DegreeOverflow):
+        sum_products(Q, 2, [(x, x), (top, y)], ideal)
+    with pytest.raises(DegreeOverflow):
+        QuotientElem(top, ideal) * QuotientElem(y, ideal)
+    assert sum_products(Q, 2, [(top, Poly.constant(Q, 2, Q.one()))], ideal) == top
+
+
+def test_reduced_sum_refuses_an_ideal_of_another_ring():
+    x = Poly.variable(Q, 2, 0)
+    for f in (Poly.variable(Q, 3, 0), Poly.variable(PrimeField(5), 2, 0)):
+        with pytest.raises(IdealMismatch):
+            sum_products(Q, 2, [(x, x)], PrincipalIdeal.of(f))
