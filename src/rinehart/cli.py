@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -37,7 +36,7 @@ from .hypersurface import (HypersurfaceSpace, make_sphere, project_normal,
                            project_tangent, spanning_fields, verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import QuotientElem
-from .rings import ring_from_json
+from .rings import Value, ring_from_json
 from .space import RinehartSpace, curvature, gradient
 from .suites import (CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace,
                      applicable_checks, degree_cap, run_checks)
@@ -46,11 +45,10 @@ from .tensors import Metric, VectorField
 DEFAULT_CASES = 40
 
 
-@dataclass
-class SpecMeta:
-    checks: Optional[list]
-    seed: int
-    max_degree: int
+class SpecMeta(Value):
+    """The run settings of a spec: checks (a list or None), seed and max_degree."""
+
+    _fields = ("checks", "seed", "max_degree")
 
 
 def _identifier_ok(name: str) -> bool:
@@ -165,7 +163,7 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
     seed = _run_setting("seed", spec.get("seed", 0))
     max_degree = _run_setting("max_degree", spec.get("max_degree", 2))
     workspace = Workspace(space=space, hyper=hyper, c=c_scalar)
-    return workspace, SpecMeta(checks=checks, seed=seed, max_degree=max_degree)
+    return workspace, SpecMeta(checks, seed, max_degree)
 
 
 def _run_setting(name: str, value) -> int:

@@ -16,20 +16,18 @@ one normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
-from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products
-from .rings import GroundScalar, RingDescriptor
+from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, sum_products
+from .rings import GroundScalar, RingDescriptor, Value
 from .space import RinehartSpace, check_constant_curvature, gradient
 from .tensors import VectorField, flat, gram_table, inner
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpace:
+class HypersurfaceSpace(Value):
     """An ambient coordinate space with a distinguished level set.
 
     `generator` is kept exactly as given; the ideal it generates stores a
@@ -37,12 +35,7 @@ class HypersurfaceSpace:
     and `q` is the verified witness with 1 - q<N, N> in (f).
     """
 
-    ambient: RinehartSpace
-    generator: Poly
-    ideal: PrincipalIdeal
-    normal: VectorField
-    q: QuotientElem
-    quotient: RinehartSpace
+    _fields = ("ambient", "generator", "ideal", "normal", "q", "quotient")
 
     @staticmethod
     def build(ambient: RinehartSpace, generator: Poly, q) -> "HypersurfaceSpace":
@@ -160,8 +153,8 @@ def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
 def _normal_part(hyper: HypersurfaceSpace, v: list) -> VectorField:
     """q<V, N>N for raw polynomials V_k: q<V, N> is one raw sum with one normal form."""
     space = hyper.quotient
-    b = QuotientElem(sum_products(space.ring, space.nvars, [
-        (a, g.rep) for a, g in zip(v, hyper.normal_covector)], hyper.ideal), hyper.ideal)
+    b = quotient_sum(space.ring, space.nvars, [
+        (a, g.rep) for a, g in zip(v, hyper.normal_covector)], hyper.ideal)
     return b * hyper.quotient_normal
 
 
@@ -174,8 +167,8 @@ def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
     """(P V)_l = sum_k V_k M_kl for raw polynomials V_k, one normal form per component."""
     space = hyper.quotient
     live = [(a, row) for a, row in zip(v, hyper.tangent_projector) if a.terms]
-    return VectorField(space, tuple(QuotientElem(sum_products(
-        space.ring, space.nvars, [(a, row[l].rep) for a, row in live], hyper.ideal), hyper.ideal)
+    return VectorField(space, tuple(quotient_sum(
+        space.ring, space.nvars, [(a, row[l].rep) for a, row in live], hyper.ideal)
         for l in range(space.nvars)))
 
 
@@ -275,11 +268,8 @@ def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
     return None
 
 
-@dataclass(frozen=True)
-class SpaceFormReport:
-    metric_ok: bool
-    curvature_ok: bool
-    counterexample: Optional[dict]
+class SpaceFormReport(Value):
+    _fields = ("metric_ok", "curvature_ok", "counterexample")
 
     @property
     def ok(self) -> bool:

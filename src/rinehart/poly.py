@@ -33,13 +33,13 @@ class and ideal membership is "remainder is zero".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
-from .rings import GroundScalar, RingDescriptor, rsub_by_negation, sub_by_negation
+from .rings import (GroundScalar, RingDescriptor, Value, rsub_by_negation, set_field,
+                    sub_by_negation)
 
 FIELD_BITS = 8
 W = 1 << FIELD_BITS
@@ -80,13 +80,15 @@ def _canonical(ring: RingDescriptor, nvars: int, items) -> "Poly":
     return Poly(ring, nvars, tuple([(k, c) for k, v in items if (c := reduce(v)) is not None]))
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """A multivariate polynomial over a ground ring."""
 
-    ring: RingDescriptor
-    nvars: int
-    terms: tuple  # ((key, raw coefficient), ...) strictly descending
+    _fields = ("ring", "nvars", "terms")
+
+    def __init__(self, ring: RingDescriptor, nvars: int, terms: tuple):
+        set_field(self, "ring", ring)
+        set_field(self, "nvars", nvars)
+        set_field(self, "terms", terms)  # ((key, raw coefficient), ...) strictly descending
 
     # -- constructors -------------------------------------------------------
 
@@ -339,15 +341,14 @@ def divide_exact(g: Poly, f: Poly) -> Optional[Poly]:
     return q if r.is_zero() else None
 
 
-@dataclass(frozen=True)
-class PrincipalIdeal:
+class PrincipalIdeal(Value):
     """The ideal (f) of a nonconstant generator with unit leading coefficient.
 
     The stored generator is made monic, so equal ideals given by associate
     generators compare equal and produce identical normal forms.
     """
 
-    generator: Poly
+    _fields = ("generator",)
 
     @staticmethod
     def of(f: Poly) -> "PrincipalIdeal":
@@ -379,16 +380,19 @@ def normal_form(g: Poly, ideal: Optional[PrincipalIdeal]) -> Poly:
     return r
 
 
-@dataclass(frozen=True)
-class QuotientElem:
+class QuotientElem(Value):
     """An element of K[x1..xn] or of its quotient by a principal ideal.
 
     The representative is always fully reduced, so equality of classes is
     equality of representatives.
     """
 
-    rep: Poly
-    ideal: Optional[PrincipalIdeal]
+    _fields = ("rep", "ideal")
+
+    def __init__(self, rep: Poly, ideal: Optional[PrincipalIdeal]):
+        set_field(self, "rep", rep)
+        set_field(self, "ideal", ideal)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.ideal is None:
@@ -401,7 +405,7 @@ class QuotientElem:
             if k < lk:
                 break
             if not (lk - k) & guard:
-                object.__setattr__(self, "rep", normal_form(self.rep, self.ideal))
+                set_field(self, "rep", normal_form(self.rep, self.ideal))
                 break
 
     # -- inspection ---------------------------------------------------------
@@ -463,11 +467,20 @@ class QuotientElem:
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
             return NotImplemented
-        return QuotientElem(sum_products(self.ring, self.nvars, ((self.rep, other.rep),),
-                                         self.ideal), self.ideal)
+        return quotient_sum(self.ring, self.nvars, ((self.rep, other.rep),), self.ideal)
 
     __rmul__ = __mul__
     __pow__ = Poly.__pow__
+
+
+def quotient_sum(ring: RingDescriptor, nvars: int, pairs: Iterable,
+                 ideal: Optional[PrincipalIdeal]) -> QuotientElem:
+    """The class of sum a*b over Poly pairs (a, b) modulo `ideal`.  `sum_products`
+    returns its normal form, so the class skips the reduction scan of `__post_init__`."""
+    elem = object.__new__(QuotientElem)
+    set_field(elem, "rep", sum_products(ring, nvars, pairs, ideal))
+    set_field(elem, "ideal", ideal)
+    return elem
 
 
 class UnitStatus(enum.Enum):

@@ -14,7 +14,6 @@ extensions), so equality and hashing are structural.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,6 +46,62 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+set_field = object.__setattr__
+
+
+class Value:
+    """Value semantics over the field names in `_fields`: equality between objects
+    of one class, field by field after an identity shortcut, with a hash and a repr
+    of the same fields, and no assignment, so cached properties may memoise on the
+    instance.
+
+    Fields are set once, in `__init__`, through `set_field` (`object.__setattr__`),
+    which keeps attribute values inline in the instance: writing `__dict__` directly
+    would turn them into a plain dict and make every later attribute read slower.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        # a class without fields has one value, so its class is its key
+        cls._key = operator.attrgetter(*cls._fields) if cls._fields else type
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) != key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
 def sub_by_negation(self, other):
     """self - other as self + (-other), for operands coerced by `_coerce`."""
     other = self._coerce(other)
@@ -58,7 +113,7 @@ def rsub_by_negation(self, other):
     return NotImplemented if other is None else other + (-self)
 
 
-class RingDescriptor:
+class RingDescriptor(Value):
     """Common interface of the ground-ring descriptors.
 
     Raw values are the canonical forms kept in scalars and polynomial terms.
@@ -104,7 +159,6 @@ class RingDescriptor:
         return False
 
 
-@dataclass(frozen=True)
 class Rationals(RingDescriptor):
     """The field of rational numbers: ints when integral, else `Fraction`s."""
 
@@ -129,17 +183,16 @@ class Rationals(RingDescriptor):
         return 0
 
 
-@dataclass(frozen=True)
 class PrimeField(RingDescriptor):
     """The prime field F_p, with residues stored in [0, p)."""
 
-    p: int
-
+    _fields = ("p",)
     _zero = 0
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        Value.__init__(self, p)
 
     def _norm(self, v):
         return int(v) % self.p
@@ -159,7 +212,6 @@ class PrimeField(RingDescriptor):
         return self.p
 
 
-@dataclass(frozen=True)
 class QuadExt(RingDescriptor):
     """Quadratic extension base[al] with al^2 = s, stored as pairs (a, b).
 
@@ -167,14 +219,14 @@ class QuadExt(RingDescriptor):
     whose raw values take Python's arithmetic operators directly.
     """
 
-    base: RingDescriptor
-    s: int
+    _fields = ("base", "s")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (Rationals, PrimeField)):
+    def __init__(self, base: RingDescriptor, s: int):
+        if not isinstance(base, (Rationals, PrimeField)):
             raise ValueError("quadratic extensions may only sit over Q or F_p")
-        if type(self.s) is not int or self.s not in (1, -1):
+        if type(s) is not int or s not in (1, -1):
             raise ValueError("s must be +1 or -1")
+        Value.__init__(self, base, s)
 
     @cached_property
     def _zero(self):
@@ -254,12 +306,14 @@ class QuadExt(RingDescriptor):
         return self.characteristic() == 2
 
 
-@dataclass(frozen=True)
-class GroundScalar:
+class GroundScalar(Value):
     """An exact element of a ground ring, in canonical form."""
 
-    ring: RingDescriptor
-    value: object
+    _fields = ("ring", "value")
+
+    def __init__(self, ring: RingDescriptor, value):
+        set_field(self, "ring", ring)
+        set_field(self, "value", value)
 
     def _check(self, other: "GroundScalar"):
         if self.ring != other.ring:

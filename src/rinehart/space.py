@@ -10,27 +10,23 @@ exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (MetricNotMusical, NotEuclidean, SpaceMismatch,
                      TwoNotAUnit)
 from .parse import parse_poly
 from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
-                   format_poly, sum_products)
-from .rings import GroundScalar, RingDescriptor
+                   format_poly, quotient_sum)
+from .rings import GroundScalar, RingDescriptor, Value
 from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, gram_table,
                       inner, pairing, sharp)
 
 
-@dataclass(frozen=True)
-class RinehartSpace:
-    """A coordinate Rinehart space over K[x1..xn] or a principal quotient."""
+class RinehartSpace(Value):
+    """A coordinate Rinehart space over K[x1..xn] or a principal quotient:
+    (ring, var_names, ideal or None, metric)."""
 
-    ring: RingDescriptor
-    var_names: tuple
-    ideal: Optional[PrincipalIdeal]
-    metric: Metric
+    _fields = ("ring", "var_names", "ideal", "metric")
 
     @staticmethod
     def euclidean(ring: RingDescriptor, var_names) -> "RinehartSpace":
@@ -130,7 +126,7 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_fn(space, f)
     f.check_peers(x.coeffs)
     pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms]
-    return QuotientElem(sum_products(space.ring, space.nvars, pairs, space.ideal), space.ideal)
+    return quotient_sum(space.ring, space.nvars, pairs, space.ideal)
 
 
 def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
@@ -155,9 +151,9 @@ def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorF
     _check_fn(space, *y.coeffs)
     y.coeffs[0].check_peers(x.coeffs)
     xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
-    return VectorField(space, tuple(QuotientElem(sum_products(
-        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)], space.ideal),
-        space.ideal) for p, q in zip(xs, ys)))
+    return VectorField(space, tuple(quotient_sum(
+        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)], space.ideal)
+        for p, q in zip(xs, ys)))
 
 
 class EuclideanConnection:
@@ -210,9 +206,9 @@ class KoszulConnection:
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         for i, j in upper:
             # Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
-            self._first[(i, j)] = self._first[(j, i)] = tuple(QuotientElem(sum_products(
+            self._first[(i, j)] = self._first[(j, i)] = tuple(quotient_sum(
                 space.ring, n, [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
-                                (-half, g[i][j].rep.diff(k))], space.ideal), space.ideal)
+                                (-half, g[i][j].rep.diff(k))], space.ideal)
                 for k in range(n))
         for i, j in upper:
             value = self._solve(self._first[(i, j)])
@@ -245,7 +241,7 @@ class KoszulConnection:
             pairs = [(a if g.rep.terms == one else a * g.rep, b)
                      for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
             pairs += [(p, t[k].rep) for p, t in xy]
-            out.append(QuotientElem(sum_products(space.ring, n, pairs, space.ideal), space.ideal))
+            out.append(quotient_sum(space.ring, n, pairs, space.ideal))
         return tuple(out)
 
     def form(self, x: VectorField, y: VectorField) -> OneForm:
@@ -290,21 +286,16 @@ def curvature(space: RinehartSpace, conn: Callable, x: VectorField,
 # verification reports
 
 
-@dataclass(frozen=True)
-class LeviCivitaReport:
-    torsion_free: bool
-    metric_compatible: bool
-    counterexample: Optional[dict]
+class LeviCivitaReport(Value):
+    _fields = ("torsion_free", "metric_compatible", "counterexample")
 
     @property
     def ok(self) -> bool:
         return self.torsion_free and self.metric_compatible
 
 
-@dataclass(frozen=True)
-class ConstantCurvatureReport:
-    ok: bool
-    counterexample: Optional[dict]
+class ConstantCurvatureReport(Value):
+    _fields = ("ok", "counterexample")
 
 
 def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
@@ -385,9 +376,9 @@ def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
             bracket = lie_bracket(space, x, y)
             for k, z in enumerate(spanning):
                 a, b, d = conn(x, conn(y, z)), conn(y, conn(x, z)), conn(bracket, z)
-                if all(al == QuotientElem(sum_products(ring, n, [
+                if all(al == quotient_sum(ring, n, [
                         (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)],
-                        ideal), ideal) for al, bl, dl, xl, nyl
+                        ideal) for al, bl, dl, xl, nyl
                        in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
                     continue
                 lhs = a - b - d

@@ -32,7 +32,6 @@ Quotients take only a constant metric, so there deg f alone lowers the cap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -43,7 +42,7 @@ from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            spanning_fields, sphere_metric_entry, verify_space_form)
 from .poly import MAX_DEGREE, sum_products
 from .randgen import random_field, random_fn, random_poly, rng_for
-from .rings import GroundScalar
+from .rings import GroundScalar, Value
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
                     ambient_derivative, check_constant_curvature, check_levi_civita,
                     curvature, derive, differential, lie_bracket)
@@ -53,26 +52,24 @@ from .tensors import OneForm, flat, gram_table, inner, pairing, sharp
 MAX_RANDOM_DEGREE = 41
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
-    counterexample: Optional[dict]
-    seconds: float
+class CheckResult(Value):
+    """status is "pass", "fail" or "skipped"; counterexample is a dict or None."""
+
+    _fields = ("name", "status", "detail", "counterexample", "seconds")
 
 
-@dataclass
-class Workspace:
+class Workspace(Value):
     """A built space specification: a plain space plus an optional quotient.
 
     Its connections are built on first use and shared by the checks and
     commands that run on it.
     """
 
-    space: RinehartSpace
-    hyper: Optional[HypersurfaceSpace] = None
-    c: Optional[GroundScalar] = None
+    _fields = ("space", "hyper", "c")
+
+    def __init__(self, space: RinehartSpace, hyper: Optional[HypersurfaceSpace] = None,
+                 c: Optional[GroundScalar] = None):
+        Value.__init__(self, space, hyper, c)
 
     @property
     def working_space(self) -> RinehartSpace:
@@ -203,14 +200,16 @@ def _check_connection_leibniz(ws, rng, cases, max_degree):
         x = random_field(rng, space, max_degree)
         y = random_field(rng, space, max_degree)
         if form_level:
+            f_xy = f * conn.form(x, y)
             lhs = conn.form(x, f * y)
-            rhs = derive(space, x, f) * flat(y, metric) + f * conn.form(x, y)
-            lower_ok = conn.form(f * x, y).coeffs == (f * conn.form(x, y)).coeffs
+            rhs = derive(space, x, f) * flat(y, metric) + f_xy
+            lower_ok = conn.form(f * x, y).coeffs == f_xy.coeffs
             upper_ok = lhs.coeffs == rhs.coeffs
         else:
+            f_xy = f * conn(x, y)
             lhs = conn(x, f * y)
-            rhs = derive(space, x, f) * y + f * conn(x, y)
-            lower_ok = conn(f * x, y) == f * conn(x, y)
+            rhs = derive(space, x, f) * y + f_xy
+            lower_ok = conn(f * x, y) == f_xy
             upper_ok = lhs == rhs
         if not (lower_ok and upper_ok):
             return _fail("connection module laws fail",
@@ -544,12 +543,14 @@ def _check_space_form(ws, rng, cases, max_degree):
 # registry
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    name: str
-    needs: str  # "space" | "quotient" | "sphere"
-    runner: Callable
-    reads: str = "metric"  # "nothing" | "metric" | "connection" | "inverse": see degree_cap
+class CheckSpec(Value):
+    """needs is "space", "quotient" or "sphere"; reads is "nothing", "metric",
+    "connection" or "inverse" (see degree_cap)."""
+
+    _fields = ("name", "needs", "runner", "reads")
+
+    def __init__(self, name: str, needs: str, runner: Callable, reads: str = "metric"):
+        Value.__init__(self, name, needs, runner, reads)
 
 
 REGISTRY = [

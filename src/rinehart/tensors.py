@@ -13,11 +13,11 @@ reduction mod (f) is a ring homomorphism with canonical remainders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MetricNotMusical, SpaceMismatch
-from .poly import Poly, PrincipalIdeal, QuotientElem, sum_products, unit_status
+from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, unit_status
+from .rings import Value, set_field
 
 
 def _check_same_space(a, b):
@@ -25,12 +25,14 @@ def _check_same_space(a, b):
         raise SpaceMismatch("operands belong to different spaces")
 
 
-@dataclass(frozen=True)
-class _Coefficients:
+class _Coefficients(Value):
     """A coefficient vector over a space, with its module operations."""
 
-    space: object
-    coeffs: tuple
+    _fields = ("space", "coeffs")
+
+    def __init__(self, space, coeffs: tuple):
+        set_field(self, "space", space)
+        set_field(self, "coeffs", coeffs)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -64,21 +66,21 @@ class OneForm(_Coefficients):
     """A one-form sum_i coeffs[i] * om_i over its space."""
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Value):
     """A symmetric matrix of function-algebra entries."""
 
-    entries: tuple  # tuple of row tuples of QuotientElem
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, entries: tuple):  # a tuple of row tuples of QuotientElem
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("metric matrix must be square")
-        if any(self.entries[i][j] != self.entries[j][i] for i in range(n) for j in range(i)):
+        if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
             raise ValueError("metric matrix must be symmetric")
         if n:
             # once per metric: every entry in one quotient ring, so `inner` checks only fields
-            self.entries[0][0].check_peers(sum(self.entries, ()))
+            entries[0][0].check_peers(sum(entries, ()))
+        Value.__init__(self, entries)
 
     @staticmethod
     def euclidean(ring, nvars: int, ideal: PrincipalIdeal | None) -> "Metric":
@@ -149,8 +151,7 @@ def _dot(a: tuple, b: tuple) -> QuotientElem:
     """sum_i a_i b_i as one raw sum of products with one normal form."""
     a[0].check_peers(a + b)
     pairs = [(u.rep, v.rep) for u, v in zip(a, b)]
-    ideal = a[0].ideal
-    return QuotientElem(sum_products(a[0].ring, a[0].nvars, pairs, ideal), ideal)
+    return quotient_sum(a[0].ring, a[0].nvars, pairs, a[0].ideal)
 
 
 def apply_matrix(rows: tuple, vec: tuple) -> tuple:
@@ -174,7 +175,7 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     pairs = [(u.rep if g.rep.terms == one else u.rep * g.rep, v.rep)
              for u, row in zip(x.coeffs, metric.entries) if u.rep.terms
              for g, v in zip(row, y.coeffs) if g.rep.terms]
-    return QuotientElem(sum_products(like.ring, like.nvars, pairs, like.ideal), like.ideal)
+    return quotient_sum(like.ring, like.nvars, pairs, like.ideal)
 
 
 def gram_table(fields: list, metric: Metric) -> tuple:
