@@ -16,13 +16,12 @@ one normal form.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
-from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, sum_products
-from .rings import GroundScalar, RingDescriptor, Value
+from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum, sum_products
+from .rings import GroundScalar, RingDescriptor, Value, lazy
 from .space import RinehartSpace, check_constant_curvature, gradient
 from .tensors import VectorField, flat, gram_table, inner
 
@@ -57,32 +56,32 @@ class HypersurfaceSpace(Value):
         return HypersurfaceSpace(ambient, generator, ideal, normal,
                                  QuotientElem(q_fn.rep, ideal), quotient)
 
-    @cached_property
+    @lazy
     def quotient_normal(self) -> VectorField:
         """N with coefficients reduced modulo (f), computed once."""
         return self.to_quotient(self.normal)
 
-    @cached_property
+    @lazy
     def normal_covector(self) -> tuple:
         """q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
         gn = flat(self.quotient_normal, self.quotient.metric)
         return tuple(self.q * g for g in gn.coeffs)
 
-    @cached_property
+    @lazy
     def tangent_projector(self) -> tuple:
         """The rows of M_kl = delta_kl - q (G N)_k N_l modulo (f)."""
         nq = self.quotient_normal.coeffs
         return tuple(tuple(e - g * v for e, v in zip(self.quotient._unit_vector(k), nq))
                      for k, g in enumerate(self.normal_covector))
 
-    @cached_property
+    @lazy
     def _induced_memo(self) -> dict:
         # the values of every InducedConnection here; holding no connection avoids a cycle
         return {}
 
-    @cached_property
+    @lazy
     def _tangent_keys(self) -> set:
-        # the coefficient terms of every quotient field proved tangent here
+        # the class keys of every quotient field proved tangent here
         return set()
 
     # -- coercion -------------------------------------------------------------
@@ -205,8 +204,7 @@ class InducedConnection:
         hyper = self.hyper
         xq = hyper.to_quotient(x)
         yq = hyper.to_quotient(y)
-        # canonical representatives of one quotient ring: their terms identify them
-        key = (tuple(c.rep.terms for c in xq.coeffs), tuple(c.rep.terms for c in yq.coeffs))
+        key = (class_key(xq.coeffs), class_key(yq.coeffs))
         hit = self._memo.get(key)
         if hit is None:
             _check_tangent(hyper, xq, yq)
@@ -219,11 +217,11 @@ class InducedConnection:
 
 def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
     """Raise NotTangent for the first of X, Y that is not tangent.  Each field
-    proved tangent is recorded by its coefficient terms and never proved again;
+    proved tangent is recorded by the class key of its coefficients and never proved again;
     a field that is not tangent is never recorded, so it raises on every call."""
     proved = hyper._tangent_keys
     for name, field in (("x", xq), ("y", yq)):
-        key = tuple(c.rep.terms for c in field.coeffs)
+        key = class_key(field.coeffs)
         if key not in proved:
             if not is_tangent(hyper, field):
                 raise NotTangent(name)
@@ -261,7 +259,7 @@ def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
     for i, row in enumerate(gram):
         for j, got in enumerate(row):
             sum_ij = sum_products(ring, n, [(got.rep, one), (cxs[i], xs[j])], hyper.ideal)
-            if sum_ij.terms != (one.terms if i == j else ()):
+            if not (sum_ij.is_one() if i == j else sum_ij.is_zero()):
                 want = sphere_metric_entry(space, c, i, j)
                 return {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got),
                         "want": space.format_fn(want)}

@@ -21,15 +21,16 @@ hi = d_a + d_b, and a power by the multinomial bound C(t + k - 1, k).  They are
 also refused when a bound on their coefficients has more than MAX_DIGITS
 digits: |c| <= min(t_a, t_b) * max|a| * max|b| for a product and
 |c| <= (sum |c_i|)^k for a power, where |a + b*al| = |a| + |b|.  Over Q the
-bound is taken on coefficients brought to the lcm D of their denominators,
-whose powers bound the denominators; over F_p coefficients cannot grow.
+bound is taken on the numerators over the polynomial's denominator D (the
+lcm of its coefficients' denominators), whose powers bound the
+denominators; over F_p coefficients cannot grow.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import DegreeOverflow, NotAUnit, ParseError
 from .poly import MAX_DEGREE, Poly, _degree
@@ -118,15 +119,17 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def _sizes(self, poly: Poly):
-        """(sum, max, D) of the coefficient sizes |c| * D, D the lcm of the denominators,
-        or None over F_p."""
+        """(sum, max, D) of the coefficient sizes |c| * D, D the common denominator
+        `poly.den`, whose numerators they are, or None over F_p."""
         ring = self.ring
-        if isinstance(ring.base if isinstance(ring, QuadExt) else ring, PrimeField):
+        if not ring.fractional:
             return None
-        parts = [c if isinstance(ring, QuadExt) else (c,) for _, c in poly.terms]
-        d = lcm(*(v.denominator for part in parts for v in part))
-        sizes = [sum(abs(v.numerator) * (d // v.denominator) for v in part) for part in parts]
-        return sum(sizes), max(sizes, default=0), d
+        nums = poly.numerators()
+        if isinstance(ring, QuadExt):
+            sizes = [abs(a) + abs(b) for a, b in nums]
+        else:
+            sizes = [abs(a) for a in nums]
+        return sum(sizes), max(sizes, default=0), poly.den
 
     @staticmethod
     def _capped(poly: Poly, at: int) -> Poly:

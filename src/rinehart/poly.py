@@ -12,33 +12,43 @@ a guard kept clear, so lm divides m exactly when key(lm) - key(m) has no
 guard bit set.  Exponents and total degrees thus stay at or below
 MAX_DEGREE = W/2 - 1; going past it raises DegreeOverflow.
 
-A polynomial is a tuple of (key, raw coefficient) terms, strictly
-descending with no zero coefficients, so equality and hashing are
-structural.  GroundScalar appears only at the API boundary: `constant`,
+A polynomial is a tuple of (key, numerator) terms, strictly descending with
+no zero numerators, over one positive denominator `den`.  Over Q the
+numerators are ints, over Q(i) and Q(j) int pairs, and gcd(den, every
+numerator) = 1: the content and primitive-part form of rational
+polynomials (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+1992, ch. 2), so equality and hashing stay structural and every kernel
+loop runs on ints.  Each sum weights its operands once to the lcm of their
+denominators and divides the result once by gcd(den, numerators).  Over
+F_p and its extensions `den` is 1 and the numerators are the residues.
+Scalars convert only at the API boundary: `constant`, `from_dict`,
 `scale`, `constant_value`, `leading_term` and `items`, which yields
 (exponent tuple, GroundScalar) pairs.
 
 Normal forms modulo a principal ideal (f) are remainders of division by f,
 which takes each next divisible term from a heap (Johnson, SIGSAM Bull.
 1974; Monagan and Pearce, JSC 46, 2011).  The dividend is a raw
-{key: value} map: only keys divisible by the leading monomial of f enter
-the heap, every other key waits in the map, and the map is made canonical
-once at the end.  A sum of products reduced modulo (f) divides its own
-product accumulator this way, so nothing is sorted or made canonical
-before the division.  A single generator is a Groebner basis of its
-ideal, so the remainder is a canonical representative of the residue
-class and ideal membership is "remainder is zero".
+{key: numerator} map: only keys divisible by the leading monomial of f
+enter the heap, every other key waits in the map, and the map is made
+canonical once at the end.  A sum of products reduced modulo (f) divides
+its own product accumulator this way, so nothing is sorted or made
+canonical before the division.  The divisor is made monic, with its tail
+over an integer denominator d; when d does not divide the next term, the
+map is multiplied through first (pseudo-division, Knuth, TAOCP vol. 2,
+section 4.6.1).  A single generator is a Groebner basis of its ideal, so
+the remainder is a canonical representative of the residue class and
+ideal membership is "remainder is zero".
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
-from .rings import (GroundScalar, RingDescriptor, Value, rsub_by_negation, set_field,
+from .rings import (GroundScalar, RingDescriptor, Value, lazy, rsub_by_negation, set_field,
                     sub_by_negation)
 
 FIELD_BITS = 8
@@ -74,21 +84,54 @@ def _guard(nvars: int) -> int:
     return (W // 2) * ((1 << (FIELD_BITS * nvars)) - 1) // (W - 1)
 
 
-def _canonical(ring: RingDescriptor, nvars: int, items) -> "Poly":
-    """A Poly from (key, unreduced value) pairs in descending key order."""
-    reduce = ring.reduce
-    return Poly(ring, nvars, tuple([(k, c) for k, v in items if (c := reduce(v)) is not None]))
+def _canonical(ring: RingDescriptor, nvars: int, items, den: int) -> "Poly":
+    """A Poly from (key, unreduced numerator) pairs in descending key order over the
+    denominator `den`, divided through by gcd(den, numerators)."""
+    terms = tuple(ring.nonzero(items))
+    if den != 1:
+        if not terms:
+            den = 1
+        elif (g := ring.content(den, [c for _, c in terms])) != 1:
+            exquo = ring.exquo
+            terms = tuple([(k, exquo(c, g)) for k, c in terms])
+            den //= g
+    return Poly(ring, nvars, terms, den)
+
+
+def _times(ring: RingDescriptor, terms, w: int):
+    """The terms with every numerator multiplied by the int w."""
+    if w == 1:
+        return terms
+    times = ring.times
+    return [(k, times(c, w)) for k, c in terms]
+
+
+def _value(ring: RingDescriptor, c: GroundScalar):
+    """The value of a scalar of `ring`, where scalars enter the kernel."""
+    if not isinstance(c, GroundScalar) or c.ring != ring:
+        raise RingMismatch(f"{getattr(c, 'ring', type(c).__name__)} vs {ring}")
+    return c.value
+
+
+def over_common_den(ring: RingDescriptor, values) -> tuple:
+    """(numerators, den): scalar values of `ring` as numerators over the lcm of their
+    denominators."""
+    parts = [ring.split(v) for v in values]
+    den = lcm(*[d for _, d in parts])
+    times = ring.times
+    return [times(n, den // d) for n, d in parts], den
 
 
 class Poly(Value):
-    """A multivariate polynomial over a ground ring."""
+    """A multivariate polynomial over a ground ring: numerator terms over `den`."""
 
-    _fields = ("ring", "nvars", "terms")
+    _fields = ("ring", "nvars", "terms", "den")
 
-    def __init__(self, ring: RingDescriptor, nvars: int, terms: tuple):
+    def __init__(self, ring: RingDescriptor, nvars: int, terms: tuple, den: int = 1):
         set_field(self, "ring", ring)
         set_field(self, "nvars", nvars)
-        set_field(self, "terms", terms)  # ((key, raw coefficient), ...) strictly descending
+        set_field(self, "terms", terms)  # ((key, numerator), ...) strictly descending
+        set_field(self, "den", den)
 
     # -- constructors -------------------------------------------------------
 
@@ -97,8 +140,8 @@ class Poly(Value):
         """Build from {exponent tuple: GroundScalar}."""
         if any(len(m) != nvars for m in coeffs):
             raise ArityMismatch(f"exponent tuples must have {nvars} entries")
-        acc = {pack(m): c.value for m, c in coeffs.items()}
-        return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
+        nums, den = over_common_den(ring, [_value(ring, c) for c in coeffs.values()])
+        return _canonical(ring, nvars, sorted(zip(map(pack, coeffs), nums), reverse=True), den)
 
     @staticmethod
     def zero(ring: RingDescriptor, nvars: int) -> "Poly":
@@ -106,16 +149,17 @@ class Poly(Value):
 
     @staticmethod
     def constant(ring: RingDescriptor, nvars: int, c: GroundScalar) -> "Poly":
-        if c.is_zero():
+        num, den = ring.split(_value(ring, c))
+        if ring.reduce(num) is None:
             return Poly.zero(ring, nvars)
-        return Poly(ring, nvars, ((0, c.value),))
+        return Poly(ring, nvars, ((0, num),), den)
 
     @staticmethod
     def variable(ring: RingDescriptor, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
         key = (1 << (FIELD_BITS * nvars)) - (1 << (FIELD_BITS * i))
-        return Poly(ring, nvars, ((key, ring._from_int(1)),))
+        return Poly(ring, nvars, ((key, ring._one),))
 
     # -- inspection ---------------------------------------------------------
 
@@ -125,12 +169,19 @@ class Poly(Value):
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.terms == ((0, self.ring._one),)
+
+    def numerators(self) -> list:
+        """The numerators over `den`, in term order: ints over Q, int pairs over Q(al)."""
+        return [c for _, c in self.terms]
+
     def constant_value(self) -> GroundScalar:
         if self.is_zero():
             return self.ring.zero()
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return GroundScalar(self.ring, self.terms[0][1])
+        return GroundScalar(self.ring, self.ring.join(self.terms[0][1], self.den))
 
     def total_degree(self) -> int:
         """Total degree, with -1 for the zero polynomial."""
@@ -143,11 +194,12 @@ class Poly(Value):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         k, c = self.terms[0]
-        return unpack(k, self.nvars), GroundScalar(self.ring, c)
+        return unpack(k, self.nvars), GroundScalar(self.ring, self.ring.join(c, self.den))
 
     def items(self):
         """(exponent tuple, GroundScalar) pairs in descending grevlex order."""
-        return ((unpack(k, self.nvars), GroundScalar(self.ring, c)) for k, c in self.terms)
+        ring, nvars, den = self.ring, self.nvars, self.den
+        return ((unpack(k, nvars), GroundScalar(ring, ring.join(c, den))) for k, c in self.terms)
 
     def variables(self) -> frozenset:
         """Indices of variables that actually occur."""
@@ -172,8 +224,6 @@ class Poly(Value):
         if isinstance(other, int):
             other = self.ring.from_int(other)
         if isinstance(other, GroundScalar):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{other.ring} vs {self.ring}")
             return Poly.constant(self.ring, self.nvars, other)
         return None
 
@@ -184,21 +234,28 @@ class Poly(Value):
             return self
         if not self.terms:
             return other
-        add = self.ring.add
-        acc = dict(self.terms)
+        ring = self.ring
+        ta, tb, den = self.terms, other.terms, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            ta, tb = _times(ring, ta, den // self.den), _times(ring, tb, den // other.den)
+        add = ring.add
+        acc = dict(ta)
         get = acc.get
-        for k, c in other.terms:
+        for k, c in tb:
             v = get(k)
             acc[k] = c if v is None else add(v, c)
-        return _canonical(self.ring, self.nvars, sorted(acc.items(), reverse=True))
+        return _canonical(ring, self.nvars, sorted(acc.items(), reverse=True), den)
 
     __radd__ = __add__
     __sub__ = sub_by_negation
     __rsub__ = rsub_by_negation
 
     def __neg__(self):
+        # negation keeps every numerator nonzero and gcd(den, numerators) unchanged
         neg = self.ring.neg
-        return _canonical(self.ring, self.nvars, [(k, neg(c)) for k, c in self.terms])
+        return Poly(self.ring, self.nvars,
+                    tuple(self.ring.nonzero([(k, neg(c)) for k, c in self.terms])), self.den)
 
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
@@ -208,10 +265,10 @@ class Poly(Value):
     __rmul__ = __mul__
 
     def scale(self, c: GroundScalar) -> "Poly":
-        if c.ring != self.ring:
-            raise RingMismatch(f"{c.ring} vs {self.ring}")
-        mul, cv = self.ring.mul, c.value
-        return _canonical(self.ring, self.nvars, [(k, mul(v, cv)) for k, v in self.terms])
+        num, den = self.ring.split(_value(self.ring, c))
+        mul = self.ring.mul
+        return _canonical(self.ring, self.nvars, [(k, mul(v, num)) for k, v in self.terms],
+                          self.den * den)
 
     def __pow__(self, k: int):
         """Square and multiply; QuotientElem shares this loop and reduces each product."""
@@ -232,7 +289,7 @@ class Poly(Value):
             raise IndexError(f"variable index {i} out of range for {self.nvars} variables")
         return self.partials[i]
 
-    @cached_property
+    @lazy
     def partials(self) -> tuple:
         """All n first partials, taken once per polynomial: the one place derivatives are taken."""
         n, mul, from_int = self.nvars, self.ring.mul, self.ring._from_int
@@ -244,18 +301,20 @@ class Poly(Value):
             for at, step, part in steps:
                 if e := (low >> at) & (W - 1):
                     part.append((k - step, mul(c, from_int(e))))
-        return tuple(_canonical(self.ring, n, part) for _, _, part in steps)
+        return tuple(_canonical(self.ring, n, part, self.den) for _, _, part in steps)
 
 
 def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
                  ideal: Optional["PrincipalIdeal"] = None) -> Poly:
-    """sum a*b over Poly pairs (a, b): every product goes into one raw {key: value}
-    map, made canonical once.  Given an ideal, that map is divided by its generator
+    """sum a*b over Poly pairs (a, b): every product goes into one raw {key: numerator}
+    map over the lcm of the pairs' denominators, each pair weighted once, and the map
+    is made canonical once.  Given an ideal, that map is divided by its generator
     first, so the result is the normal form of the sum.  Operands are checked
     against (ring, nvars), by identity first, and each product against MAX_DEGREE."""
     add, mul = ring.add, ring.mul
     acc: dict = {}
     get = acc.get
+    den = 1
     for a, b in pairs:
         if not (a.ring is ring is b.ring and a.nvars == nvars == b.nvars):
             Poly(ring, nvars, ())._check(a, b)
@@ -264,6 +323,15 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
             continue
         if _degree(ta[0][0], nvars) + _degree(tb[0][0], nvars) > MAX_DEGREE:
             raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
+        if (d := a.den * b.den) != den:
+            if den % d:  # bring the map to lcm(den, d)
+                s = d // gcd(den, d)
+                _rescale(ring, acc, s)
+                den *= s
+            if len(ta) <= len(tb):
+                ta = _times(ring, ta, den // d)
+            else:
+                tb = _times(ring, tb, den // d)
         for kb, cb in tb:
             for ka, ca in ta:
                 k = ka + kb
@@ -273,30 +341,44 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
         gen = ideal.generator
         if (gen.ring is not ring and gen.ring != ring) or gen.nvars != nvars:
             raise IdealMismatch("sum and ideal live in different rings")
-        _divide(ring, acc, ideal.divisor)
-    return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
+        den = _divide(ring, acc, ideal.divisor, den)[1]
+    return _canonical(ring, nvars, sorted(acc.items(), reverse=True), den)
+
+
+def _rescale(ring: RingDescriptor, work: dict, s: int):
+    """Multiply every numerator of the raw map `work` by the int s, in place."""
+    times = ring.times
+    for k, v in work.items():
+        work[k] = times(v, s)
 
 
 def _divisor(f: Poly) -> tuple:
-    """(leading key, lc^-1 or None when f is monic, tail, guard) of a divisor f, where
-    the tail holds (key offset, -coefficient): a quotient term q at key m adds
-    q * (-fc) at key m + (fk - lk)."""
+    """(leading key, tail, d, guard) of the monic associate of a divisor f, whose tail
+    is (key offset, -numerator) pairs over the positive int d: a quotient term c at
+    key m adds (c / d) * (-fc) at key m + (fk - lk)."""
     ring = f.ring
     lk, lc = f.terms[0]
-    # a monic f (every ideal generator is stored monic) needs no inverse and no scaling
-    lc_inv = None if lc == ring._from_int(1) else ring._inv(lc)
-    neg = ring.neg
-    return lk, lc_inv, [(fk - lk, neg(fc)) for fk, fc in f.terms[1:]], _guard(f.nvars)
+    u, d = ring.monic(lc)  # f / lc(f) = f * u / d, whatever den f has
+    neg, mul, reduce = ring.neg, ring.mul, ring.reduce
+    tail = [(fk - lk, reduce(neg(mul(fc, u)))) for fk, fc in f.terms[1:]]
+    if d != 1 and (g := ring.content(d, [c for _, c in tail])) != 1:
+        exquo = ring.exquo
+        tail = [(k, exquo(c, g)) for k, c in tail]
+        d //= g
+    return lk, tail, d, _guard(f.nvars)
 
 
-def _divide(ring: RingDescriptor, work: dict, divisor: tuple) -> list:
-    """Divide the raw {key: value} map `work` in place by `divisor` (see `_divisor`)
-    and return the quotient terms, in descending key order.
+def _divide(ring: RingDescriptor, work: dict, divisor: tuple, den: int) -> tuple:
+    """Divide the raw {key: numerator} map `work` over `den` in place by `divisor`
+    (see `_divisor`) and return (quotient terms in descending key order, den), both
+    the quotient and what `work` holds then over the returned den.
 
     Only keys divisible by the leading monomial enter the heap, largest first;
     each division adds only keys below the one it divides.  Every other key stays
-    in `work` unreduced, so afterwards `work` holds exactly the remainder."""
-    lk, lc_inv, tail, guard = divisor
+    in `work` unreduced, so afterwards `work` holds exactly the remainder.  When the
+    tail's denominator d does not divide a term's numerator c, the map, the quotient
+    and den are multiplied by the least s with d | c * s first."""
+    lk, tail, d, guard = divisor
     add, mul, reduce = ring.add, ring.mul, ring.reduce
     heap = [-k for k in work if k >= lk and not (lk - k) & guard]
     heapify(heap)
@@ -306,8 +388,15 @@ def _divide(ring: RingDescriptor, work: dict, divisor: tuple) -> list:
         c = reduce(work.pop(m))
         if c is None:
             continue
-        q = c if lc_inv is None else reduce(mul(c, lc_inv))
-        quo.append((m - lk, q))
+        q = c
+        if d != 1:
+            if (s := d // ring.content(d, (c,))) != 1:
+                _rescale(ring, work, s)
+                quo = _times(ring, quo, s)
+                den *= s
+                c = ring.times(c, s)
+            q = ring.exquo(c, d)
+        quo.append((m - lk, c))
         for offset, fc in tail:
             k = m + offset
             v = work.get(k)
@@ -317,7 +406,7 @@ def _divide(ring: RingDescriptor, work: dict, divisor: tuple) -> list:
                     heappush(heap, -k)
             else:
                 work[k] = add(v, mul(q, fc))
-    return quo
+    return quo, den
 
 
 def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
@@ -329,10 +418,15 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
     g._check(f)
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    ring = g.ring
     work = dict(g.terms)
-    quo = _divide(g.ring, work, _divisor(f))
-    rem = _canonical(g.ring, g.nvars, sorted(work.items(), reverse=True))
-    return Poly(g.ring, g.nvars, tuple(quo)), rem
+    quo, den = _divide(ring, work, _divisor(f), g.den)
+    rem = _canonical(ring, g.nvars, sorted(work.items(), reverse=True), den)
+    # the quotient by the monic associate, times 1 / lc(f) = f.den * u / d
+    u, d = ring.monic(f.terms[0][1])
+    mul, times, fden = ring.mul, ring.times, f.den
+    quo = _canonical(ring, g.nvars, [(k, times(mul(c, u), fden)) for k, c in quo], den * d)
+    return quo, rem
 
 
 def divide_exact(g: Poly, f: Poly) -> Optional[Poly]:
@@ -367,7 +461,7 @@ class PrincipalIdeal(Value):
     def nvars(self) -> int:
         return self.generator.nvars
 
-    @cached_property
+    @lazy
     def divisor(self) -> tuple:
         """The division data of the generator, built once (see `_divisor`)."""
         return _divisor(self.generator)
@@ -471,6 +565,12 @@ class QuotientElem(Value):
 
     __rmul__ = __mul__
     __pow__ = Poly.__pow__
+
+
+def class_key(elems) -> tuple:
+    """A hashable key of a tuple of QuotientElems of one quotient ring, equal for two
+    tuples exactly when their classes are, since representatives are canonical."""
+    return tuple([(e.rep.terms, e.rep.den) for e in elems])
 
 
 def quotient_sum(ring: RingDescriptor, nvars: int, pairs: Iterable,

@@ -13,14 +13,14 @@ from functools import cache
 from math import comb
 from random import Random
 
-from .poly import FIELD_BITS, Poly, QuotientElem, _canonical, pack, unpack
+from .poly import FIELD_BITS, Poly, QuotientElem, _canonical, over_common_den, pack, unpack
 from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 from .tensors import VectorField
 
 
 @cache
 def scalar_pool(ring: RingDescriptor) -> tuple:
-    """The raw coefficient values a ring draws from, built once per ring."""
+    """The scalar values a ring draws from, built once per ring."""
     if isinstance(ring, Rationals):
         return tuple(ring._norm(v) for v in (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)))
     if isinstance(ring, PrimeField):
@@ -32,16 +32,23 @@ def scalar_pool(ring: RingDescriptor) -> tuple:
     raise TypeError(f"no sampling pool for {ring!r}")
 
 
-def _draw(rng: Random, ring: RingDescriptor):
-    """One raw ring value, from all of F_p or else from the ring's pool."""
+@cache
+def numerator_pool(ring: RingDescriptor) -> tuple:
+    """(numerators, den): the scalar pool over its common denominator, as terms hold it."""
+    nums, den = over_common_den(ring, scalar_pool(ring))
+    return tuple(nums), den
+
+
+def _draw(rng: Random, ring: RingDescriptor, pool: tuple):
+    """One value, from all of F_p or else from `pool`, a tuple as long as the ring's pool."""
     if isinstance(ring, PrimeField):
         # the draw rng.choice makes from all p residues, without listing them
         return rng.randrange(ring.p)
-    return rng.choice(scalar_pool(ring))
+    return rng.choice(pool)
 
 
 def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
-    return GroundScalar(ring, _draw(rng, ring))
+    return GroundScalar(ring, _draw(rng, ring, scalar_pool(ring)))
 
 
 class Monomials:
@@ -85,13 +92,15 @@ def monomials_up_to(nvars: int, max_degree: int) -> Monomials:
 def random_poly(rng: Random, ring: RingDescriptor, nvars: int,
                 max_degree: int = 2, max_terms: int = 3) -> Poly:
     """A sum of 1..max_terms random terms.  The rng sees the calls choosing from Monomials and
-    then random_scalar would make; raw values add under packed keys, made canonical once."""
+    then random_scalar would make; numerators over the pool's denominator add under packed
+    keys, made canonical once."""
     monos = monomials_up_to(nvars, max_degree)
+    pool, den = ((), 1) if isinstance(ring, PrimeField) else numerator_pool(ring)
     add, zero, acc = ring.add, ring._zero, {}
     for _ in range(rng.randint(1, max_terms)):
         k = monos.key(rng.randrange(monos.size))  # the index rng.choice(monos) draws
-        acc[k] = add(acc.get(k, zero), _draw(rng, ring))
-    return _canonical(ring, nvars, sorted(acc.items(), reverse=True))
+        acc[k] = add(acc.get(k, zero), _draw(rng, ring, pool))
+    return _canonical(ring, nvars, sorted(acc.items(), reverse=True), den)
 
 
 def random_fn(rng: Random, space, max_degree: int = 2) -> QuotientElem:

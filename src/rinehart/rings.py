@@ -7,15 +7,24 @@ and Gaussian flavours).  Split extensions contain zero divisors, e.g.
 rather than by nonzeroness.
 
 Scalars are immutable and canonical: equal scalars have identical stored
-values (fractions in lowest terms, residues in [0, p), component pairs for
-extensions), so equality and hashing are structural.
+values (over Q an `int` when integral and a `Fraction` in lowest terms
+otherwise, residues in [0, p), component pairs for extensions), so equality
+and hashing are structural.
+
+Polynomials keep no such values.  Over Q, Q(i) and Q(j) a polynomial is
+integer numerators over one positive denominator, so every kernel
+operation runs on `int`s; a descriptor supplies the numerator arithmetic
+(`add`, `mul`, `neg`, `reduce`, `times`, `content`, `exquo`, `monic`) and
+the two conversions `split` and `join` between a scalar value and a
+(numerator, denominator) pair.  Over F_p and its extensions the
+denominator is always 1 and the numerators are the residues themselves.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
 
 from .errors import NotAUnit, RingMismatch
 
@@ -49,10 +58,35 @@ def _is_prime(p: int) -> bool:
 set_field = object.__setattr__
 
 
+class lazy:
+    """A field of a `Value` built on first read and stored on the instance through
+    `set_field`, where later reads find it before this descriptor.
+
+    `functools.cached_property` writes the instance `__dict__` instead, which turns
+    the attribute values kept inline in the instance into a plain dict and makes
+    every later attribute read slower.  A `__getattr__` hook would build lazily
+    too, but a class that defines one gets no specialised attribute reads at all.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        set_field(obj, self.name, value)
+        return value
+
+
 class Value:
     """Value semantics over the field names in `_fields`: equality between objects
     of one class, field by field after an identity shortcut, with a hash and a repr
-    of the same fields, and no assignment, so cached properties may memoise on the
+    of the same fields, and no assignment, so `lazy` fields may memoise on the
     instance.
 
     Fields are set once, in `__init__`, through `set_field` (`object.__setattr__`),
@@ -116,20 +150,54 @@ def rsub_by_negation(self, other):
 class RingDescriptor(Value):
     """Common interface of the ground-ring descriptors.
 
-    Raw values are the canonical forms kept in scalars and polynomial terms.
-    `add`, `mul` and `neg` may return them unreduced (an F_p residue outside
-    [0, p), say); `reduce` makes such a value canonical, or None for zero.
-    `GroundScalar` wraps a (ring, value) pair for the public API.
+    Scalar values are the canonical forms `GroundScalar` wraps for the public
+    API; `canon` makes an unreduced one canonical.  Numerators are what
+    polynomial terms hold: integers (or integer pairs) over a polynomial's
+    common denominator on the rings where `fractional` is set, and the scalar
+    values themselves elsewhere.  `add`, `mul` and `neg` serve both and may
+    return unreduced results (an F_p residue outside [0, p), say); `reduce`
+    makes a numerator canonical, or None for zero.
     """
 
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     neg = staticmethod(operator.neg)
+    fractional = False  # whether polynomials over the ring carry a denominator
+    _one = 1  # the numerator of 1
 
     def canon(self, v):
-        """Canonical form of an unreduced raw value, zero included."""
+        """Canonical form of an unreduced scalar value, zero included."""
         r = self.reduce(v)
         return self._zero if r is None else r
+
+    def nonzero(self, items) -> list:
+        """The (key, numerator) pairs of `items` with nonzero numerators, made canonical."""
+        reduce = self.reduce
+        return [(k, c) for k, v in items if (c := reduce(v)) is not None]
+
+    # -- numerators over a common denominator; used where `fractional` is set --
+
+    times = staticmethod(operator.mul)  # numerator times an int
+
+    @staticmethod
+    def content(den: int, nums) -> int:
+        """gcd of den and every integer in the numerators `nums`."""
+        return gcd(den, *nums)
+
+    exquo = staticmethod(operator.floordiv)  # numerator divided exactly by an int
+
+    def split(self, value) -> tuple:
+        """(numerator, denominator) of a scalar value."""
+        return value, 1
+
+    def join(self, num, den: int):
+        """The scalar value num / den."""
+        return num
+
+    def monic(self, lc) -> tuple:
+        """(u, d) with lc * u = d, a positive integer: dividing by lc is multiplying
+        by u over the denominator d.  Raises NotAUnit when lc is not a unit."""
+        return self._inv(lc), 1
 
     def scalar(self, value) -> "GroundScalar":
         return GroundScalar(self, self._norm(value))
@@ -160,9 +228,11 @@ class RingDescriptor(Value):
 
 
 class Rationals(RingDescriptor):
-    """The field of rational numbers: ints when integral, else `Fraction`s."""
+    """The field of rational numbers: scalar values are ints when integral, else
+    `Fraction`s; numerators are ints."""
 
     _zero = 0
+    fractional = True
 
     def _norm(self, v):
         return self.canon(Fraction(v))
@@ -171,8 +241,25 @@ class Rationals(RingDescriptor):
         return k
 
     @staticmethod
+    def canon(v):
+        return v.numerator if v.denominator == 1 else v
+
+    @staticmethod
     def reduce(v):
-        return (v.numerator if v.denominator == 1 else v) if v else None
+        return v or None
+
+    @staticmethod
+    def nonzero(items) -> list:
+        return [(k, v) for k, v in items if v]
+
+    def split(self, value) -> tuple:
+        return value.numerator, value.denominator
+
+    def join(self, num: int, den: int):
+        return num if den == 1 else self.canon(Fraction(num, den))
+
+    def monic(self, lc: int) -> tuple:
+        return (1, lc) if lc > 0 else (-1, -lc)
 
     def _inv(self, a):
         if a == 0:
@@ -203,6 +290,10 @@ class PrimeField(RingDescriptor):
     def reduce(self, v):
         return v % self.p or None
 
+    def nonzero(self, items) -> list:
+        p = self.p
+        return [(k, c) for k, v in items if (c := v % p)]
+
     def _inv(self, a):
         if a == 0:
             raise NotAUnit(f"0 has no inverse in F_{self.p}")
@@ -227,10 +318,19 @@ class QuadExt(RingDescriptor):
         if type(s) is not int or s not in (1, -1):
             raise ValueError("s must be +1 or -1")
         Value.__init__(self, base, s)
+        set_field(self, "fractional", base.fractional)
 
-    @cached_property
+    @lazy
     def _zero(self):
         return (self.base._zero, self.base._zero)
+
+    @lazy
+    def _one(self):
+        return (self.base._one, self.base._zero)
+
+    def canon(self, v):
+        canon = self.base.canon
+        return (canon(v[0]), canon(v[1]))
 
     def _norm(self, v):
         if isinstance(v, tuple):
@@ -248,6 +348,39 @@ class QuadExt(RingDescriptor):
     @staticmethod
     def neg(x):
         return (-x[0], -x[1])
+
+    @staticmethod
+    def times(x, k: int):
+        return (x[0] * k, x[1] * k)
+
+    @staticmethod
+    def content(den: int, nums) -> int:
+        return gcd(den, *[c for pair in nums for c in pair])
+
+    @staticmethod
+    def exquo(x, k: int):
+        return (x[0] // k, x[1] // k)
+
+    def split(self, value) -> tuple:
+        (a, da), (b, db) = map(self.base.split, value)
+        den = lcm(da, db)
+        return (a * (den // da), b * (den // db)), den
+
+    def join(self, num, den: int):
+        if den == 1:
+            return num
+        join = self.base.join
+        return (join(num[0], den), join(num[1], den))
+
+    def monic(self, lc) -> tuple:
+        if not self.fractional:
+            return self._inv(lc), 1
+        # lc * conj(lc) is the norm a^2 - s*b^2, an integer
+        a, b = lc
+        norm = a * a - self.s * b * b
+        if norm == 0:
+            raise NotAUnit("norm a^2 - s*b^2 is not a unit")
+        return ((a, -b), norm) if norm > 0 else ((-a, b), -norm)
 
     def mul(self, x, y):
         # (a + b*al)(c + d*al) = ac + s*bd + (ad + bc)*al

@@ -231,14 +231,14 @@ class KoszulConnection:
         _check_field(space, y)
         _check_fn(space, *y.coeffs)
         self._identity[0][0].check_peers(x.coeffs)
-        n, one = space.nvars, ((0, space.ring._from_int(1)),)
+        n = space.nvars
         xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
         live = [i for i in range(n) if xs[i].terms]
         dy = [[(xs[i], ys[j].partials[i]) for i in live] for j in range(n)]
         xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
         out = []
         for k in range(n):
-            pairs = [(a if g.rep.terms == one else a * g.rep, b)
+            pairs = [(a if g.rep.is_one() else a * g.rep, b)
                      for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
             pairs += [(p, t[k].rep) for p, t in xy]
             out.append(quotient_sum(space.ring, n, pairs, space.ideal))

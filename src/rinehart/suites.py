@@ -32,7 +32,6 @@ Quotients take only a constant metric, so there deg f alone lowers the cap.
 from __future__ import annotations
 
 import time
-from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import MetricNotMusical, TwoNotAUnit
@@ -42,7 +41,7 @@ from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            spanning_fields, sphere_metric_entry, verify_space_form)
 from .poly import MAX_DEGREE, sum_products
 from .randgen import random_field, random_fn, random_poly, rng_for
-from .rings import GroundScalar, Value
+from .rings import GroundScalar, Value, lazy
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
                     ambient_derivative, check_constant_curvature, check_levi_civita,
                     curvature, derive, differential, lie_bracket)
@@ -76,7 +75,7 @@ class Workspace(Value):
         """The space fields live in: the quotient when there is one, else the plain space."""
         return self.hyper.quotient if self.hyper is not None else self.space
 
-    @cached_property
+    @lazy
     def plain_connection(self):
         """The Levi-Civita connection of the plain space.
 
@@ -87,7 +86,7 @@ class Workspace(Value):
             return EuclideanConnection(self.space)
         return KoszulConnection(self.space)
 
-    @cached_property
+    @lazy
     def connection(self):
         """The induced connection of the quotient, or the plain one without a quotient."""
         if self.hyper is not None:

@@ -13,11 +13,9 @@ reduction mod (f) is a ring homomorphism with canonical remainders.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import MetricNotMusical, SpaceMismatch
 from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, unit_status
-from .rings import Value, set_field
+from .rings import Value, lazy, set_field
 
 
 def _check_same_space(a, b):
@@ -108,7 +106,7 @@ class Metric(Value):
     def reduce(self, ideal: PrincipalIdeal | None) -> "Metric":
         return Metric(tuple(tuple(QuotientElem(e.rep, ideal) for e in row) for row in self.entries))
 
-    @cached_property
+    @lazy
     def _minors(self) -> dict:
         return {((), ()): self.entries[0][0] ** 0}  # (rows, cols) -> minor; the empty one is 1
 
@@ -133,7 +131,7 @@ class Metric(Value):
         """Matrix of cofactors transposed; adj(G) * G = det(G) * I."""
         return self._adjugate
 
-    @cached_property
+    @lazy
     def _adjugate(self) -> tuple:
         idx = tuple(range(self.n))
         drop = [idx[:k] + idx[k + 1:] for k in idx]
@@ -141,7 +139,7 @@ class Metric(Value):
         return tuple(tuple(-m if (i + j) % 2 else m for j, m in enumerate(row))
                      for i, row in enumerate(minors))
 
-    @cached_property
+    @lazy
     def det_status(self) -> tuple:
         """unit_status(det G), (status, inverse): the metric's one unit decision."""
         return unit_status(self.det())
@@ -171,8 +169,7 @@ def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
         raise SpaceMismatch("metric dimension does not match the space")
     like = metric.entries[0][0]
     like.check_peers(x.coeffs + y.coeffs)
-    one = ((0, like.ring._from_int(1)),)
-    pairs = [(u.rep if g.rep.terms == one else u.rep * g.rep, v.rep)
+    pairs = [(u.rep if g.rep.is_one() else u.rep * g.rep, v.rep)
              for u, row in zip(x.coeffs, metric.entries) if u.rep.terms
              for g, v in zip(row, y.coeffs) if g.rep.terms]
     return quotient_sum(like.ring, like.nvars, pairs, like.ideal)

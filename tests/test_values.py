@@ -16,6 +16,8 @@ from rinehart import (OneForm, PrimeField, QuadExt, QuotientElem, Rationals,
                       RinehartSpace, VectorField, make_sphere, normal_form, parse_poly)
 from rinehart.poly import quotient_sum
 from rinehart.randgen import scalar_pool
+from rinehart.rings import lazy
+from rinehart.suites import Workspace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,6 +65,28 @@ def test_fields_cannot_be_assigned():
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert hyper.quotient_normal is hyper.quotient_normal  # cached on the instance
+
+
+def test_lazy_fields_are_built_once_and_cannot_be_assigned():
+    q = Rationals()
+    hyper = make_sphere(q, 3, q.one())
+    objects = [hyper.generator, hyper.ideal, QuadExt(q, -1), hyper.ambient.metric, hyper,
+               Workspace(hyper.ambient, hyper, q.one())]
+    seen = set()
+    for obj in objects:
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, lazy):
+                seen.add(f"{type(obj).__name__}.{name}")
+                first = getattr(obj, name)
+                assert getattr(obj, name) is first, name
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, first)
+    assert seen == {
+        "Poly.partials", "PrincipalIdeal.divisor", "QuadExt._zero", "QuadExt._one",
+        "Metric._minors", "Metric._adjugate", "Metric.det_status",
+        "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
+        "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
+        "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
 
 
 def test_repr_names_the_fields():
