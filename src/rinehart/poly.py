@@ -37,7 +37,10 @@ over an integer denominator d; when d does not divide the next term, the
 map is multiplied through first (pseudo-division, Knuth, TAOCP vol. 2,
 section 4.6.1).  A single generator is a Groebner basis of its ideal, so
 the remainder is a canonical representative of the residue class and
-ideal membership is "remainder is zero".
+ideal membership is "remainder is zero".  Only a class built from an outside
+representative scans it for divisible terms: `+`, `-` and unary `-` of classes
+skip the scan, as sums and negations of remainders are remainders, and so do
+the products of `quotient_sum`, which `sum_products` has divided already.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
-from .rings import (GroundScalar, RingDescriptor, Value, lazy, rsub_by_negation, set_field,
-                    sub_by_negation)
+from .rings import GroundScalar, RingDescriptor, Value, lazy, rsub_by_negation, set_field
 
 FIELD_BITS = 8
 W = 1 << FIELD_BITS
@@ -228,28 +230,18 @@ class Poly(Value):
         return None
 
     def __add__(self, other):
-        if (other := self._coerce(other)) is None:
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        ring = self.ring
-        ta, tb, den = self.terms, other.terms, self.den
-        if den != other.den:
-            den = lcm(den, other.den)
-            ta, tb = _times(ring, ta, den // self.den), _times(ring, tb, den // other.den)
-        add = ring.add
-        acc = dict(ta)
-        get = acc.get
-        for k, c in tb:
-            v = get(k)
-            acc[k] = c if v is None else add(v, c)
-        return _canonical(ring, self.nvars, sorted(acc.items(), reverse=True), den)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _merge(self, other, 1)
 
     __radd__ = __add__
-    __sub__ = sub_by_negation
-    __rsub__ = rsub_by_negation
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else _merge(self, other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else _merge(other, self, -1)
 
     def __neg__(self):
         # negation keeps every numerator nonzero and gcd(den, numerators) unchanged
@@ -302,6 +294,24 @@ class Poly(Value):
                 if e := (low >> at) & (W - 1):
                     part.append((k - step, mul(c, from_int(e))))
         return tuple(_canonical(self.ring, n, part, self.den) for _, _, part in steps)
+
+
+def _merge(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b for sign = 1 or -1: one merge of the two term lists over the lcm of
+    their denominators, the sign folded into the weight of b, made canonical once."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if sign == 1 else -b
+    ring = a.ring
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    tb = _times(ring, b.terms, sign * (den // b.den))
+    acc = dict(_times(ring, a.terms, den // a.den))
+    add, get = ring.add, acc.get
+    for k, c in tb:
+        v = get(k)
+        acc[k] = c if v is None else add(v, c)
+    return _canonical(ring, a.nvars, sorted(acc.items(), reverse=True), den)
 
 
 def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
@@ -478,7 +488,8 @@ class QuotientElem(Value):
     """An element of K[x1..xn] or of its quotient by a principal ideal.
 
     The representative is always fully reduced, so equality of classes is
-    equality of representatives.
+    equality of representatives.  `+`, `-`, unary `-` and `*` skip the scan of
+    `__post_init__`: their results are reduced already (see the module docstring).
     """
 
     _fields = ("rep", "ideal")
@@ -546,17 +557,19 @@ class QuotientElem(Value):
         return None
 
     def __add__(self, other):
-        if (other := self._coerce(other)) is None:
-            return NotImplemented
-        # sums of reduced representatives are reduced: no new monomials appear
-        return QuotientElem(self.rep + other.rep, self.ideal)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _reduced(self.rep + other.rep, self.ideal)
 
     __radd__ = __add__
-    __sub__ = sub_by_negation
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else _reduced(self.rep - other.rep, self.ideal)
+
     __rsub__ = rsub_by_negation
 
     def __neg__(self):
-        return QuotientElem(-self.rep, self.ideal)
+        return _reduced(-self.rep, self.ideal)
 
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
@@ -573,14 +586,18 @@ def class_key(elems) -> tuple:
     return tuple([(e.rep.terms, e.rep.den) for e in elems])
 
 
-def quotient_sum(ring: RingDescriptor, nvars: int, pairs: Iterable,
-                 ideal: Optional[PrincipalIdeal]) -> QuotientElem:
-    """The class of sum a*b over Poly pairs (a, b) modulo `ideal`.  `sum_products`
-    returns its normal form, so the class skips the reduction scan of `__post_init__`."""
+def _reduced(rep: Poly, ideal: Optional[PrincipalIdeal]) -> QuotientElem:
+    """The class of `rep`, reduced modulo `ideal` already: no scan of `__post_init__`."""
     elem = object.__new__(QuotientElem)
-    set_field(elem, "rep", sum_products(ring, nvars, pairs, ideal))
+    set_field(elem, "rep", rep)
     set_field(elem, "ideal", ideal)
     return elem
+
+
+def quotient_sum(ring: RingDescriptor, nvars: int, pairs: Iterable,
+                 ideal: Optional[PrincipalIdeal]) -> QuotientElem:
+    """The class of sum a*b over Poly pairs (a, b) modulo `ideal`, a normal form."""
+    return _reduced(sum_products(ring, nvars, pairs, ideal), ideal)
 
 
 class UnitStatus(enum.Enum):

@@ -55,13 +55,14 @@ class Monomials:
     """The exponent vectors of total degree at most max_degree, in sorted order.
 
     `len` is C(nvars + max_degree, nvars) and item i is unranked on demand, so
-    `Random.choice` draws what it would from the full list, never built.
+    `Random.choice` draws what it would from the full list, never built; keys are memoised.
     """
 
     def __init__(self, nvars: int, max_degree: int):
         pack((max_degree,))  # DegreeOverflow past MAX_DEGREE, where keys would overflow
         self.nvars, self.max_degree = nvars, max_degree
         self.size = comb(nvars + max_degree, nvars)  # len() fails past sys.maxsize
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return self.size
@@ -71,20 +72,24 @@ class Monomials:
 
     def key(self, i: int) -> int:
         """The packed key (`poly.pack`) of item i, unranked with no exponent tuple."""
+        if (key := self._memo.get(i)) is not None:
+            return key
         if not 0 <= i < self.size:
             raise IndexError("monomial index out of range")
-        low, budget = 0, self.max_degree
+        low, budget, rank = 0, self.max_degree, i
         for at in range(self.nvars):
             # C(rest + budget - e, rest) vectors continue a prefix ending in e
             rest, e = self.nvars - 1 - at, 0
-            while i >= (count := comb(rest + budget - e, rest)):
-                i -= count
+            while rank >= (count := comb(rest + budget - e, rest)):
+                rank -= count
                 e += 1
             low += e << (FIELD_BITS * at)
             budget -= e
-        return ((self.max_degree - budget) << (FIELD_BITS * self.nvars)) - low
+        key = self._memo[i] = ((self.max_degree - budget) << (FIELD_BITS * self.nvars)) - low
+        return key
 
 
+@cache
 def monomials_up_to(nvars: int, max_degree: int) -> Monomials:
     return Monomials(nvars, max_degree)
 

@@ -137,7 +137,8 @@ class Value:
 
 
 def sub_by_negation(self, other):
-    """self - other as self + (-other), for operands coerced by `_coerce`."""
+    """self - other as self + (-other), for operands coerced by `_coerce`: used by
+    `GroundScalar` alone, and `rsub_by_negation` also by `QuotientElem`."""
     other = self._coerce(other)
     return NotImplemented if other is None else self + (-other)
 

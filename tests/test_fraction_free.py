@@ -6,7 +6,9 @@ including divisors whose monic tails are fractional, as the generators of the
 spheres of curvature 2 and 4 are.  Then the hazards of the representation: a
 term list alone no longer identifies a polynomial, so 1/2 must not pass for 1
 and x/2 must not share a memo entry with x; the kernel builds no `Fraction`;
-and scalars of another ring are refused where they enter.
+sums, differences and negations of reduced classes are normal forms built
+without a reduction scan; and scalars of another ring are refused where they
+enter.
 """
 
 from fractions import Fraction
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart import (KoszulConnection, Metric, Poly, PrimeField, PrincipalIdeal, QuadExt,
-                      Rationals, RingMismatch, RinehartSpace, divmod_poly,
-                      flat, inner, make_sphere, project_tangent, sum_products)
+                      QuotientElem, Rationals, RingMismatch, RinehartSpace, divmod_poly,
+                      flat, inner, make_sphere, normal_form, project_tangent, sum_products)
 from rinehart.hypersurface import InducedConnection
 from rinehart.poly import _divide, _divisor, class_key
+from rinehart.randgen import random_poly, rng_for
 
 Q = Rationals()
 QI = QuadExt(Q, -1)
@@ -195,6 +198,59 @@ def test_kernel_matches_the_fraction_reference(name, data):
     ideal = PrincipalIdeal.of(pf)
     reduced = sum_products(ring, NVARS, [(pa, pb), (pc, pd)], ideal)
     assert ref_of(reduced) == r_divmod(r_add(r_mul(a, b), r_mul(c, d)), f)[1]
+
+
+# ---------------------------------------------------------------------------
+# sums, differences and negations of reduced classes skip the reduction scan
+
+
+def class_ops(a: QuotientElem, b: QuotientElem) -> tuple:
+    """(a + b, a - b, -a), failing if any of them calls `QuotientElem.__post_init__`."""
+    calls = []
+    scan = QuotientElem.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        scan(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuotientElem, "__post_init__", counting)
+        out = a + b, a - b, -a
+    assert calls == []
+    return out
+
+
+@pytest.mark.parametrize("name", RINGS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_class_arithmetic_matches_the_reference_normal_form(name, data):
+    ring = RINGS[name]
+    a, b = (data.draw(refs(ring), label=label) for label in "ab")
+    f = data.draw(divisors(ring), label="f")
+    ideal = PrincipalIdeal.of(poly_of(ring, f))
+    ca, cb = QuotientElem(poly_of(ring, a), ideal), QuotientElem(poly_of(ring, b), ideal)
+    total, diff, neg = class_ops(ca, cb)
+
+    def minus(r):
+        return {m: v_neg(v) for m, v in r.items()}
+
+    assert ref_of(total.rep) == r_divmod(r_add(a, b), f)[1]
+    assert ref_of(diff.rep) == r_divmod(r_add(a, minus(b)), f)[1]
+    assert ref_of(neg.rep) == r_divmod(minus(a), f)[1]
+    assert diff == ca + (-cb)
+
+
+def test_class_arithmetic_on_the_sphere_over_f7():
+    ideal = make_sphere(F7, 3, F7.one()).ideal
+    rng = rng_for(7, "classes")
+    for _ in range(40):
+        pa, pb = (random_poly(rng, F7, 3, max_degree=4, max_terms=6) for _ in range(2))
+        ca, cb = QuotientElem(pa, ideal), QuotientElem(pb, ideal)
+        total, diff, neg = class_ops(ca, cb)
+        assert total.rep == normal_form(pa + pb, ideal)
+        assert diff.rep == normal_form(pa - pb, ideal)
+        assert neg.rep == normal_form(-pa, ideal)
+        assert diff == ca + (-cb) and diff.rep.den == 1
 
 
 def test_a_division_that_needs_a_multiplied_map():

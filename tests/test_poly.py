@@ -17,8 +17,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart import (Poly, PrimeField, PrincipalIdeal, QuadExt, QuotientElem,
-                      Rationals, UnitStatus, divide_exact, divmod_poly,
+from rinehart import (ArityMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt, QuotientElem,
+                      Rationals, RingMismatch, UnitStatus, divide_exact, divmod_poly,
                       format_poly, normal_form, unit_status)
 from rinehart.poly import pack
 from conftest import sample_scalar, seeded
@@ -421,3 +421,49 @@ def test_format_poly_quad_ext_parenthesizes():
     onep = Poly.constant(qi, 1, qi.scalar((Fraction(1), Fraction(1))))
     assert format_poly(al * x, ("x",)) == "al*x"
     assert format_poly(onep * x, ("x",)) == "(1+al)*x"
+
+
+# ---------------------------------------------------------------------------
+# subtraction is one merge, with the sign folded into the subtrahend's weight
+
+
+def test_subtraction_cancels_to_a_multiple_of_p():
+    F7 = PrimeField(7)
+    x = Poly.variable(F7, 1, 0)
+    three, ten = x.scale(F7.from_int(3)), x.scale(F7.from_int(10))
+    diff = three - ten
+    assert diff.is_zero() and diff.den == 1 and diff == Poly.zero(F7, 1)
+    assert ten - x.scale(F7.from_int(2)) == x  # 10x - 2x = 8x = x
+
+
+def test_subtraction_over_unequal_denominators():
+    x = Poly.variable(Q, 1, 0)
+    half, third = x.scale(Q.scalar(Fraction(1, 2))), x.scale(Q.scalar(Fraction(1, 3)))
+    diff = half - third
+    assert diff == x.scale(Q.scalar(Fraction(1, 6))) and diff.den == 6
+    assert (third - half) == -diff and (half - half).is_zero()
+    assert (half - half).den == 1
+
+
+def test_subtraction_refuses_foreign_operands():
+    x = Poly.variable(Q, 2, 0)
+    with pytest.raises(RingMismatch):
+        x - Poly.variable(F5, 2, 0)
+    with pytest.raises(ArityMismatch):
+        x - Poly.variable(Q, 3, 0)
+    with pytest.raises(RingMismatch):
+        x - F5.from_int(1)
+    with pytest.raises(RingMismatch):
+        F5.from_int(1) - x
+    assert x.__sub__("x") is NotImplemented and x.__rsub__("x") is NotImplemented
+
+
+def test_subtraction_with_scalars_on_either_side():
+    x = Poly.variable(Q, 1, 0)
+    two = Q.from_int(2)
+    c2 = Poly.constant(Q, 1, two)
+    assert x - 2 == x + Poly.constant(Q, 1, Q.from_int(-2))
+    assert 2 - x == c2 + (-x)
+    assert x - two == x - c2 and two - x == c2 - x
+    assert (2 - Poly.constant(Q, 1, two)).is_zero()
+    assert x - 0 is x and 0 - x == -x

@@ -11,7 +11,7 @@ import pytest
 
 from rinehart import DegreeOverflow, Poly, PrimeField, QuadExt, Rationals
 from rinehart.poly import MAX_DEGREE, pack
-from rinehart.randgen import monomials_up_to, random_poly, random_scalar
+from rinehart.randgen import Monomials, monomials_up_to, random_poly, random_scalar
 
 
 def enumerated(nvars, max_degree):
@@ -136,3 +136,22 @@ def test_monomial_keys_are_the_packed_items():
     assert [monos.key(i) for i in range(len(monos))] == [pack(m) for m in enumerated(3, 5)]
     with pytest.raises(DegreeOverflow):
         monomials_up_to(2, MAX_DEGREE + 1)
+
+
+def test_monomials_are_built_once_and_their_keys_kept():
+    assert monomials_up_to(3, 4) is monomials_up_to(3, 4)
+    assert monomials_up_to(3, 4) is not monomials_up_to(4, 3)
+    warm = monomials_up_to(3, 4)
+    for _ in range(2):  # the second pass reads every key from the memo
+        assert [warm.key(i) for i in range(len(warm))] == \
+            [Monomials(3, 4).key(i) for i in range(len(warm))]
+    big = monomials_up_to(8, 40)
+    rng = random.Random(5)
+    picks = [rng.randrange(len(big)) for _ in range(200)] + [0, len(big) - 1]
+    for i in picks + picks:
+        assert big.key(i) == Monomials(8, 40).key(i)
+    for bad in (-1, len(warm), len(warm) + 7):
+        with pytest.raises(IndexError):
+            warm.key(bad)
+        with pytest.raises(IndexError):
+            warm[bad]
