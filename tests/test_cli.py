@@ -412,6 +412,55 @@ def test_de_sitter_check_matches_golden_digest(tmp_path, capsys):
         "359899c772dc916fed13cea1fd8449b939155435b552d6908211382fd9aeaa3b"
 
 
+# G = L L^T with L unit lower bidiagonal, linear below the diagonal (the koszul-metric
+# shape): det G = 1 and Koszul symbols that are not constant
+LOWER_GRAM = dict(BASE, vars=["x", "y", "z"], metric={"matrix": [
+    ["1", "(2*y - 1)", "0"],
+    ["(2*y - 1)", "(2*y - 1)*(2*y - 1) + 1", "(-z + 1)"],
+    ["0", "(-z + 1)", "(-z + 1)*(-z + 1) + 1"]]})
+# det = x^2 + 1 is no unit: connection-leibniz and levi-civita run at the one-form level
+FORM_LEVEL = dict(BASE, metric={"diag": ["1", "x^2 + 1"]})
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (LOWER_GRAM, "e71014da40b2c8469883784e3ed2b7acbe9b8f70820f1c82e75ca805bcf91f69"),
+    (FORM_LEVEL, "ba725f11838a8ac56a04447cfd32106ec20f12bbc8d1bffa67244f47756f4f88"),
+], ids=["lower-gram", "form-level"])
+def test_non_constant_metric_reports_match_golden_digests(tmp_path, capsys, spec, digest):
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, spec), "--json", "--seed", "7"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert details["connection-leibniz"].endswith(" at the one-form level") == (spec is FORM_LEVEL)
+
+
+@pytest.mark.parametrize("argv, fields, message", [
+    (["check"], {"metric": "hyperbolic"}, "metric: must be 'euclidean'"),
+    (["check"], {"quotient": "sphere"}, "quotient: must be an object"),
+    (["check"], {"quotient": {"sphere": {}}}, "quotient.sphere: needs a 'c'"),
+    (["check"], {"metric": {"diag": ["1", "2"]}, "quotient": {"sphere": {"c": "1"}}},
+     "metric: sphere quotients need the euclidean metric"),
+    (["check"], {"quotient": {"generator": "x^2 + y^2 - 1"}}, "quotient.q: "),
+    (["check"], {"quotient": {"torus": {}}}, "quotient: must contain 'sphere' or 'generator'"),
+    (["check"], {"checks": "jacobi-identity"}, "checks: must be a list"),
+    (["connection", "--x", "1", "--y", "0, 1"], {}, "field: expected 2 components"),
+    # the three refusals of HypersurfaceSpace.build
+    (["check"], {"metric": {"diag": ["x^2 + 1", "1"]},
+                 "quotient": {"generator": "x^2 + y^2 - 1", "q": "1/4"}},
+     "quotient: the ambient metric must be Euclidean or constant"),
+    (["check"], {"metric": {"diag": ["1", "0"]}, "quotient": {"generator": "x", "q": "1"}},
+     "quotient: the ambient metric determinant is not a unit"),
+    (["check"], {"quotient": {"generator": "x^2 + y^2 - 1", "q": "1"}},
+     "quotient: 1 - q<N, N> does not lie in the ideal (f)"),
+])
+def test_refusals_exit_two_with_the_field(tmp_path, capsys, argv, fields, message):
+    code, out, err = run(capsys, argv[:1] + [write_spec(tmp_path, dict(BASE, **fields))]
+                         + argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[ValidationError]: {message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec, message", [
     (dict(BASE, ring={"kind": "Fp", "p": 3317044064679887385961981}), "ring: p ="),
     (dict(BASE, metric={"diag": ["(x+y+1)^3000", "1"]}), "metric: power exceeds"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart import (GroundScalar, NotAUnit, PrimeField, QuadExt, Rationals,
-                      ring_from_json)
+                      RinehartSpace, ring_from_json)
 from conftest import sample_scalar, seeded
 
 
@@ -224,3 +224,10 @@ def test_primality_is_deterministic_miller_rabin():
 def test_quad_ext_requires_an_int_s(s):
     with pytest.raises(ValueError):
         QuadExt(Rationals(), s)
+
+
+def test_an_int_minus_a_scalar_or_a_function(any_ring):
+    # int - value reaches __rsub__, which adds the negation
+    assert 1 - any_ring.from_int(3) == any_ring.from_int(-2)
+    space = RinehartSpace.euclidean(any_ring, ("x", "y"))
+    assert 1 - space.fn("x + 2") == space.fn("-x - 1")
