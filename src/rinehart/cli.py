@@ -182,19 +182,16 @@ def _run_setting(name: str, value) -> int:
 # output helpers
 
 
+def _json(**payload) -> str:
+    """A JSON document of the CLI: the payload with both versions, sorted keys, indent 2
+    and a trailing newline, so equal payloads give equal bytes."""
+    return json.dumps({"schema_version": 1, "engine_version": __version__, **payload},
+                      indent=2, sort_keys=True) + "\n"
+
+
 def _report_json(results, extra: Optional[dict] = None) -> str:
-    payload = {
-        "schema_version": 1,
-        "checks": [
-            {"name": r.name, "status": r.status, "detail": r.detail,
-             "counterexample": r.counterexample}
-            for r in results
-        ],
-        "engine_version": __version__,
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(checks=[{"name": r.name, "status": r.status, "detail": r.detail,
+                          "counterexample": r.counterexample} for r in results], **(extra or {}))
 
 
 def _report_text(results) -> str:
@@ -209,12 +206,6 @@ def _report_text(results) -> str:
     counts = (sum(r.status == s for r in results) for s in ("pass", "fail", "skipped"))
     lines.append("{} passed, {} failed, {} skipped".format(*counts))
     return "\n".join(lines) + "\n"
-
-
-def _result_json(command: str, result) -> str:
-    payload = {"schema_version": 1, "engine_version": __version__,
-               "command": command, "result": result}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _field_strings(space, field: VectorField) -> list:
@@ -235,7 +226,7 @@ def _emit_report(ws: Workspace, args, results) -> None:
 
 def _emit_field(args, space, value: VectorField) -> int:
     if args.json:
-        sys.stdout.write(_result_json(args.command, _field_strings(space, value)))
+        sys.stdout.write(_json(command=args.command, result=_field_strings(space, value)))
     else:
         sys.stdout.write(space.format_field(value) + "\n")
     return 0
@@ -314,8 +305,8 @@ def _cmd_project(ws, meta, args) -> int:
     tangent = project_tangent(ws.hyper, x)
     normal = project_normal(ws.hyper, x)
     if args.json:
-        sys.stdout.write(_result_json("project", {"tangent": _field_strings(space, tangent),
-                                                  "normal": _field_strings(space, normal)}))
+        sys.stdout.write(_json(command="project", result={
+            "tangent": _field_strings(space, tangent), "normal": _field_strings(space, normal)}))
     else:
         sys.stdout.write(f"tangent = {space.format_field(tangent)}\n"
                          f"normal  = {space.format_field(normal)}\n")

@@ -260,9 +260,8 @@ def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
         for j, got in enumerate(row):
             sum_ij = sum_products(ring, n, [(got.rep, one), (cxs[i], xs[j])], hyper.ideal)
             if not (sum_ij.is_one() if i == j else sum_ij.is_zero()):
-                want = sphere_metric_entry(space, c, i, j)
-                return {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got),
-                        "want": space.format_fn(want)}
+                return space.render(pair=f"({i + 1}, {j + 1})", got=got,
+                                    want=sphere_metric_entry(space, c, i, j))
     return None
 
 

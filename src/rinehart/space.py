@@ -102,6 +102,13 @@ class RinehartSpace(Value):
         """A vector field or one-form as "[c1, ..., cn]"."""
         return "[" + ", ".join(self.format_fn(c) for c in x.coeffs) + "]"
 
+    def render(self, **values) -> dict:
+        """A counterexample: each field or form as "[c1, ..., cn]", each function as
+        its polynomial and anything else with `str`."""
+        return {key: self.format_field(v) if isinstance(v, (VectorField, OneForm))
+                else self.format_fn(v) if isinstance(v, QuotientElem) else str(v)
+                for key, v in values.items()}
+
 
 def _check_fn(space: RinehartSpace, *fs: QuotientElem):
     for f in fs:
@@ -311,12 +318,11 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
     fields = space.basis_fields()
     form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
     metric = space.metric
+    value = conn.form if form_level else conn
 
     def torsion_gap(x, y):
         bracket = lie_bracket(space, x, y)
-        if form_level:
-            return conn.form(x, y) - conn.form(y, x) - flat(bracket, metric)
-        return conn(x, y) - conn(y, x) - bracket
+        return value(x, y) - value(y, x) - (flat(bracket, metric) if form_level else bracket)
 
     def compat_gap(x, y, z):
         lhs = derive(space, x, inner(y, z, metric))
@@ -332,18 +338,13 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
         samples_pairs.append(trio[:2])
         samples_triples.append(trio)
 
-    render = space.format_field
     for x, y in samples_pairs:
-        gap = torsion_gap(x, y)
-        if not gap.is_zero():
-            ce = {"identity": "torsion", "x": render(x), "y": render(y),
-                  "gap": render(gap)}
+        if not (gap := torsion_gap(x, y)).is_zero():
+            ce = space.render(identity="torsion", x=x, y=y, gap=gap)
             return LeviCivitaReport(False, True, ce)
     for x, y, z in samples_triples:
-        gap = compat_gap(x, y, z)
-        if not gap.is_zero():
-            ce = {"identity": "compatibility", "x": render(x), "y": render(y),
-                  "z": render(z), "gap": space.format_fn(gap)}
+        if not (gap := compat_gap(x, y, z)).is_zero():
+            ce = space.render(identity="compatibility", x=x, y=y, z=z, gap=gap)
             return LeviCivitaReport(True, False, ce)
     return LeviCivitaReport(True, True, None)
 
@@ -381,9 +382,7 @@ def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
                         ideal) for al, bl, dl, xl, nyl
                        in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
                     continue
-                lhs = a - b - d
-                rhs = c_fn * ((gram[j][k] * x) - (gram[i][k] * y))
-                ce = {"triple": f"({i + 1}, {j + 1}, {k + 1})",
-                      "lhs": space.format_field(lhs), "rhs": space.format_field(rhs)}
-                return ConstantCurvatureReport(False, ce)
+                return ConstantCurvatureReport(False, space.render(
+                    triple=f"({i + 1}, {j + 1}, {k + 1})", lhs=a - b - d,
+                    rhs=c_fn * ((gram[j][k] * x) - (gram[i][k] * y))))
     return ConstantCurvatureReport(True, None)

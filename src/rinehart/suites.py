@@ -32,7 +32,7 @@ Quotients take only a constant metric, so there deg f alone lowers the cap.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import MetricNotMusical, TwoNotAUnit
 from .hypersurface import (HypersurfaceSpace, InducedConnection,
@@ -94,8 +94,9 @@ class Workspace(Value):
         return self.plain_connection
 
 
-def _fail(detail, ce):
-    return ("fail", detail, ce)
+def _fail(space, detail, **values):
+    """A failed check; `values`, the counterexample, render through `space.render`."""
+    return ("fail", detail, space.render(**values))
 
 
 def _ok(detail):
@@ -127,8 +128,8 @@ def _check_pairing_duality(ws, rng, cases, max_degree):
             got = pairing(space.basis_field(i), space.basis_form(j))
             want = space.constant(space.ring.from_int(1 if i == j else 0))
             if got != want:
-                return _fail("basis pairing is not dual",
-                             {"pair": f"({i + 1}, {j + 1})", "got": space.format_fn(got)})
+                return _fail(space, "basis pairing is not dual", pair=f"({i + 1}, {j + 1})",
+                             got=got)
     for _ in range(cases):
         f = random_fn(rng, space, max_degree)
         x = random_field(rng, space, max_degree)
@@ -137,8 +138,7 @@ def _check_pairing_duality(ws, rng, cases, max_degree):
         lhs = pairing(f * x + y, om)
         rhs = f * pairing(x, om) + pairing(y, om)
         if lhs != rhs:
-            return _fail("pairing is not O-linear",
-                         {"f": space.format_fn(f), "x": space.format_field(x)})
+            return _fail(space, "pairing is not O-linear", f=f, x=x)
     return _ok(f"{n * n} basis pairs and {cases} linearity cases")
 
 
@@ -146,15 +146,14 @@ def _check_differential_leibniz(ws, rng, cases, max_degree):
     space = ws.space
     one = space.constant(space.ring.one())
     if not differential(space, one).is_zero():
-        return _fail("d(1) is not zero", {})
+        return _fail(space, "d(1) is not zero")
     for _ in range(cases):
         f = random_fn(rng, space, max_degree)
         g = random_fn(rng, space, max_degree)
         lhs = differential(space, f * g)
         rhs = f * differential(space, g) + g * differential(space, f)
         if lhs.coeffs != rhs.coeffs:
-            return _fail("d(fg) != f dg + g df",
-                         {"f": space.format_fn(f), "g": space.format_fn(g)})
+            return _fail(space, "d(fg) != f dg + g df", f=f, g=g)
     return _ok(f"d(1) = 0 and {cases} product cases")
 
 
@@ -167,9 +166,7 @@ def _check_anchor(ws, rng, cases, max_degree):
         lhs = lie_bracket(space, x, f * y)
         rhs = derive(space, x, f) * y + f * lie_bracket(space, x, y)
         if lhs != rhs:
-            return _fail("[X, fY] != (d_X f)Y + f[X, Y]",
-                         {"f": space.format_fn(f), "x": space.format_field(x),
-                          "y": space.format_field(y)})
+            return _fail(space, "[X, fY] != (d_X f)Y + f[X, Y]", f=f, x=x, y=y)
     return _ok(f"{cases} cases")
 
 
@@ -183,9 +180,7 @@ def _check_jacobi(ws, rng, cases, max_degree):
                + lie_bracket(space, lie_bracket(space, y, z), x)
                + lie_bracket(space, lie_bracket(space, z, x), y))
         if not acc.is_zero():
-            return _fail("cyclic bracket sum is nonzero",
-                         {"x": space.format_field(x), "y": space.format_field(y),
-                          "z": space.format_field(z)})
+            return _fail(space, "cyclic bracket sum is nonzero", x=x, y=y, z=z)
     return _ok(f"{cases} cases")
 
 
@@ -193,27 +188,16 @@ def _check_connection_leibniz(ws, rng, cases, max_degree):
     space = ws.space
     conn = ws.plain_connection
     form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
-    metric = space.metric
+    value = conn.form if form_level else conn
     for _ in range(cases):
         f = random_fn(rng, space, max_degree)
         x = random_field(rng, space, max_degree)
         y = random_field(rng, space, max_degree)
-        if form_level:
-            f_xy = f * conn.form(x, y)
-            lhs = conn.form(x, f * y)
-            rhs = derive(space, x, f) * flat(y, metric) + f_xy
-            lower_ok = conn.form(f * x, y).coeffs == f_xy.coeffs
-            upper_ok = lhs.coeffs == rhs.coeffs
-        else:
-            f_xy = f * conn(x, y)
-            lhs = conn(x, f * y)
-            rhs = derive(space, x, f) * y + f_xy
-            lower_ok = conn(f * x, y) == f_xy
-            upper_ok = lhs == rhs
-        if not (lower_ok and upper_ok):
-            return _fail("connection module laws fail",
-                         {"f": space.format_fn(f), "x": space.format_field(x),
-                          "y": space.format_field(y)})
+        f_xy = f * value(x, y)
+        lhs = value(x, f * y)
+        rhs = derive(space, x, f) * (flat(y, space.metric) if form_level else y) + f_xy
+        if not (value(f * x, y) == f_xy and lhs == rhs):
+            return _fail(space, "connection module laws fail", f=f, x=x, y=y)
     return _ok(f"{cases} cases" + (" at the one-form level" if form_level else ""))
 
 
@@ -223,17 +207,14 @@ def _check_flat_curvature(ws, rng, cases, max_degree):
         return _skip("metric is not Euclidean")
     conn = ws.plain_connection
     if not check_constant_curvature(space, conn, space.ring.zero(), space.basis_fields()).ok:
-        return _fail("basis curvature is nonzero", {})
+        return _fail(space, "basis curvature is nonzero")
     for _ in range(cases):
         x = random_field(rng, space, max_degree)
         y = random_field(rng, space, max_degree)
         z = random_field(rng, space, max_degree)
         val = curvature(space, conn, x, y, z)
         if not val.is_zero():
-            return _fail("R(X, Y)Z is nonzero",
-                         {"x": space.format_field(x), "y": space.format_field(y),
-                          "z": space.format_field(z),
-                          "value": space.format_field(val)})
+            return _fail(space, "R(X, Y)Z is nonzero", x=x, y=y, z=z, value=val)
     n = space.nvars
     return _ok(f"{n ** 3} basis triples and {cases} random triples")
 
@@ -250,14 +231,12 @@ def _check_koszul_flat(ws, rng, cases, max_degree):
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             if koszul(x, y) != flat_conn(x, y):
-                return _fail("basis values differ",
-                             {"pair": f"({i + 1}, {j + 1})"})
+                return _fail(space, "basis values differ", pair=f"({i + 1}, {j + 1})")
     for _ in range(cases):
         x = random_field(rng, space, max_degree)
         y = random_field(rng, space, max_degree)
         if koszul(x, y) != flat_conn(x, y):
-            return _fail("values differ",
-                         {"x": space.format_field(x), "y": space.format_field(y)})
+            return _fail(space, "values differ", x=x, y=y)
     n = space.nvars
     return _ok(f"{n * n} basis pairs and {cases} random pairs")
 
@@ -268,7 +247,7 @@ def _check_levi_civita_suite(ws, rng, cases, max_degree):
                                max_degree=max_degree)
     if not report.ok:
         which = "torsion" if not report.torsion_free else "compatibility"
-        return _fail(f"{which} identity fails", report.counterexample)
+        return _fail(space, f"{which} identity fails", **report.counterexample)
     return _ok(f"basis plus {cases} random samples")
 
 
@@ -282,12 +261,10 @@ def _check_musical_roundtrip(ws, rng, cases, max_degree):
         x = random_field(rng, space, max_degree)
         om = _random_form(rng, space, max_degree)
         if sharp(flat(x, metric), metric) != x:
-            return _fail("sharp(flat(X)) != X",
-                         {"x": space.format_field(x)})
+            return _fail(space, "sharp(flat(X)) != X", x=x)
         back = flat(sharp(om, metric), metric)
         if back.coeffs != om.coeffs:
-            return _fail("flat(sharp(om)) != om",
-                         {"om": space.format_field(om)})
+            return _fail(space, "flat(sharp(om)) != om", om=om)
     return _ok(f"{cases} round trips")
 
 
@@ -299,8 +276,7 @@ def _check_metric_transfer(ws, rng, cases, max_degree):
         y = random_field(rng, space, max_degree)
         val = inner(x, y, metric)
         if val != pairing(x, flat(y, metric)) or val != pairing(y, flat(x, metric)):
-            return _fail("inner product does not match pairing",
-                         {"x": space.format_field(x), "y": space.format_field(y)})
+            return _fail(space, "inner product does not match pairing", x=x, y=y)
     return _ok(f"{cases} cases")
 
 
@@ -328,9 +304,7 @@ def _check_curvature_tensorial(ws, rng, cases, max_degree):
         args[slot] = f * args[slot]
         got = curvature(space, conn, *args)
         if got != want:
-            return _fail(f"slot {slot + 1} is not O-linear",
-                         {"f": space.format_fn(f), "x": space.format_field(x),
-                          "y": space.format_field(y), "z": space.format_field(z)})
+            return _fail(space, f"slot {slot + 1} is not O-linear", f=f, x=x, y=y, z=z)
     return _ok(f"{cases} cases, rotating the scaled slot")
 
 
@@ -350,47 +324,42 @@ def _check_normal_form_hom(ws, rng, cases, max_degree):
         add_rhs = space.poly_fn(g) + space.poly_fn(h)
         redo = space.poly_fn(space.poly_fn(g).rep)
         if lhs != rhs or add_lhs != add_rhs or redo != space.poly_fn(g):
-            return _fail("reduction is not a ring morphism",
-                         {"g": space.format_fn(space.poly_fn(g)),
-                          "h": space.format_fn(space.poly_fn(h))})
+            return _fail(space, "reduction is not a ring morphism", g=space.poly_fn(g),
+                         h=space.poly_fn(h))
     return _ok(f"{cases} pairs")
 
 
 def _check_tangency(ws, rng, cases, max_degree):
     hyper = ws.hyper
+    space = hyper.quotient
     fields = spanning_fields(hyper)
     for i, y in enumerate(fields):
         if not is_tangent(hyper, y):
-            return _fail("spanning field is not tangent",
-                         {"index": str(i + 1)})
+            return _fail(space, "spanning field is not tangent", index=i + 1)
         if not project_normal(hyper, y).is_zero():
-            return _fail("tangent field has a normal part",
-                         {"index": str(i + 1)})
+            return _fail(space, "tangent field has a normal part", index=i + 1)
     if is_tangent(hyper, hyper.normal):
-        return _fail("the normal field reads as tangent", {})
+        return _fail(space, "the normal field reads as tangent")
     for _ in range(cases):
         t = _random_tangent(rng, hyper, max_degree)
         if not is_tangent(hyper, t):
-            return _fail("projected field is not tangent",
-                         {"t": hyper.quotient.format_field(t)})
+            return _fail(space, "projected field is not tangent", t=t)
     return _ok(f"{len(fields)} spanning fields and {cases} projections")
 
 
 def _check_projection_retraction(ws, rng, cases, max_degree):
     hyper = ws.hyper
+    space = hyper.quotient
     for _ in range(cases):
-        x = random_field(rng, hyper.quotient, max_degree)
+        x = random_field(rng, space, max_degree)
         px = project_tangent(hyper, x)
         if project_tangent(hyper, px) != px:
-            return _fail("projection is not idempotent",
-                         {"x": hyper.quotient.format_field(x)})
+            return _fail(space, "projection is not idempotent", x=x)
         t = _random_tangent(rng, hyper, max_degree)
         if project_tangent(hyper, t) != t:
-            return _fail("projection moves a tangent field",
-                         {"t": hyper.quotient.format_field(t)})
+            return _fail(space, "projection moves a tangent field", t=t)
         if not (px + project_normal(hyper, x) == x):
-            return _fail("projections do not sum to identity",
-                         {"x": hyper.quotient.format_field(x)})
+            return _fail(space, "projections do not sum to identity", x=x)
     return _ok(f"{cases} cases")
 
 
@@ -402,9 +371,7 @@ def _check_projection_orthogonal(ws, rng, cases, max_degree):
         t = _random_tangent(rng, hyper, max_degree)
         gap = inner(x - project_tangent(hyper, x), t, space.metric)
         if not gap.is_zero():
-            return _fail("normal part meets a tangent field",
-                         {"x": space.format_field(x), "t": space.format_field(t),
-                          "inner": space.format_fn(gap)})
+            return _fail(space, "normal part meets a tangent field", x=x, t=t, inner=gap)
     return _ok(f"{cases} cases")
 
 
@@ -418,8 +385,7 @@ def _check_gauss_split(ws, rng, cases, max_degree):
         ambient_part = ambient_derivative(space, x, y)
         split = conn(x, y) + second_fundamental_form(hyper, x, y)
         if ambient_part != split:
-            return _fail("ambient derivative != tangent + normal parts",
-                         {"x": space.format_field(x), "y": space.format_field(y)})
+            return _fail(space, "ambient derivative != tangent + normal parts", x=x, y=y)
     return _ok(f"{cases} cases")
 
 
@@ -431,12 +397,9 @@ def _check_second_form_symmetric(ws, rng, cases, max_degree):
         y = _random_tangent(rng, hyper, max_degree)
         f = random_fn(rng, space, max_degree)
         if (hxy := second_fundamental_form(hyper, x, y)) != second_fundamental_form(hyper, y, x):
-            return _fail("h(X, Y) != h(Y, X)",
-                         {"x": space.format_field(x), "y": space.format_field(y)})
+            return _fail(space, "h(X, Y) != h(Y, X)", x=x, y=y)
         if second_fundamental_form(hyper, f * x, y) != f * hxy:
-            return _fail("h is not O-bilinear",
-                         {"f": space.format_fn(f), "x": space.format_field(x),
-                          "y": space.format_field(y)})
+            return _fail(space, "h is not O-bilinear", f=f, x=x, y=y)
     return _ok(f"{cases} cases")
 
 
@@ -455,9 +418,7 @@ def _check_representative_independence(ws, rng, cases, max_degree):
         base = project_tangent(hyper, ambient_derivative(
             ambient, hyper.to_ambient(x), hyper.to_ambient(y)))
         if moved != base:
-            return _fail("induced value depends on the lift",
-                         {"x": hyper.quotient.format_field(x),
-                          "y": hyper.quotient.format_field(y)})
+            return _fail(hyper.quotient, "induced value depends on the lift", x=x, y=y)
     return _ok(f"{cases} lifted pairs")
 
 
@@ -465,7 +426,7 @@ def _check_induced_metric(ws, rng, cases, max_degree):
     space = ws.hyper.quotient
     gap = induced_metric_gap(ws.hyper, ws.c, gram_table(spanning_fields(ws.hyper), space.metric))
     if gap is not None:
-        return _fail("<Y_i, Y_j> != delta_ij - c x_i x_j", gap)
+        return _fail(space, "<Y_i, Y_j> != delta_ij - c x_i x_j", **gap)
     n = space.nvars
     return _ok(f"{n * n} spanning pairs")
 
@@ -480,52 +441,40 @@ def _check_induced_identities(ws, rng, cases, max_degree):
     # ambient pipeline identities
     for i in range(n):
         if derive(ambient, normal, ambient.coordinate(i)) != ambient.coordinate(i):
-            return _fail("d_N x_i != x_i", {"index": str(i + 1)})
+            return _fail(ambient, "d_N x_i != x_i", index=i + 1)
         if inner(ambient.basis_field(i), normal, ambient.metric) != ambient.coordinate(i):
-            return _fail("<X_i, N> != x_i", {"index": str(i + 1)})
+            return _fail(ambient, "<X_i, N> != x_i", index=i + 1)
     xs = [ambient.coordinate(i).rep for i in range(n)]
     square_sum = ambient.poly_fn(sum_products(ambient.ring, n, zip(xs, xs)))
     if inner(normal, normal, ambient.metric) != square_sum:
-        return _fail("<N, N> != sum x_i^2", {})
+        return _fail(ambient, "<N, N> != sum x_i^2")
     for _ in range(max(1, cases // 10)):
         x = random_field(rng, ambient, max_degree)
         if ambient_derivative(ambient, x, normal) != x:
-            return _fail("nabla_X N != X",
-                         {"x": ambient.format_field(x)})
+            return _fail(ambient, "nabla_X N != X", x=x)
     fields = spanning_fields(hyper)
     for i in range(n):
         lift = hyper.to_quotient(ambient.basis_field(i))
         want = lift - hyper.q * hyper.quotient_normal.coeffs[i] * hyper.quotient_normal
         # project_tangent(X_i) = X_i - c x_i N for the sphere witness q = c
         if fields[i] != want:
-            return _fail("Y_i != X_i - c x_i N",
-                         {"index": str(i + 1)})
+            return _fail(space, "Y_i != X_i - c x_i N", index=i + 1)
     conn = ws.connection
     c_fn = space.constant(c)
     for i, yi in enumerate(fields):
         for j, yj in enumerate(fields):
-            dij = derive(space, yi, space.coordinate(j))
-            want_d = sphere_metric_entry(space, c, i, j)
-            if dij != want_d:
-                return _fail("d_Yi x_j != delta_ij - c x_i x_j",
-                             {"pair": f"({i + 1}, {j + 1})"})
+            pair = f"({i + 1}, {j + 1})"
+            want_d = sphere_metric_entry(space, c, i, j)  # delta_ij - c x_i x_j
+            if derive(space, yi, space.coordinate(j)) != want_d:
+                return _fail(space, "d_Yi x_j != delta_ij - c x_i x_j", pair=pair)
             got_conn = conn(yi, yj)
-            want_conn = -(c_fn * space.coordinate(j)) * yi
-            if got_conn != want_conn:
-                return _fail("nabla_Yi Y_j != -c x_j Y_i",
-                             {"pair": f"({i + 1}, {j + 1})",
-                              "got": space.format_field(got_conn)})
-            bracket = lie_bracket(space, yi, yj)
+            if got_conn != -(c_fn * space.coordinate(j)) * yi:
+                return _fail(space, "nabla_Yi Y_j != -c x_j Y_i", pair=pair, got=got_conn)
             want_b = (c_fn * space.coordinate(i)) * yj - (c_fn * space.coordinate(j)) * yi
-            if bracket != want_b:
-                return _fail("[Y_i, Y_j] != c(x_i Y_j - x_j Y_i)",
-                             {"pair": f"({i + 1}, {j + 1})"})
-            h = second_fundamental_form(hyper, yi, yj)
-            scale = want_d  # delta_ij - c x_i x_j
-            want_h = -(c_fn * scale) * hyper.quotient_normal
-            if h != want_h:
-                return _fail("h(Y_i, Y_j) != -c(delta_ij - c x_i x_j)N",
-                             {"pair": f"({i + 1}, {j + 1})"})
+            if lie_bracket(space, yi, yj) != want_b:
+                return _fail(space, "[Y_i, Y_j] != c(x_i Y_j - x_j Y_i)", pair=pair)
+            if second_fundamental_form(hyper, yi, yj) != -(c_fn * want_d) * hyper.quotient_normal:
+                return _fail(space, "h(Y_i, Y_j) != -c(delta_ij - c x_i x_j)N", pair=pair)
     return _ok(f"ambient pipeline and {n * n} spanning pairs")
 
 
@@ -533,7 +482,7 @@ def _check_space_form(ws, rng, cases, max_degree):
     report = verify_space_form(ws.hyper, ws.c)
     if not report.ok:
         which = "induced metric" if not report.metric_ok else "curvature"
-        return _fail(f"{which} identity fails", report.counterexample)
+        return _fail(ws.hyper.quotient, f"{which} identity fails", **report.counterexample)
     n = ws.hyper.quotient.nvars
     return _ok(f"all {n ** 3} spanning triples at c = {ws.c}")
 
@@ -543,28 +492,24 @@ def _check_space_form(ws, rng, cases, max_degree):
 
 
 class CheckSpec(Value):
-    """needs is "space", "quotient" or "sphere"; reads is "nothing", "metric",
-    "connection" or "inverse" (see degree_cap)."""
+    """needs is "space", "quotient" or "sphere"."""
 
-    _fields = ("name", "needs", "runner", "reads")
-
-    def __init__(self, name: str, needs: str, runner: Callable, reads: str = "metric"):
-        Value.__init__(self, name, needs, runner, reads)
+    _fields = ("name", "needs", "runner")
 
 
 REGISTRY = [
-    CheckSpec("pairing-duality", "space", _check_pairing_duality, "nothing"),
-    CheckSpec("differential-leibniz", "space", _check_differential_leibniz, "nothing"),
-    CheckSpec("anchor-compatibility", "space", _check_anchor, "nothing"),
-    CheckSpec("jacobi-identity", "space", _check_jacobi, "nothing"),
-    CheckSpec("connection-leibniz", "space", _check_connection_leibniz, "connection"),
-    CheckSpec("flat-curvature", "space", _check_flat_curvature, "connection"),
-    CheckSpec("koszul-flat-agreement", "space", _check_koszul_flat, "connection"),
-    CheckSpec("levi-civita", "space", _check_levi_civita_suite, "connection"),
-    CheckSpec("musical-roundtrip", "space", _check_musical_roundtrip, "inverse"),
+    CheckSpec("pairing-duality", "space", _check_pairing_duality),
+    CheckSpec("differential-leibniz", "space", _check_differential_leibniz),
+    CheckSpec("anchor-compatibility", "space", _check_anchor),
+    CheckSpec("jacobi-identity", "space", _check_jacobi),
+    CheckSpec("connection-leibniz", "space", _check_connection_leibniz),
+    CheckSpec("flat-curvature", "space", _check_flat_curvature),
+    CheckSpec("koszul-flat-agreement", "space", _check_koszul_flat),
+    CheckSpec("levi-civita", "space", _check_levi_civita_suite),
+    CheckSpec("musical-roundtrip", "space", _check_musical_roundtrip),
     CheckSpec("metric-transfer", "space", _check_metric_transfer),
-    CheckSpec("curvature-tensorial", "space", _check_curvature_tensorial, "connection"),
-    CheckSpec("normal-form-homomorphism", "quotient", _check_normal_form_hom, "nothing"),
+    CheckSpec("curvature-tensorial", "space", _check_curvature_tensorial),
+    CheckSpec("normal-form-homomorphism", "quotient", _check_normal_form_hom),
     CheckSpec("tangency", "quotient", _check_tangency),
     CheckSpec("projection-retraction", "quotient", _check_projection_retraction),
     CheckSpec("projection-orthogonal", "quotient", _check_projection_orthogonal),
@@ -597,11 +542,20 @@ def _degree(rows) -> int:
     return max([0] + [e.rep.total_degree() for row in rows for e in row])
 
 
+# What the products of a check read besides its random inputs, for degree_cap: the
+# checks not named here read the metric (or the quotient generator) alone.
+_READS = {**dict.fromkeys(["pairing-duality", "differential-leibniz", "anchor-compatibility",
+                           "jacobi-identity", "normal-form-homomorphism"], "nothing"),
+          **dict.fromkeys(["connection-leibniz", "flat-curvature", "koszul-flat-agreement",
+                           "levi-civita", "curvature-tensorial"], "connection"),
+          "musical-roundtrip": "inverse"}
+
+
 def degree_cap(ws: Workspace, names: Optional[list] = None) -> int:
     """The largest max_degree at which the named checks (all applicable ones by
     default) stay below total degree 127: see the module docstring."""
     chosen = names if names is not None else applicable_checks(ws)
-    reads = {spec.reads for spec in REGISTRY
+    reads = {_READS.get(spec.name, "metric") for spec in REGISTRY
              if spec.name in chosen and _missing(spec, ws) is None} - {"nothing"}
     if not reads:
         return MAX_RANDOM_DEGREE

@@ -127,6 +127,15 @@ def test_derived_caps():
         assert degree_cap(build_workspace(spec)[0]) == MAX_RANDOM_DEGREE
 
 
+def test_cap_survives_a_registry_rebuilt_from_name_needs_and_runner(monkeypatch):
+    # perfbench/tracing.install() rebuilds every row as type(spec)(name, needs, wrapped runner)
+    spec = DERIVED["dense_llt_n3"][0]
+    before = degree_cap(build_workspace(spec)[0])
+    monkeypatch.setattr(suites, "REGISTRY", [type(row)(row.name, row.needs, row.runner)
+                                             for row in suites.REGISTRY])
+    assert degree_cap(build_workspace(spec)[0]) == before == 37
+
+
 def test_checks_that_read_no_metric_keep_the_cap():
     ws, _ = build_workspace(DERIVED["diag_x10"][0])
     free = ["anchor-compatibility", "differential-leibniz", "jacobi-identity", "pairing-duality"]
