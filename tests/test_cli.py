@@ -117,6 +117,26 @@ def test_zero_determinant_metric_skips_instead_of_dividing_by_zero(tmp_path, cap
     assert code == 2 and err.startswith("error[MetricNotMusical]")
 
 
+def test_checks_without_a_connection_or_a_sphere_skip(tmp_path, capsys):
+    path = write_spec(tmp_path, dict(BASE, ring={"kind": "Fp", "p": 2},
+                                     metric={"diag": ["1", "x"]}))
+    code, out, err = run(capsys, ["check", path, "--json"])
+    assert (code, err) == (0, "")
+    skipped = {c["name"] for c in json.loads(out)["checks"]
+               if c["detail"] == "2 is not a unit, no connection available"}
+    assert skipped == {"connection-leibniz", "curvature-tensorial", "levi-civita"}
+    code, out, err = run(capsys, ["connection", path, "--x", "1, 0", "--y", "0, 1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[TwoNotAUnit]:")
+    # the Euclidean metric has its componentwise connection, but no Koszul one to compare
+    path = write_spec(tmp_path, dict(BASE, ring={"kind": "Fp", "p": 2},
+                                     checks=["koszul-flat-agreement", "space-form"]))
+    code, out, err = run(capsys, ["check", path, "--json"])
+    assert (code, err) == (0, "")
+    assert [(c["status"], c["detail"]) for c in json.loads(out)["checks"]] == [
+        ("skipped", "2 is not a unit"), ("skipped", "needs a sphere quotient with known c")]
+
+
 def test_rejects_asymmetric_matrix(tmp_path, capsys):
     spec = dict(BASE, metric={"matrix": [["1", "x"], ["0", "1"]]})
     code, _, err = run(capsys, ["check", write_spec(tmp_path, spec)])
