@@ -11,8 +11,13 @@ even pairs and the change in odd ones.  The output file keeps, per
 workload, every run's raw last-line JSON with its seed and side, and per
 end-to-end metric the median and quartiles (`statistics.quantiles`, n = 4)
 of each side and the number of pairs the change won.  A metric's direction
-comes from BENCHMARK.json in CHANGE_DIR.  An existing output file is
-updated: the workload's entry is replaced and the others are kept.
+and bound come from BENCHMARK.json in CHANGE_DIR.  `gain` is true when the
+change won at least 9 in 10 pairs and its median beats the parent's by more
+than the parent's quartile spread q3 - q1; `within_bound` is true when the
+change's median is no worse than the parent's by more than the bound, a
+fraction of the parent's median.  An existing output file is updated: the
+workload's entry is replaced and the others are kept.  The script exits 1,
+after writing the file, when any run is not correct or failed an operation.
 
 Both checkouts must hold compiled bytecode (`src/rinehart/__pycache__`)
 or neither: a compiled side skips compiling rinehart inside `setup_s`.
@@ -44,16 +49,23 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list, better: dict) -> dict:
+def summarise(runs: list, declared: list) -> dict:
+    """The summary per end-to-end metric of BENCHMARK.json, each a dict with
+    `name`, `better` and `bound`."""
     side = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     out = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
+        sign = 1 if direction == "higher" else -1  # > 0 where the change is better
         values = {s: [r["result"]["metrics"][name]["value"] for r in rs] for s, rs in side.items()}
-        wins = sum((c > p) if direction == "higher" else (c < p)
-                   for p, c in zip(values["parent"], values["change"]))
-        out[name] = {"better": direction, "parent": spread(values["parent"]),
-                     "change": spread(values["change"]), "change_won_pairs": wins,
-                     "pairs": len(values["change"])}
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        parent, change = spread(values["parent"]), spread(values["change"])
+        gained = sign * (change["median"] - parent["median"])
+        out[name] = {"better": direction, "parent": parent, "change": change,
+                     "change_won_pairs": wins, "pairs": len(values["change"]),
+                     "gain": 10 * wins >= 9 * len(values["change"])
+                     and gained > parent["q3"] - parent["q1"],
+                     "within_bound": gained >= -metric["bound"] * parent["median"]}
     out["failed"] = {s: sum(r["result"]["failed"] for r in rs) for s, rs in side.items()}
     out["attempted"] = {s: sum(r["result"]["attempted"] for r in rs) for s, rs in side.items()}
     return out
@@ -76,8 +88,7 @@ def main(argv=None) -> int:
     if len(compiled) == 1:
         parser.error(f"only the {compiled[0]} checkout holds src/rinehart/__pycache__, which"
                      " shortens its setup_s; remove it or compile both checkouts")
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -91,9 +102,9 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report["workloads"][args.workload] = {
-        "seconds": args.seconds, "runs": runs, "summary": summarise(runs, better)}
+        "seconds": args.seconds, "runs": runs, "summary": summarise(runs, declared)}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 0 if all(r["result"]["correct"] and not r["result"]["failed"] for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -283,8 +283,9 @@ class Poly(Value):
 
     @lazy
     def partials(self) -> tuple:
-        """All n first partials, taken once per polynomial: the one place derivatives are taken."""
-        n, mul, from_int = self.nvars, self.ring.mul, self.ring._from_int
+        """All n first partials, taken once per polynomial: the one place derivatives are taken.
+        The partials in the variables that do not occur share one zero Poly."""
+        n, times = self.nvars, self.ring.times
         # dividing every term by x_i shifts its key by the same step, the key of x_i
         steps = [(FIELD_BITS * i, (1 << (FIELD_BITS * n)) - (1 << (FIELD_BITS * i)), [])
                  for i in range(n)]
@@ -292,8 +293,10 @@ class Poly(Value):
             low = _digits(k, n)
             for at, step, part in steps:
                 if e := (low >> at) & (W - 1):
-                    part.append((k - step, mul(c, from_int(e))))
-        return tuple(_canonical(self.ring, n, part, self.den) for _, _, part in steps)
+                    part.append((k - step, times(c, e)))
+        zero = None if all(part for _, _, part in steps) else Poly(self.ring, n, ())
+        return tuple(_canonical(self.ring, n, part, self.den) if part else zero
+                     for _, _, part in steps)
 
 
 def _merge(a: Poly, b: Poly, sign: int) -> Poly:
@@ -320,7 +323,7 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
     map over the lcm of the pairs' denominators, each pair weighted once, and the map
     is made canonical once.  Given an ideal, that map is divided by its generator
     first, so the result is the normal form of the sum.  Operands are checked
-    against (ring, nvars), by identity first, and each product against MAX_DEGREE."""
+    against (ring, nvars), by identity first, and the products against MAX_DEGREE once."""
     add, mul = ring.add, ring.mul
     acc: dict = {}
     get = acc.get
@@ -331,8 +334,6 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
         ta, tb = a.terms, b.terms
         if not ta or not tb:
             continue
-        if _degree(ta[0][0], nvars) + _degree(tb[0][0], nvars) > MAX_DEGREE:
-            raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
         if (d := a.den * b.den) != den:
             if den % d:  # bring the map to lcm(den, d)
                 s = d // gcd(den, d)
@@ -347,6 +348,10 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
                 k = ka + kb
                 v = get(k)
                 acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
+    # the digits of two exponent vectors add without carry, and cancelled keys stay in acc,
+    # so a key past this bound is exactly a product past MAX_DEGREE
+    if acc and max(acc) > MAX_DEGREE << (FIELD_BITS * nvars):
+        raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
     if ideal is not None:
         gen = ideal.generator
         if (gen.ring is not ring and gen.ring != ring) or gen.nvars != nvars:

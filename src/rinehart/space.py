@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .errors import (MetricNotMusical, NotEuclidean, SpaceMismatch,
                      TwoNotAUnit)
 from .parse import parse_poly
-from .poly import (Poly, PrincipalIdeal, QuotientElem, divide_exact,
+from .poly import (Poly, PrincipalIdeal, QuotientElem, class_key, divide_exact,
                    format_poly, quotient_sum)
 from .rings import GroundScalar, RingDescriptor, Value
 from .tensors import (Metric, OneForm, VectorField, apply_matrix, flat, gram_table,
@@ -56,15 +56,14 @@ class RinehartSpace(Value):
 
     def coerce_fn(self, value) -> QuotientElem:
         if isinstance(value, QuotientElem):
-            if value.ideal != self.ideal or value.nvars != self.nvars:
-                raise SpaceMismatch("function belongs to a different space")
+            _check_fn(self, value)
             return value
         if isinstance(value, int):
             return self.constant(self.ring.from_int(value))
         if isinstance(value, GroundScalar):
             return self.constant(value)
         if isinstance(value, Poly):
-            return self.poly_fn(value)
+            return self.coerce_fn(self.poly_fn(value))
         raise TypeError(f"cannot interpret {value!r} as a function")
 
     def constant(self, c: GroundScalar) -> QuotientElem:
@@ -132,7 +131,7 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_field(space, x)
     _check_fn(space, f)
     f.check_peers(x.coeffs)
-    pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms]
+    pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms and d.terms]
     return quotient_sum(space.ring, space.nvars, pairs, space.ideal)
 
 
@@ -159,8 +158,9 @@ def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorF
     y.coeffs[0].check_peers(x.coeffs)
     xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
     return VectorField(space, tuple(quotient_sum(
-        space.ring, space.nvars, [*zip(xs, q.partials), *zip(negs, p.partials)], space.ideal)
-        for p, q in zip(xs, ys)))
+        space.ring, space.nvars,
+        [(a, d) for a, d in (*zip(xs, q.partials), *zip(negs, p.partials)) if d.terms],
+        space.ideal) for p, q in zip(xs, ys)))
 
 
 class EuclideanConnection:
@@ -194,8 +194,8 @@ class KoszulConnection:
     table Gamma^k_ij, the solution of G v = Gamma_ij,., with the identity,
     so `form(X, Y) == flat(nabla_X Y)`, also on a quotient.  When the Gram
     determinant is a certified unit (`Metric.det_status`, decided once per
-    metric) the solve is the adjugate times its inverse and the second-kind
-    table is built up front; otherwise each requested value solves
+    metric) the solve applies `Metric.inverse` and the second-kind table is
+    built up front; otherwise each requested value solves
     G v = form(X, Y) by exact division when possible and raises
     `MetricNotMusical` when not.
     """
@@ -241,7 +241,7 @@ class KoszulConnection:
         n = space.nvars
         xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
         live = [i for i in range(n) if xs[i].terms]
-        dy = [[(xs[i], ys[j].partials[i]) for i in live] for j in range(n)]
+        dy = [[(xs[i], d) for i in live if (d := ys[j].partials[i]).terms] for j in range(n)]
         xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
         out = []
         for k in range(n):
@@ -259,15 +259,13 @@ class KoszulConnection:
     def _solve(self, beta: tuple) -> Optional[tuple]:
         """Solve G v = beta exactly, or return None."""
         metric = self.space.metric
-        raised = apply_matrix(metric.adjugate(), beta)
-        _, det_inv = metric.det_status
-        if det_inv is not None:
-            return tuple(det_inv * w for w in raised)
+        if metric.inverse is not None:
+            return apply_matrix(metric.inverse, beta)
         det = metric.det()
         if self.space.ideal is not None or not self.space.ring.is_field() or det.is_zero():
             return None
         out = []
-        for w in raised:
+        for w in apply_matrix(metric.adjugate(), beta):
             q = divide_exact(w.rep, det.rep)
             if q is None:
                 return None
@@ -318,7 +316,14 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
     fields = space.basis_fields()
     form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
     metric = space.metric
-    value = conn.form if form_level else conn
+    connect = conn.form if form_level else conn
+    values: dict = {}  # each value once in this run: (x, y) of the torsion loop serves (x, y, z)
+
+    def value(x, y):
+        key = class_key(x.coeffs + y.coeffs)
+        if (v := values.get(key)) is None:
+            v = values[key] = connect(x, y)
+        return v
 
     def torsion_gap(x, y):
         bracket = lie_bracket(space, x, y)
@@ -327,8 +332,8 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
     def compat_gap(x, y, z):
         lhs = derive(space, x, inner(y, z, metric))
         if form_level:
-            return lhs - (pairing(z, conn.form(x, y)) + pairing(y, conn.form(x, z)))
-        return lhs - (inner(conn(x, y), z, metric) + inner(y, conn(x, z), metric))
+            return lhs - (pairing(z, value(x, y)) + pairing(y, value(x, z)))
+        return lhs - (inner(value(x, y), z, metric) + inner(y, value(x, z), metric))
 
     from .randgen import random_field  # imported here, so `import rinehart` skips randgen
     samples_pairs = [(x, y) for x in fields for y in fields]

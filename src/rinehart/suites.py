@@ -22,10 +22,11 @@ det G is a unit.  Without them those checks stay at the one-form level,
 which reaches 3d + m - 1 (G X times d_X(fY)).  With them levi-civita's
 <nabla_X Y, Z> multiplies X Y Gamma^k_ij by G and Z, degree 3d + m + g,
 and a curvature nabla_X nabla_Y Z reaches 3d + 2g.  musical-roundtrip forms
-sharp(flat X) = adj(G) G X / det G, of degree d + m + deg adj(G), so it is
-also capped at 127 - m - deg adj(G).  The sphere (deg f = 2), Euclidean and
-constant metrics and [[x^2+1, x], [x, 1]], whose symbols are constant, keep
-41; a dense 3 x 3 G = L L^T with linear L has symbols of degree 5 and gets 37.
+sharp(flat X) = G^-1 G X with G^-1 = adj(G) / det G (`Metric.inverse`), of
+degree d + m + deg G^-1, so it is also capped at 127 - m - deg G^-1.  The
+sphere (deg f = 2), Euclidean and constant metrics and [[x^2+1, x], [x, 1]],
+whose symbols are constant, keep 41; a dense 3 x 3 G = L L^T with linear L
+has symbols of degree 5 and gets 37.
 Quotients take only a constant metric, so there deg f alone lowers the cap.
 """
 
@@ -573,7 +574,7 @@ def degree_cap(ws: Workspace, names: Optional[list] = None) -> int:
                                            ws.hyper.q.rep.total_degree())
     cap = min(MAX_RANDOM_DEGREE, (MAX_DEGREE - 2 * (m + g) - 2 * deg_f) // 3)
     if "inverse" in reads and metric.det_status[1] is not None:
-        cap = min(cap, MAX_DEGREE - m - _degree(metric.adjugate()))
+        cap = min(cap, MAX_DEGREE - m - _degree(metric.inverse))
     return cap
 
 

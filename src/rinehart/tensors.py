@@ -3,7 +3,7 @@
 Vector fields and one-forms are coefficient vectors in the coordinate
 bases X_i and om_i; the pairing <X_i, om_j> = delta_ij extends
 O-bilinearly.  A metric is a symmetric Gram matrix; lowering an index is
-always possible, raising one goes through the adjugate and needs a
+always possible, raising one goes through det(G)^-1 adj(G) and needs a
 certified unit determinant.  A metric keeps one memoised table of minors,
 read by det and adjugate, and decides once whether its det is a unit.
 Each sum of products (pairing, inner product, matrix row, minor expansion)
@@ -144,6 +144,12 @@ class Metric(Value):
         """unit_status(det G), (status, inverse): the metric's one unit decision."""
         return unit_status(self.det())
 
+    @lazy
+    def inverse(self):
+        """det(G)^-1 adj(G) when det G is a certified unit, else None; built once."""
+        if (det_inv := self.det_status[1]) is not None:
+            return tuple(tuple(det_inv * a for a in row) for row in self.adjugate())
+
 
 def _dot(a: tuple, b: tuple) -> QuotientElem:
     """sum_i a_i b_i as one raw sum of products with one normal form."""
@@ -188,14 +194,12 @@ def flat(x: VectorField, metric: Metric) -> OneForm:
 
 
 def sharp(om: OneForm, metric: Metric) -> VectorField:
-    """Raise an index through the adjugate; needs det(G) a certified unit."""
+    """Raise an index through `Metric.inverse`; needs det(G) a certified unit."""
     if metric.n != len(om.coeffs):
         raise SpaceMismatch("metric dimension does not match the space")
-    status, det_inv = metric.det_status
-    if det_inv is None:
-        raise MetricNotMusical(f"metric determinant is {status.value}")
-    raised = apply_matrix(metric.adjugate(), om.coeffs)
-    return VectorField(om.space, tuple(det_inv * v for v in raised))
+    if metric.inverse is None:
+        raise MetricNotMusical(f"metric determinant is {metric.det_status[0].value}")
+    return VectorField(om.space, apply_matrix(metric.inverse, om.coeffs))
 
 
 def in_maximal_ideal_submodule(x: VectorField, ideal: PrincipalIdeal,

@@ -140,7 +140,9 @@ nonzero_fractions = fractions.filter(bool)
 
 
 def values(ring):
-    return st.tuples(fractions, fractions) if ring is QI else fractions
+    if ring is F7:
+        return st.integers(-6, 6).map(Fraction)
+    return st.tuples(fractions, fractions) if isinstance(ring, QuadExt) else fractions
 
 
 def refs(ring, max_exp=3, max_terms=6):
@@ -198,6 +200,27 @@ def test_kernel_matches_the_fraction_reference(name, data):
     ideal = PrincipalIdeal.of(pf)
     reduced = sum_products(ring, NVARS, [(pa, pb), (pc, pd)], ideal)
     assert ref_of(reduced) == r_divmod(r_add(r_mul(a, b), r_mul(c, d)), f)[1]
+
+
+PARTIAL_RINGS = {"Q": Q, "F7": F7, "Qi": QI, "Qj": QuadExt(Q, 1)}
+
+
+def mod7(ref: dict) -> dict:
+    return clean({m: Fraction(int(c) % 7) for m, c in ref.items()})
+
+
+@pytest.mark.parametrize("name", PARTIAL_RINGS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_partials_match_the_fraction_reference(name, data):
+    # exponents up to 8 reach e = 7, whose weight vanishes over F_7; the reference
+    # weights by (e, 0) over Q(al), where i- and j-multiplication agree
+    ring = PARTIAL_RINGS[name]
+    a = data.draw(refs(ring, max_exp=8), label="a")
+    want = mod7 if ring is F7 else (lambda ref: ref)
+    pa = poly_of(ring, a)
+    assert ref_of(pa) == want(a)
+    assert [ref_of(p) for p in pa.partials] == [want(r_diff(a, i)) for i in range(NVARS)]
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,14 @@ def test_kernel_checks_every_operand_and_product():
     assert sum_products(Q, 2, [(top, x), (x, top)]).total_degree() == MAX_DEGREE
     with pytest.raises(DegreeOverflow):
         sum_products(Q, 2, [(x, x), (top, x * x)])
+
+
+def test_overflow_is_caught_when_the_top_products_cancel():
+    # the sum is zero, yet x^64 * x^64 has total degree 128
+    x = Poly.variable(Q, 2, 0)
+    half = x ** 64
+    with pytest.raises(DegreeOverflow, match="product exceeds total degree"):
+        sum_products(Q, 2, [(half, half), (-half, half)])
+    y = Poly.variable(Q, 2, 1)
+    at_cap = sum_products(Q, 2, [(half, x ** 63), (half, y ** 63), (-half, y ** 63)])
+    assert at_cap == x ** MAX_DEGREE and at_cap.total_degree() == 127

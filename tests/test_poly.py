@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rinehart import (ArityMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt, QuotientElem,
                       Rationals, RingMismatch, UnitStatus, divide_exact, divmod_poly,
-                      format_poly, normal_form, unit_status)
+                      format_poly, normal_form, parse_poly, unit_status)
 from rinehart.poly import pack
 from conftest import sample_scalar, seeded
 
@@ -183,6 +183,16 @@ def test_partials_match_the_term_by_term_derivative(any_ring):
     # e = p in characteristic p: the term drops
     x = Poly.variable(PrimeField(5), 1, 0)
     assert (x ** 5).partials == (Poly.zero(PrimeField(5), 1),)
+
+
+def test_absent_variables_share_one_zero_partial():
+    names = ("x", "y", "z", "w")
+    d = parse_poly("x^2*z + 3*z - 1", Q, names).partials
+    assert d[1] is d[3] and d[1] == Poly.zero(Q, 4)
+    assert d[0] == parse_poly("2*x*z", Q, names) and d[2] == parse_poly("x^2 + 3", Q, names)
+    # x^7 over F_7: x occurs, yet its weight 7 reduces to 0
+    x, y = Poly.variable(PrimeField(7), 2, 0), Poly.variable(PrimeField(7), 2, 1)
+    assert (x ** 7 + y).partials == (Poly.zero(PrimeField(7), 2), y ** 0)
 
 
 def test_total_degree_and_zero_conventions():

@@ -10,6 +10,8 @@ Independent oracles:
     x1/(x1^2+1) is not a polynomial.
 """
 
+from random import Random
+
 import pytest
 
 from rinehart import (EuclideanConnection, IdealMismatch, KoszulConnection, Metric,
@@ -18,6 +20,7 @@ from rinehart import (EuclideanConnection, IdealMismatch, KoszulConnection, Metr
                       ambient_derivative, check_constant_curvature, check_levi_civita,
                       curvature, derive, differential, flat, gradient, inner,
                       lie_bracket, pairing)
+from rinehart.poly import class_key
 from rinehart.tensors import VectorField
 from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_fn
@@ -333,6 +336,54 @@ def test_koszul_levi_civita_on_unit_det_metric():
         lhs = derive(sp, x, inner(y, y, g))
         rhs = 2 * inner(kz(x, y), y, g)
         assert lhs == rhs
+
+
+def counted(monkeypatch, method: str) -> list:
+    """The class keys of the (X, Y) arguments of every call of a KoszulConnection method."""
+    calls = []
+    original = getattr(KoszulConnection, method)
+
+    def counting(self, x, y):
+        calls.append(class_key(x.coeffs + y.coeffs))
+        return original(self, x, y)
+
+    monkeypatch.setattr(KoszulConnection, method, counting)
+    return calls
+
+
+def test_check_levi_civita_forms_each_value_once(monkeypatch):
+    # G = L L^T with L = [[1, 0, 0], [x, 1, 0], [y, z, 1]], so det G = 1
+    names = ("x", "y", "z")
+    helper = _sp(names)
+    rows = (("1", "x", "y"), ("x", "x^2 + 1", "x*y + z"), ("y", "x*y + z", "y^2 + z^2 + 1"))
+    sp = RinehartSpace.with_metric(
+        Q, names, Metric(tuple(tuple(helper.fn(t) for t in row) for row in rows)))
+    kz = KoszulConnection(sp)
+    assert kz.fully_solvable
+    calls = counted(monkeypatch, "__call__")
+    assert check_levi_civita(sp, kz, rng=Random(7), cases=40).ok
+    # the 9 basis pairs, and (x, y), (y, x) and (x, z) of each random trio
+    assert len(calls) == len(set(calls)) == 9 + 3 * 40
+
+
+def test_check_levi_civita_forms_each_one_form_once(monkeypatch):
+    sp = RinehartSpace.with_metric(
+        Q, ("x", "y"), Metric.diagonal([_sp().fn("1"), _sp().fn("x^2 + 1")]))
+    kz = KoszulConnection(sp)
+    assert not kz.fully_solvable
+    calls = counted(monkeypatch, "form")
+    assert check_levi_civita(sp, kz, rng=Random(7), cases=10).ok
+    assert len(calls) == len(set(calls)) == 4 + 3 * 10
+
+
+def test_functions_of_another_ground_ring_are_refused_at_construction():
+    sp = _sp()
+    foreign = RinehartSpace.euclidean(PrimeField(7), ("x", "y")).fn("x + 1")
+    for build in (lambda: sp.field([foreign, 0]), lambda: sp.form([0, foreign]),
+                  lambda: sp.coerce_fn(foreign), lambda: sp.coerce_fn(foreign.rep),
+                  lambda: foreign * sp.basis_field(0)):
+        with pytest.raises(SpaceMismatch, match="function belongs to a different space"):
+            build()
 
 
 def test_check_levi_civita_rejects_perturbed_connection():

@@ -46,21 +46,27 @@ def test_traced_check_names_are_the_registry():
     assert sorted(tracing.CHECK_NAMES) == sorted(CHECK_NAMES)
 
 
+DECLARED = [{"name": "identities_per_s", "better": "higher", "bound": 0.25},
+            {"name": "wall_s", "better": "lower", "bound": 0.25}]
+
+
+def synthetic_result(value: float, failed=0, correct=True) -> dict:
+    metrics = {"identities_per_s": {"value": value}, "wall_s": {"value": 100 / value}}
+    return {"metrics": metrics, "failed": failed, "attempted": 10, "correct": correct}
+
+
 def synthetic_runs(parent: list, change: list, failed=(0, 0)) -> list:
     runs = []
     for pair, (p, c) in enumerate(zip(parent, change)):
         for side, value, fails in (("parent", p, failed[0]), ("change", c, failed[1])):
-            metrics = {"identities_per_s": {"value": value}, "wall_s": {"value": 100 / value}}
-            runs.append({"pair": pair, "side": side,
-                         "result": {"metrics": metrics, "failed": fails, "attempted": 10}})
+            runs.append({"pair": pair, "side": side, "result": synthetic_result(value, fails)})
     return runs
 
 
 def test_summary_medians_quartiles_and_pairs_won():
     parent = [10.0, 12.0, 11.0, 9.0, 13.0]
     change = [11.0, 11.5, 12.0, 10.0, 14.0]
-    better = {"identities_per_s": "higher", "wall_s": "lower"}
-    summary = bench_pairs.summarise(synthetic_runs(parent, change, failed=(1, 2)), better)
+    summary = bench_pairs.summarise(synthetic_runs(parent, change, failed=(1, 2)), DECLARED)
     ips = summary["identities_per_s"]
     q1, median, q3 = statistics.quantiles(parent, n=4)
     assert ips["parent"] == {"median": median, "q1": q1, "q3": q3}
@@ -75,10 +81,61 @@ def test_summary_medians_quartiles_and_pairs_won():
 
 
 def test_summary_counts_ties_for_neither_side():
-    summary = bench_pairs.summarise(synthetic_runs([5.0, 5.0], [5.0, 6.0]),
-                                    {"identities_per_s": "higher", "wall_s": "lower"})
+    summary = bench_pairs.summarise(synthetic_runs([5.0, 5.0], [5.0, 6.0]), DECLARED)
     assert summary["identities_per_s"]["change_won_pairs"] == 1
     assert summary["wall_s"]["change_won_pairs"] == 1
+
+
+def test_gain_needs_nine_in_ten_pairs_and_a_median_past_the_parent_spread():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert q3 - q1 == 2.5
+    cases = (([p + 3 for p in parent], True),  # 10/10 won, medians 3 apart
+             ([p + 2 for p in parent], False),  # 10/10 won, but only 2 apart
+             ([p + 3 for p in parent[:9]] + [90.0], True),  # 9/10 won
+             ([p + 3 for p in parent[:8]] + [90.0, 90.0], False))  # 8/10 won
+    for change, gain in cases:
+        ips, wall = (bench_pairs.summarise(synthetic_runs(parent, change), DECLARED)[name]
+                     for name in ("identities_per_s", "wall_s"))
+        assert ips["gain"] is gain, change
+        # wall_s = 100 / rate is lower exactly where the rate is higher
+        assert wall["change_won_pairs"] == ips["change_won_pairs"]
+        assert ips["within_bound"] and wall["within_bound"]
+    # a change that loses every pair gains nothing, however far its median moves
+    assert not bench_pairs.summarise(synthetic_runs(parent, [p - 30 for p in parent]),
+                                     DECLARED)["identities_per_s"]["gain"]
+
+
+@pytest.mark.parametrize("factor, within", [(0.76, True), (0.74, False)])
+def test_within_bound_allows_the_declared_fraction_of_the_parent_median(factor, within):
+    parent = [100.0, 100.0, 100.0]
+    summary = bench_pairs.summarise(synthetic_runs(parent, [p * factor for p in parent]),
+                                    DECLARED)
+    # a rate 0.76x is 24 % worse; its wall time 1/0.76x is 31.6 % worse, past 25 %
+    assert summary["identities_per_s"]["within_bound"] is within
+    assert summary["wall_s"]["within_bound"] is False
+    assert not summary["identities_per_s"]["gain"] and not summary["wall_s"]["gain"]
+
+
+@pytest.mark.parametrize("bad, code", [({}, 0), ({"failed": 1}, 1), ({"correct": False}, 1)])
+def test_pairs_write_the_file_then_exit_1_on_a_failed_run(tmp_path, monkeypatch, bad, code):
+    roots = {name: tmp_path / name for name in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(
+        bench_pairs.json.dumps({"end_to_end": DECLARED}))
+
+    def run_once(root, workload, seed, seconds):
+        result = synthetic_result(10.0 + seed)
+        return {**result, **bad} if root.name == "change" and seed == 2 else result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
+                             "--pairs", "2", "--seed", "1", "--out", str(out)]) == code
+    written = bench_pairs.json.loads(out.read_text())["workloads"]["w"]
+    assert len(written["runs"]) == 4
+    assert written["summary"]["failed"] == {"parent": 0, "change": bad.get("failed", 0)}
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])

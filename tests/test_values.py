@@ -83,7 +83,7 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
                     setattr(obj, name, first)
     assert seen == {
         "Poly.partials", "PrincipalIdeal.divisor", "QuadExt._zero", "QuadExt._one",
-        "Metric._minors", "Metric._adjugate", "Metric.det_status",
+        "Metric._minors", "Metric._adjugate", "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
         "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
         "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
