@@ -22,7 +22,7 @@ from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
                      NotTangent, SpaceMismatch)
 from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum, sum_products
 from .rings import GroundScalar, RingDescriptor, Value, lazy
-from .space import RinehartSpace, check_constant_curvature, gradient
+from .space import RinehartSpace, check_constant_curvature, derivative_pairs, gradient
 from .tensors import VectorField, flat, gram_table, inner
 
 
@@ -189,11 +189,12 @@ class InducedConnection:
     """Tangent projection of the ambient componentwise connection.
 
     P(D_X W)_l = sum_k (sum_i X_i d_i W_k) M_kl, with one normal form per
-    component.  Values are computed on canonical representatives; the result
-    is independent of the representatives for tangent arguments.  Values are
-    memoised per hypersurface, keyed by coefficients, so all connections built
-    on one hypersurface compute each once; each W_k keeps its own partials.
-    Tangency of each distinct argument is proved once per hypersurface.
+    component; the pairs (X_i, d_i W_k) come from `derivative_pairs`, as for
+    every derivative along a field.  Values are computed on canonical
+    representatives; the result is independent of the representatives for
+    tangent arguments.  Values are memoised per hypersurface, keyed by
+    coefficients, so all connections built on one hypersurface compute each
+    once.  Tangency of each distinct argument is proved once per hypersurface.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
@@ -207,12 +208,15 @@ class InducedConnection:
         key = (class_key(xq.coeffs), class_key(yq.coeffs))
         hit = self._memo.get(key)
         if hit is None:
-            _check_tangent(hyper, xq, yq)
-            ring, n = hyper.quotient.ring, hyper.quotient.nvars
-            xs = [c.rep for c in xq.coeffs]
-            hit = self._memo[key] = _project(hyper, [
-                sum_products(ring, n, zip(xs, w.rep.partials)) for w in yq.coeffs])
+            hit = self._memo[key] = _project(hyper, _raw_derivative(hyper, xq, yq))
         return hit
+
+
+def _raw_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> list:
+    """The unreduced sums sum_i X_i d_i Y_k of tangent X, Y; NotTangent for a field that is not."""
+    _check_tangent(hyper, xq, yq)
+    xs, ring, n = [c.rep for c in xq.coeffs], hyper.quotient.ring, hyper.quotient.nvars
+    return [sum_products(ring, n, derivative_pairs(xs, w.rep)) for w in yq.coeffs]
 
 
 def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
@@ -232,12 +236,7 @@ def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
     """h(X, Y) = q<D_X Y, N>N, the normal part of the ambient derivative of tangent
     fields, with q<D_X Y, N> = sum_k (sum_i X_i d_i Y_k) q (G N)_k one raw sum."""
-    xq, yq = hyper.to_quotient(x), hyper.to_quotient(y)
-    _check_tangent(hyper, xq, yq)
-    ring, n = hyper.quotient.ring, hyper.quotient.nvars
-    xs = [c.rep for c in xq.coeffs]
-    return _normal_part(hyper, [sum_products(ring, n, zip(xs, w.rep.partials))
-                                for w in yq.coeffs])
+    return _normal_part(hyper, _raw_derivative(hyper, hyper.to_quotient(x), hyper.to_quotient(y)))
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:

@@ -5,7 +5,8 @@ and a metric.  On top of it live the differential, derivations along
 fields, gradients, the Lie bracket of the coordinate module, two
 connection constructions (componentwise overwrite for the Euclidean
 metric, the Koszul formula otherwise) and the curvature operator, all in
-exact arithmetic.
+exact arithmetic.  Every derivative along a field forms its pairs
+(X_i, d_i p) in `derivative_pairs` and fuses them with its own normal form.
 """
 
 from __future__ import annotations
@@ -120,10 +121,24 @@ def _check_field(space: RinehartSpace, x: VectorField):
         raise SpaceMismatch("field belongs to a different space")
 
 
+def _check_pair(space: RinehartSpace, x: VectorField, y: VectorField):
+    """x and y are fields of `space`, y's coefficients are its functions and x's their peers."""
+    _check_field(space, x)
+    _check_field(space, y)
+    _check_fn(space, *y.coeffs)
+    y.coeffs[0].check_peers(x.coeffs)
+
+
 def differential(space: RinehartSpace, f: QuotientElem) -> OneForm:
     """df = sum_i (partial f / partial x_i) om_i on the canonical representative."""
     _check_fn(space, f)
     return OneForm(space, tuple(QuotientElem(d, space.ideal) for d in f.rep.partials))
+
+
+def derivative_pairs(xs: list, p: Poly) -> list:
+    """The pairs (X_i, d_i p) of the anchor sum_i X_i d_i p over raw coefficients xs, where
+    both factors are nonzero: the one place the ambient derivative's pairs are formed."""
+    return [(a, d) for a, d in zip(xs, p.partials) if a.terms and d.terms]
 
 
 def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientElem:
@@ -131,8 +146,8 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_field(space, x)
     _check_fn(space, f)
     f.check_peers(x.coeffs)
-    pairs = [(c.rep, d) for c, d in zip(x.coeffs, f.rep.partials) if c.rep.terms and d.terms]
-    return quotient_sum(space.ring, space.nvars, pairs, space.ideal)
+    return quotient_sum(space.ring, space.nvars,
+                        derivative_pairs([c.rep for c in x.coeffs], f.rep), space.ideal)
 
 
 def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
@@ -152,14 +167,10 @@ def ambient_derivative(space: RinehartSpace, x: VectorField, y: VectorField) -> 
 
 def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^k = sum_i X^i d_i Y^k - Y^i d_i X^k = D(X, Y) - D(Y, X), one normal form each."""
-    _check_field(space, x)
-    _check_field(space, y)
-    _check_fn(space, *y.coeffs)
-    y.coeffs[0].check_peers(x.coeffs)
+    _check_pair(space, x, y)
     xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
     return VectorField(space, tuple(quotient_sum(
-        space.ring, space.nvars,
-        [(a, d) for a, d in (*zip(xs, q.partials), *zip(negs, p.partials)) if d.terms],
+        space.ring, space.nvars, derivative_pairs(xs, q) + derivative_pairs(negs, p),
         space.ideal) for p, q in zip(xs, ys)))
 
 
@@ -233,15 +244,10 @@ class KoszulConnection:
         """Component k of sum_j w[k][j] d_X Y^j + sum_ij X^i Y^j table[(i, j)][k], over
         the nonzero columns `symbols` of the table, each one raw sum of products with one
         normal form."""
-        space = self.space
-        _check_field(space, x)
-        _check_field(space, y)
-        _check_fn(space, *y.coeffs)
-        self._identity[0][0].check_peers(x.coeffs)
-        n = space.nvars
+        space, n = self.space, self.space.nvars
+        _check_pair(space, x, y)
         xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
-        live = [i for i in range(n) if xs[i].terms]
-        dy = [[(xs[i], d) for i in live if (d := ys[j].partials[i]).terms] for j in range(n)]
+        dy = [derivative_pairs(xs, q) for q in ys]
         xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
         out = []
         for k in range(n):

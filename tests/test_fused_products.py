@@ -12,17 +12,25 @@ G = L L^T metrics of determinant 1.  Mixed operands must raise the same
 error classes in both.
 """
 
+import json
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinehart import (ArityMismatch, DegreeOverflow, IdealMismatch, KoszulConnection, Metric,
-                      Poly, PrimeField, QuadExt, Rationals, RingMismatch, RinehartError,
-                      RinehartSpace, SpaceMismatch, ambient_derivative, derive,
-                      differential, inner, make_sphere, pairing, sum_products)
+from rinehart import (ArityMismatch, DegreeOverflow, IdealMismatch, InducedConnection,
+                      KoszulConnection, Metric, Poly, PrimeField, QuadExt, Rationals,
+                      RingMismatch, RinehartError, RinehartSpace, SpaceMismatch,
+                      ambient_derivative, derive, differential, inner, lie_bracket,
+                      make_sphere, pairing, parse_poly, second_fundamental_form,
+                      spanning_fields, sum_products)
+from rinehart import hypersurface, space as space_module
+from rinehart.cli import build_workspace
 from rinehart.poly import MAX_DEGREE, QuotientElem
+from rinehart.suites import run_checks
 from rinehart.tensors import VectorField, apply_matrix
 
 Q = Rationals()
@@ -167,6 +175,8 @@ def test_fused_sums_match_per_product_reduction(ring_name, data):
     assert apply_matrix(metric.entries, y.coeffs) == ref_apply_matrix(metric.entries, y.coeffs)
     assert derive(space, x, f) == ref_derive(space, x, f)
     assert ambient_derivative(space, x, y) == ref_ambient_derivative(space, x, y)
+    assert lie_bracket(space, x, y) == (ref_ambient_derivative(space, x, y)
+                                        - ref_ambient_derivative(space, y, x))
 
 
 @pytest.mark.parametrize("ring_name", RINGS)
@@ -180,6 +190,67 @@ def test_koszul_values_match_per_product_reduction(ring_name, data):
     assert conn(x, y) == ref_koszul(conn, x, y)
     basis = space.basis_fields()
     assert conn(basis[0], basis[-1]) == ref_koszul(conn, basis[0], basis[-1])
+
+
+# ---------------------------------------------------------------------------
+# the one pair builder
+
+
+def anchor_values() -> dict:
+    """derive and the bracket on one fixed sphere input and one fixed L L^T input, the
+    Koszul value on the second and the induced connection and second form on the first.
+    Every space is built afresh, so no value memo outlives a call."""
+    hyper = make_sphere(Q, 3, Q.one(), var_names=NAMES)
+    sphere = hyper.quotient
+    sx, _, sy = spanning_fields(hyper)
+    sx = sphere.fn("y + 2") * sx
+    lower = [[None] * 3, [parse_poly("x + 1", Q, NAMES)] + [None] * 2,
+             [Poly.zero(Q, 3), parse_poly("2*y - 1", Q, NAMES), None]]
+    entries = metric_entries(Q, 3, "polynomial", lower)
+    metric = Metric(tuple(tuple(QuotientElem(e, None) for e in row) for row in entries))
+    plain = RinehartSpace.with_metric(Q, NAMES, metric)
+    px, py = fld(plain, "x*y + 1", "z^2", "x - y"), fld(plain, "y*z", "x^2 + z", "y + x*z")
+    return {
+        "derive": [derive(sphere, sx, sphere.fn("x*y*z + y^2")),
+                   derive(plain, px, plain.fn("x^2*z + y*z^2"))],
+        "lie_bracket": [lie_bracket(sphere, sx, sy), lie_bracket(plain, px, py)],
+        "KoszulConnection.__call__": [KoszulConnection(plain)(px, py)],
+        "InducedConnection.__call__": [InducedConnection(hyper)(sx, sy)],
+        "second_fundamental_form": [second_fundamental_form(hyper, sx, sy)],
+    }
+
+
+def test_every_ambient_derivative_reads_the_one_pair_builder(monkeypatch):
+    # a planted bug in derivative_pairs, dropping its last pair, changes all five values
+    before = anchor_values()
+    original = space_module.derivative_pairs
+    binders = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("rinehart") and vars(module).get("derivative_pairs") is original]
+    assert {m.__name__ for m in binders} >= {"rinehart.space", "rinehart.hypersurface"}
+    for module in binders:
+        monkeypatch.setattr(module, "derivative_pairs", lambda xs, p: original(xs, p)[:-1])
+    after = anchor_values()
+    for name, values in before.items():
+        assert all(a != b for a, b in zip(after[name], values)), name
+
+
+def test_hypersurface_sums_get_no_zero_factor(monkeypatch):
+    # the induced connection and the second form hand sum_products nonzero factors only
+    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "sphere_q_n3.json"
+    ws, _ = build_workspace(json.loads(path.read_text(encoding="utf-8")))
+    seen = []
+
+    def recording(ring, nvars, pairs, ideal=None):
+        pairs = list(pairs)
+        seen.extend(pairs)
+        return sum_products(ring, nvars, pairs, ideal)
+
+    monkeypatch.setattr(hypersurface, "sum_products", recording)
+    names = ["gauss-split", "second-form-symmetric", "space-form"]
+    results = run_checks(ws, names=names, seed=7, cases=5)
+    assert [(r.name, r.status) for r in results] == [(name, "pass") for name in names]
+    assert len(seen) > 100
+    assert all(a.terms and b.terms for a, b in seen)
 
 
 # ---------------------------------------------------------------------------

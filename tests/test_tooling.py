@@ -1,12 +1,15 @@
-"""The benchmark's tooling against the package: traced names and the pair summary.
+"""The benchmark's tooling against the package: traced names, the pair summary and
+the bytecode count.
 
-`perfbench/tracing.py` wraps functions and methods by name, and
-`scripts/bench_pairs.py` summarises alternating parent/change runs.  Both
-are loaded from their files; neither is a package.
+`perfbench/tracing.py` wraps functions and methods by name,
+`scripts/bench_pairs.py` summarises alternating parent/change runs and
+`scripts/opcount.py` counts executed bytecodes.  All three are loaded from
+their files; none is a package.
 """
 
 import importlib
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -25,6 +28,7 @@ def load(relative: str):
 
 tracing = load("perfbench/tracing.py")
 bench_pairs = load("scripts/bench_pairs.py")
+opcount = load("scripts/opcount.py")
 
 
 @pytest.mark.parametrize("entry", tracing.FUNCTIONS, ids=lambda e: f"{e[1]}.{e[2]}")
@@ -162,3 +166,20 @@ def test_pairs_pass_the_bytecode_gate_when_both_sides_agree(tmp_path, compiled):
     with pytest.raises(FileNotFoundError):
         bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
                           "--seed", "1", "--out", str(tmp_path / "bench.json")])
+
+
+def test_opcount_is_the_same_in_two_fresh_interpreters(tmp_path):
+    spec = {"schema_version": 1, "ring": {"kind": "Q"}, "vars": ["x", "y"],
+            "metric": "euclidean", "checks": ["pairing-duality"], "seed": 1, "max_degree": 1}
+    job = {"mode": "check", "specs": opcount.write_specs([spec], tmp_path)}
+    first, second = opcount.count(ROOT, job), opcount.count(ROOT, job)
+    assert first == second > 0
+
+
+def test_opcount_round_zero_is_the_benchmark_round(tmp_path):
+    inputs = opcount.load_inputs()
+    job = opcount.round_zero("koszul-metric", 3, tmp_path)
+    specs = [json.loads(Path(path).read_text(encoding="utf-8")) for path in job["specs"]]
+    assert specs == [op["spec"] for op in inputs.koszul_inputs(3, 0)]
+    sweep = opcount.round_zero("space-form-sweep", 3, tmp_path)
+    assert sweep["items"] == [item for _, items in inputs.sweep_inputs(3) for item in items]
