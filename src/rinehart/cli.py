@@ -42,8 +42,6 @@ from .suites import (CHECK_NAMES, MAX_RANDOM_DEGREE, CheckResult, Workspace,
                      applicable_checks, degree_cap, run_checks)
 from .tensors import Metric, VectorField
 
-DEFAULT_CASES = 40
-
 
 class SpecMeta(Value):
     """The run settings of a spec: checks (a list or None), seed and max_degree."""
@@ -135,10 +133,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
             try:
                 hyper = make_sphere(ring, n, c_scalar, var_names=names)
             except (NotAUnit, CharTwoUnsupported, ValueError) as exc:
-                # make_sphere checks the variable count, then the ring, then c
-                field = ("vars" if n < 2 else "ring" if ring.characteristic() == 2
-                         else "quotient.sphere.c")
-                raise ValidationError(field, str(exc)) from None
+                field = {CharTwoUnsupported: "ring", NotAUnit: "quotient.sphere.c"}
+                raise ValidationError(field.get(type(exc), "vars"), str(exc)) from None
             space = hyper.ambient
         elif "generator" in quotient_spec:
             if "q" not in quotient_spec:
@@ -253,8 +249,7 @@ def _cmd_check(ws, meta, args) -> int:
         raise ValidationError("max_degree", f"must be an integer in 1..{cap} for these checks"
                               if cap >= 1 else "the metric and quotient degrees of these "
                               "checks leave no room below total degree 127")
-    results = run_checks(ws, names=meta.checks, seed=seed,
-                         max_degree=max_degree, cases=DEFAULT_CASES)
+    results = run_checks(ws, names=meta.checks, seed=seed, max_degree=max_degree)
     _emit_report(ws, args, results)
     return 1 if any(r.status == "fail" for r in results) else 0
 

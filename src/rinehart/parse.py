@@ -29,12 +29,11 @@ denominators; over F_p coefficients cannot grow.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOverflow, NotAUnit, ParseError
 from .poly import MAX_DEGREE, Poly, _degree
-from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
+from .rings import GroundScalar, QuadExt, RingDescriptor
 
 _TOKEN = r"(\d+)|([^\W\d]\w*)|[-+*/^()]"
 MAX_NESTING = 100
@@ -96,19 +95,11 @@ class _Parser:
 
     def _fraction_scalar(self, num: int, den: int, at: int) -> GroundScalar:
         ring = self.ring
-        base = ring.base if isinstance(ring, QuadExt) else ring
-        if isinstance(base, Rationals):
-            val = Fraction(num, den)
-        elif isinstance(base, PrimeField):
-            try:
-                val = base.canon(num * base._inv(base._from_int(den)))
-            except NotAUnit:
-                raise ParseError(f"denominator {den} is zero in F_{base.p}", at) from None
-        else:  # pragma: no cover - descriptor kinds are closed
-            raise ParseError("unsupported ring", at)
-        if isinstance(ring, QuadExt):
-            return ring.scalar((val, base._zero))
-        return ring.scalar(val)
+        try:
+            return ring.from_int(num) * ring.from_int(den).inverse()
+        except NotAUnit:  # den is positive, so only p | den is not a unit
+            raise ParseError(f"denominator {den} is zero in F_{ring.characteristic()}",
+                             at) from None
 
     def _al_scalar(self, at: int) -> GroundScalar:
         if not isinstance(self.ring, QuadExt):

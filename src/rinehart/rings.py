@@ -378,7 +378,7 @@ class QuadExt(RingDescriptor):
             return self._inv(lc), 1
         # lc * conj(lc) is the norm a^2 - s*b^2, an integer
         a, b = lc
-        norm = a * a - self.s * b * b
+        norm = self._norm_form(lc)
         if norm == 0:
             raise NotAUnit("norm a^2 - s*b^2 is not a unit")
         return ((a, -b), norm) if norm > 0 else ((-a, b), -norm)

@@ -159,10 +159,11 @@ def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
 
 
 def ambient_derivative(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    """The componentwise derivative sum_k (d_X Y^k) X_k."""
-    _check_field(space, x)
-    _check_field(space, y)
-    return VectorField(space, tuple(derive(space, x, c) for c in y.coeffs))
+    """The componentwise derivative sum_k (d_X Y^k) X_k, one normal form per component."""
+    _check_pair(space, x, y)
+    xs = [c.rep for c in x.coeffs]
+    return VectorField(space, tuple(quotient_sum(
+        space.ring, space.nvars, derivative_pairs(xs, c.rep), space.ideal) for c in y.coeffs))
 
 
 def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
@@ -287,6 +288,12 @@ class KoszulConnection:
         return VectorField(self.space, value)
 
 
+def one_form_valued(conn) -> bool:
+    """Whether a connection gives only one-forms: a Koszul connection whose second-kind
+    table has no exact solution.  Every other connection gives vectors."""
+    return isinstance(conn, KoszulConnection) and not conn.fully_solvable
+
+
 def curvature(space: RinehartSpace, conn: Callable, x: VectorField,
               y: VectorField, z: VectorField) -> VectorField:
     """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
@@ -320,7 +327,7 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
     matrix has nonzero determinant over a domain.
     """
     fields = space.basis_fields()
-    form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
+    form_level = one_form_valued(conn)
     metric = space.metric
     connect = conn.form if form_level else conn
     values: dict = {}  # each value once in this run: (x, y) of the torsion loop serves (x, y, z)

@@ -17,9 +17,10 @@ other gets (127 - a*deg G - b*deg f) // 3, at most 41, with a = b = 2.
 deg f is the larger degree of the quotient generator and its witness q, 0
 without a quotient.  deg G is the largest degree m of a metric entry, plus,
 for the checks that read the connection, the largest degree g of the
-second-kind symbols Gamma^k_ij, which the Koszul connection holds when
-det G is a unit.  Without them those checks stay at the one-form level,
-which reaches 3d + m - 1 (G X times d_X(fY)).  With them levi-civita's
+second-kind symbols Gamma^k_ij, the components of the basis values
+nabla_{X_i} X_j of a connection that gives vectors (`one_form_valued`).
+Without them those checks stay at the one-form level, which reaches
+3d + m - 1 (G X times d_X(fY)).  With them levi-civita's
 <nabla_X Y, Z> multiplies X Y Gamma^k_ij by G and Z, degree 3d + m + g,
 and a curvature nabla_X nabla_Y Z reaches 3d + 2g.  musical-roundtrip forms
 sharp(flat X) = G^-1 G X with G^-1 = adj(G) / det G (`Metric.inverse`), of
@@ -45,7 +46,7 @@ from .randgen import random_field, random_fn, random_poly, rng_for
 from .rings import GroundScalar, Value, lazy
 from .space import (EuclideanConnection, KoszulConnection, RinehartSpace,
                     ambient_derivative, check_constant_curvature, check_levi_civita,
-                    curvature, derive, differential, lie_bracket)
+                    curvature, derive, differential, lie_bracket, one_form_valued)
 from .tensors import OneForm, flat, gram_table, inner, pairing, sharp
 
 
@@ -188,7 +189,7 @@ def _check_jacobi(ws, rng, cases, max_degree):
 def _check_connection_leibniz(ws, rng, cases, max_degree):
     space = ws.space
     conn = ws.plain_connection
-    form_level = isinstance(conn, KoszulConnection) and not conn.fully_solvable
+    form_level = one_form_valued(conn)
     value = conn.form if form_level else conn
     for _ in range(cases):
         f = random_fn(rng, space, max_degree)
@@ -290,7 +291,7 @@ def _check_curvature_tensorial(ws, rng, cases, max_degree):
     if ws.hyper is not None:
         pool = list(spanning_fields(ws.hyper))
         pool.append(_random_tangent(rng, ws.hyper, 1))
-    elif isinstance(conn, KoszulConnection) and not conn.fully_solvable:
+    elif one_form_valued(conn):
         return _skip("connection is not vector valued on this metric")
     else:
         pool = list(space.basis_fields())
@@ -568,8 +569,9 @@ def degree_cap(ws: Workspace, names: Optional[list] = None) -> int:
             conn = ws.plain_connection
         except TwoNotAUnit:  # the connection checks skip
             conn = None
-        if isinstance(conn, KoszulConnection) and conn.fully_solvable:
-            g = _degree(conn._gamma.values())
+        if conn is not None and not one_form_valued(conn):
+            basis = ws.space.basis_fields()  # nabla_{X_i} X_j = sum_k Gamma^k_ij X_k
+            g = _degree(conn(x, y).coeffs for x in basis for y in basis)
     deg_f = 0 if ws.hyper is None else max(ws.hyper.generator.total_degree(),
                                            ws.hyper.q.rep.total_degree())
     cap = min(MAX_RANDOM_DEGREE, (MAX_DEGREE - 2 * (m + g) - 2 * deg_f) // 3)

@@ -23,6 +23,11 @@ def _check_same_space(a, b):
         raise SpaceMismatch("operands belong to different spaces")
 
 
+def _check_dimension(metric, x):
+    if metric.n != len(x.coeffs):
+        raise SpaceMismatch("metric dimension does not match the space")
+
+
 class _Coefficients(Value):
     """A coefficient vector over a space, with its module operations."""
 
@@ -171,8 +176,7 @@ def pairing(x: VectorField, om: OneForm) -> QuotientElem:
 def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
     """<X, Y> = sum_ij X^i G_ij Y^j over the nonzero G_ij, with one normal form."""
     _check_same_space(x, y)
-    if metric.n != len(x.coeffs):
-        raise SpaceMismatch("metric dimension does not match the space")
+    _check_dimension(metric, x)
     like = metric.entries[0][0]
     like.check_peers(x.coeffs + y.coeffs)
     pairs = [(u.rep if g.rep.is_one() else u.rep * g.rep, v.rep)
@@ -188,15 +192,13 @@ def gram_table(fields: list, metric: Metric) -> tuple:
 
 def flat(x: VectorField, metric: Metric) -> OneForm:
     """Lower an index: (X^flat)_j = sum_i G_ij X^i.  Always defined."""
-    if metric.n != len(x.coeffs):
-        raise SpaceMismatch("metric dimension does not match the space")
+    _check_dimension(metric, x)
     return OneForm(x.space, apply_matrix(metric.entries, x.coeffs))
 
 
 def sharp(om: OneForm, metric: Metric) -> VectorField:
     """Raise an index through `Metric.inverse`; needs det(G) a certified unit."""
-    if metric.n != len(om.coeffs):
-        raise SpaceMismatch("metric dimension does not match the space")
+    _check_dimension(metric, om)
     if metric.inverse is None:
         raise MetricNotMusical(f"metric determinant is {metric.det_status[0].value}")
     return VectorField(om.space, apply_matrix(metric.inverse, om.coeffs))

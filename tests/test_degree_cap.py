@@ -12,9 +12,10 @@ import rinehart.hypersurface as hypersurface
 import rinehart.poly as poly_module
 import rinehart.randgen as randgen
 import rinehart.suites as suites
-from rinehart import DegreeOverflow, Poly
+from rinehart import DegreeOverflow, MetricNotMusical, Poly
 from rinehart.cli import build_workspace, main
 from rinehart.poly import MAX_DEGREE
+from rinehart.space import one_form_valued
 from rinehart.suites import MAX_RANDOM_DEGREE, applicable_checks, degree_cap, run_checks
 
 SPECS = {
@@ -134,6 +135,29 @@ def test_cap_survives_a_registry_rebuilt_from_name_needs_and_runner(monkeypatch)
     monkeypatch.setattr(suites, "REGISTRY", [type(row)(row.name, row.needs, row.runner)
                                              for row in suites.REGISTRY])
     assert degree_cap(build_workspace(spec)[0]) == before == 37
+
+
+def test_cap_reads_the_connection_values_not_its_tables():
+    # Gamma^k_ij are the components of nabla_{X_i} X_j, so the cap needs no private table
+    ws, _ = build_workspace(DERIVED["dense_llt_n3"][0])
+    conn = ws.plain_connection
+    del conn._gamma
+    assert ws.plain_connection is conn
+    assert degree_cap(ws) == 37
+
+
+def test_one_form_level_cap_comes_from_the_metric_alone():
+    # diag(1, x^2 + 1): nabla_{X_1} X_2 = x/(x^2 + 1) X_2 is no polynomial field, so the
+    # connection gives one-forms only, degree_cap asks it for no vector and g = 0
+    ws, _ = build_workspace({"ring": {"kind": "Q"}, "vars": ["x", "y"],
+                             "metric": {"diag": ["1", "x^2 + 1"]}})
+    conn = ws.plain_connection
+    assert one_form_valued(conn)
+    basis = ws.space.basis_fields()
+    with pytest.raises(MetricNotMusical):
+        conn(basis[0], basis[1])
+    for names in (["levi-civita"], ["connection-leibniz", "curvature-tensorial"], None):
+        assert degree_cap(ws, names) == (MAX_DEGREE - 2 * 2) // 3 == MAX_RANDOM_DEGREE
 
 
 def test_checks_that_read_no_metric_keep_the_cap():

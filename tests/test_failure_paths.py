@@ -17,6 +17,7 @@ import pytest
 import rinehart.hypersurface
 import rinehart.space
 import rinehart.suites as suites
+from rinehart import MetricNotMusical
 from rinehart.cli import build_workspace, main
 from rinehart.suites import run_checks
 
@@ -282,6 +283,26 @@ def test_planted_bug_fails_with_its_report(monkeypatch, case_id, workspace, chec
 
 def test_every_case_has_its_own_id():
     assert len({c[0] for c in CASES}) == len(CASES) == len(EXPECTED)
+
+
+def test_unknown_check_names_are_refused():
+    ws, _ = build_workspace(WORKSPACES["euclidean"])
+    with pytest.raises(ValueError, match="unknown checks: no-such-check, other"):
+        run_checks(ws, names=["other", "jacobi-identity", "no-such-check"])
+
+
+def test_a_runner_that_finds_no_musical_metric_skips(monkeypatch):
+    # no check raises MetricNotMusical through run_checks today; the handler reports it
+    def planted(ws, rng, cases, max_degree):
+        raise MetricNotMusical("planted refusal")
+
+    monkeypatch.setattr(suites, "REGISTRY", [
+        type(row)(row.name, row.needs, planted) if row.name == "metric-transfer" else row
+        for row in suites.REGISTRY])
+    ws, _ = build_workspace(WORKSPACES["euclidean"])
+    (result,) = run_checks(ws, names=["metric-transfer"], seed=7, cases=5)
+    assert (result.status, result.detail, result.counterexample) == (
+        "skipped", "metric is not musical: planted refusal", None)
 
 
 def test_planted_bug_exits_one_with_a_json_report(monkeypatch, capsys):

@@ -197,9 +197,10 @@ def test_koszul_values_match_per_product_reduction(ring_name, data):
 
 
 def anchor_values() -> dict:
-    """derive and the bracket on one fixed sphere input and one fixed L L^T input, the
-    Koszul value on the second and the induced connection and second form on the first.
-    Every space is built afresh, so no value memo outlives a call."""
+    """derive, the bracket and the ambient derivative on one fixed sphere input and one
+    fixed L L^T input, the Koszul value on the second and the induced connection and
+    second form on the first.  Every space is built afresh, so no value memo outlives a
+    call."""
     hyper = make_sphere(Q, 3, Q.one(), var_names=NAMES)
     sphere = hyper.quotient
     sx, _, sy = spanning_fields(hyper)
@@ -214,6 +215,8 @@ def anchor_values() -> dict:
         "derive": [derive(sphere, sx, sphere.fn("x*y*z + y^2")),
                    derive(plain, px, plain.fn("x^2*z + y*z^2"))],
         "lie_bracket": [lie_bracket(sphere, sx, sy), lie_bracket(plain, px, py)],
+        "ambient_derivative": [ambient_derivative(sphere, sx, sy),
+                               ambient_derivative(plain, px, py)],
         "KoszulConnection.__call__": [KoszulConnection(plain)(px, py)],
         "InducedConnection.__call__": [InducedConnection(hyper)(sx, sy)],
         "second_fundamental_form": [second_fundamental_form(hyper, sx, sy)],
@@ -221,7 +224,7 @@ def anchor_values() -> dict:
 
 
 def test_every_ambient_derivative_reads_the_one_pair_builder(monkeypatch):
-    # a planted bug in derivative_pairs, dropping its last pair, changes all five values
+    # a planted bug in derivative_pairs, dropping its last pair, changes all six values
     before = anchor_values()
     original = space_module.derivative_pairs
     binders = [module for name, module in sorted(sys.modules.items())

@@ -62,6 +62,16 @@ def test_sphere_rejects_bad_inputs():
         make_sphere(PrimeField(2), 3, PrimeField(2).one())
     with pytest.raises(ValueError):
         make_sphere(Q, 1, Q.one())
+    with pytest.raises(NotAUnit, match="curvature constant belongs to a different ring"):
+        make_sphere(Q, 3, PrimeField(7).one())
+    with pytest.raises(ValueError, match="variable name count must match n"):
+        make_sphere(Q, 3, Q.one(), var_names=("x", "y"))
+
+
+def test_build_refuses_an_ambient_with_an_ideal():
+    hyper = sphere3()
+    with pytest.raises(SpaceMismatch, match="ambient space must be a plain polynomial space"):
+        HypersurfaceSpace.build(hyper.quotient, hyper.generator, hyper.quotient.fn("1"))
 
 
 def test_build_validates_witness():
@@ -301,6 +311,8 @@ def test_verify_space_form_c_mismatch_fails():
     report = verify_space_form(hyper, Q.from_int(2))
     assert not report.ok
     assert report.counterexample is not None
+    with pytest.raises(NotAUnit, match="curvature constant belongs to a different ring"):
+        verify_space_form(hyper, PrimeField(7).one())
 
 
 def test_space_form_curvature_against_straight_line_oracle():

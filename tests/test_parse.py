@@ -51,6 +51,27 @@ def test_fraction_coefficients_over_fp():
         parse_poly("1/7", F7, names)       # denominator is 0 mod 7
 
 
+def test_a_literal_fraction_is_a_times_the_inverse_of_b(any_ring):
+    ring = any_ring
+    p = ring.characteristic()
+    for a in range(9):
+        for b in range(1, 8):
+            if p and b % p == 0:
+                with pytest.raises(ParseError, match=f"denominator {b} is zero in F_{p}"):
+                    parse_scalar(f"{a}/{b}", ring)
+                continue
+            got = parse_scalar(f"{a}/{b}", ring)
+            want = ring.from_int(a) * ring.from_int(b).inverse()
+            # equal canonical values: an integral rational is an int, not a Fraction
+            assert (got, repr(got.value)) == (want, repr(want.value)), (a, b)
+
+
+@pytest.mark.parametrize("ring", [F7, QuadExt(F7, -1)], ids=["F7", "F7(al)"])
+def test_a_denominator_divisible_by_p_names_the_prime(ring):
+    with pytest.raises(ParseError, match="denominator 7 is zero in F_7"):
+        parse_poly("1/7", ring, ("x",))
+
+
 def test_al_token():
     x = Poly.variable(QI, 1, 0)
     al = QI.scalar((Fraction(0), Fraction(1)))

@@ -230,6 +230,11 @@ def test_division_identity_and_remainder_reduced():
             assert any(exp[i] < lead[i] for i in range(2))
 
 
+def test_division_by_the_zero_polynomial_is_refused():
+    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+        divmod_poly(Poly.variable(Q, 2, 0), Poly.zero(Q, 2))
+
+
 def test_normal_form_against_sympy():
     xs, ys = sympy.symbols("x y")
     ideal = _sphere_ideal(2, Q)

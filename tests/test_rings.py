@@ -26,6 +26,8 @@ def test_rationals_basics():
     assert ring.characteristic() == 0
     assert ring.is_field()
     assert not ring.has_nilpotents()
+    with pytest.raises(NotAUnit, match="0 has no inverse in Q"):
+        ring.zero().inverse()
 
 
 def test_prime_field_basics():

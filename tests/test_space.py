@@ -386,6 +386,18 @@ def test_functions_of_another_ground_ring_are_refused_at_construction():
             build()
 
 
+def test_with_metric_refuses_another_dimension():
+    with pytest.raises(SpaceMismatch, match="metric dimension does not match variable count"):
+        RinehartSpace.with_metric(Q, ("x", "y"), Metric.euclidean(Q, 3, None))
+
+
+def test_coerce_fn_takes_a_ground_scalar_and_refuses_other_types():
+    sp = _sp()
+    assert sp.coerce_fn(Q.from_int(3)) == sp.fn("3")
+    with pytest.raises(TypeError, match="cannot interpret 'x' as a function"):
+        sp.coerce_fn("x")
+
+
 def test_check_levi_civita_rejects_perturbed_connection():
     sp = RinehartSpace.euclidean(Q, ("x", "y"))
     base = EuclideanConnection(sp)

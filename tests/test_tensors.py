@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from rinehart import (IdealMismatch, Metric, MetricNotMusical, PrimeField, QuadExt, Rationals,
-                      RinehartSpace, flat, in_maximal_ideal_submodule, inner,
+                      RinehartSpace, SpaceMismatch, flat, in_maximal_ideal_submodule, inner,
                       pairing, sharp)
 from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_poly
@@ -57,6 +57,16 @@ def test_inner_refuses_a_field_of_another_quotient():
     for metric in (unit.metric, _space(names).metric):
         with pytest.raises(IdealMismatch):
             inner(y, y, metric)
+
+
+@pytest.mark.parametrize("apply", [lambda x, g: inner(x, x, g), flat,
+                                   lambda x, g: sharp(x.space.form(x.coeffs), g)],
+                         ids=["inner", "flat", "sharp"])
+def test_a_metric_of_another_dimension_is_refused(apply):
+    sp = _space()
+    x = sp.field([sp.fn("x"), sp.fn("1")])
+    with pytest.raises(SpaceMismatch, match="metric dimension does not match the space"):
+        apply(x, Metric.euclidean(Q, 3, None))
 
 
 def test_euclidean_metric_predicates():
