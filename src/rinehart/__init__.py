@@ -5,39 +5,33 @@ principal ideal) with exact coefficient arithmetic, so every verified
 identity is a proof, not a numerical observation.
 """
 
-from .errors import (ArityMismatch, CharTwoUnsupported, DegreeOverflow,
-                     IdealMismatch, MetricNotMusical, NotAUnit, NotEuclidean,
-                     NotTangent, ParseError, RinehartError, RingMismatch,
-                     SpaceMismatch, TwoNotAUnit, ValidationError)
-from .hypersurface import (HypersurfaceSpace, InducedConnection,
-                           SpaceFormReport, is_tangent, make_sphere,
+from .errors import (ArityMismatch, DegreeOverflow, IdealMismatch, MetricNotMusical,
+                     NotAUnit, NotEuclidean, NotTangent, ParseError, RinehartError,
+                     RingMismatch, SpaceMismatch, TwoNotAUnit, ValidationError)
+from .hypersurface import (HypersurfaceSpace, InducedConnection, is_tangent, make_sphere,
                            project_normal, project_tangent, quotient_equal,
-                           second_fundamental_form, spanning_fields,
-                           verify_space_form)
+                           second_fundamental_form, spanning_fields, verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
 from .poly import (Poly, PrincipalIdeal, QuotientElem, UnitStatus,
                    divide_exact, divmod_poly, format_poly, normal_form,
                    sum_products, unit_status)
 from .rings import (GroundScalar, PrimeField, QuadExt, Rationals,
                     RingDescriptor, ring_from_json)
-from .space import (ConstantCurvatureReport, EuclideanConnection,
-                    KoszulConnection, LeviCivitaReport, RinehartSpace,
-                    ambient_derivative, check_constant_curvature,
-                    check_levi_civita, curvature, derive, differential,
-                    gradient, lie_bracket)
+from .space import (EuclideanConnection, KoszulConnection, Report, RinehartSpace,
+                    ambient_derivative, check_constant_curvature, check_levi_civita,
+                    curvature, derive, differential, gradient, lie_bracket)
 from .tensors import (Metric, OneForm, VectorField, flat, inner,
                       in_maximal_ideal_submodule, pairing, sharp)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "CharTwoUnsupported", "ConstantCurvatureReport", "DegreeOverflow",
-    "EuclideanConnection", "GroundScalar", "HypersurfaceSpace", "IdealMismatch",
-    "InducedConnection", "KoszulConnection", "LeviCivitaReport", "Metric", "MetricNotMusical",
-    "NotAUnit", "NotEuclidean", "NotTangent", "OneForm", "ParseError", "Poly", "PrimeField",
-    "PrincipalIdeal", "QuadExt", "QuotientElem", "Rationals", "RinehartError", "RinehartSpace",
-    "RingDescriptor", "RingMismatch", "SpaceFormReport", "SpaceMismatch", "TwoNotAUnit",
-    "UnitStatus", "ValidationError", "VectorField", "ambient_derivative",
+    "ArityMismatch", "DegreeOverflow", "EuclideanConnection", "GroundScalar",
+    "HypersurfaceSpace", "IdealMismatch", "InducedConnection", "KoszulConnection", "Metric",
+    "MetricNotMusical", "NotAUnit", "NotEuclidean", "NotTangent", "OneForm", "ParseError",
+    "Poly", "PrimeField", "PrincipalIdeal", "QuadExt", "QuotientElem", "Rationals", "Report",
+    "RinehartError", "RinehartSpace", "RingDescriptor", "RingMismatch", "SpaceMismatch",
+    "TwoNotAUnit", "UnitStatus", "ValidationError", "VectorField", "ambient_derivative",
     "check_constant_curvature", "check_levi_civita", "curvature", "derive", "differential",
     "divide_exact", "divmod_poly", "flat", "format_poly", "gradient",
     "in_maximal_ideal_submodule", "inner", "is_tangent", "lie_bracket", "make_sphere",

@@ -30,8 +30,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import (CharTwoUnsupported, NotAUnit, ParseError, RinehartError,
-                     ValidationError)
+from .errors import NotAUnit, ParseError, RinehartError, TwoNotAUnit, ValidationError
 from .hypersurface import (HypersurfaceSpace, make_sphere, project_normal,
                            project_tangent, spanning_fields, verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
@@ -132,8 +131,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
                 raise ValidationError("quotient.sphere.c", str(exc)) from None
             try:
                 hyper = make_sphere(ring, n, c_scalar, var_names=names)
-            except (NotAUnit, CharTwoUnsupported, ValueError) as exc:
-                field = {CharTwoUnsupported: "ring", NotAUnit: "quotient.sphere.c"}
+            except (NotAUnit, TwoNotAUnit, ValueError) as exc:
+                field = {TwoNotAUnit: "ring", NotAUnit: "quotient.sphere.c"}
                 raise ValidationError(field.get(type(exc), "vars"), str(exc)) from None
             space = hyper.ambient
         elif "generator" in quotient_spec:
@@ -262,10 +261,10 @@ def _cmd_space_form(ws, meta, args) -> int:
     status = "pass" if report.ok else "fail"
     if report.ok:
         detail = f"space form of curvature c = {c} verified"
-    elif not report.metric_ok:
-        detail = "induced metric identity fails"
-    else:
+    elif report.failed == "curvature":
         detail = "constant curvature identity fails"
+    else:
+        detail = f"{report.failed} identity fails"
     results = [CheckResult("space-form", status, detail, report.counterexample, 0.0)]
     _emit_report(ws, args, results)
     return 0 if report.ok else 1

@@ -34,11 +34,7 @@ class NotEuclidean(RinehartError):
 
 
 class TwoNotAUnit(RinehartError):
-    """The Koszul construction needs 2 to be invertible."""
-
-
-class CharTwoUnsupported(RinehartError):
-    """Sphere quotients are not defined in characteristic 2."""
+    """The Koszul formula or a sphere quotient needs 2 to be invertible."""
 
 
 class NotTangent(RinehartError):

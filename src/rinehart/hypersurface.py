@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (CharTwoUnsupported, MetricNotMusical, NotAUnit,
-                     NotTangent, SpaceMismatch)
+from .errors import (MetricNotMusical, NotAUnit, NotTangent, RingMismatch, SpaceMismatch,
+                     TwoNotAUnit)
 from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum, sum_products
 from .rings import GroundScalar, RingDescriptor, Value, lazy
-from .space import RinehartSpace, check_constant_curvature, derivative_pairs, gradient
+from .space import Report, RinehartSpace, check_constant_curvature, derivative_pairs, gradient
 from .tensors import VectorField, flat, gram_table, inner
 
 
@@ -107,14 +107,14 @@ def make_sphere(ring: RingDescriptor, n: int, c: GroundScalar,
                 var_names=None) -> HypersurfaceSpace:
     """The level set (x1^2 + ... + xn^2 - 1/c) / 2 = 0 with witness q = c.
 
-    Needs n >= 2, characteristic != 2, and c a unit of the ground ring.
+    Needs n >= 2, 2 a unit, and c a unit of the ground ring.
     """
     if n < 2:
         raise ValueError("a sphere quotient needs at least two variables")
-    if ring.characteristic() == 2:
-        raise CharTwoUnsupported("sphere construction divides by 2")
+    if not ring.from_int(2).is_unit():
+        raise TwoNotAUnit("sphere construction divides by 2")
     if c.ring != ring:
-        raise NotAUnit("curvature constant belongs to a different ring")
+        raise RingMismatch("curvature constant belongs to a different ring")
     if not c.is_unit():
         raise NotAUnit("curvature constant must be a unit")
     names = tuple(var_names) if var_names is not None else tuple(
@@ -264,15 +264,7 @@ def induced_metric_gap(hyper: HypersurfaceSpace, c: GroundScalar,
     return None
 
 
-class SpaceFormReport(Value):
-    _fields = ("metric_ok", "curvature_ok", "counterexample")
-
-    @property
-    def ok(self) -> bool:
-        return self.metric_ok and self.curvature_ok
-
-
-def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormReport:
+def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> Report:
     """Check the sphere identities for curvature constant c.
 
     The induced metric must satisfy <Y_i, Y_j> = delta_ij - c x_i x_j and
@@ -282,11 +274,10 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> SpaceFormRep
     """
     space = hyper.quotient
     if c.ring != space.ring:
-        raise NotAUnit("curvature constant belongs to a different ring")
+        raise RingMismatch("curvature constant belongs to a different ring")
     spanning = spanning_fields(hyper)
     gram = gram_table(spanning, space.metric)
     gap = induced_metric_gap(hyper, c, gram)
     if gap is not None:
-        return SpaceFormReport(False, True, {"identity": "induced-metric", **gap})
-    report = check_constant_curvature(space, InducedConnection(hyper), c, spanning, gram)
-    return SpaceFormReport(True, report.ok, report.counterexample)
+        return Report("induced metric", {"identity": "induced-metric", **gap})
+    return check_constant_curvature(space, InducedConnection(hyper), c, spanning, gram)

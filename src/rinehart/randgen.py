@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 from random import Random
 
-from .poly import FIELD_BITS, Poly, QuotientElem, _canonical, over_common_den, pack, unpack
+from .poly import Poly, QuotientElem, _canonical, over_common_den, pack, unpack
 from .rings import GroundScalar, PrimeField, QuadExt, Rationals, RingDescriptor
 from .tensors import VectorField
 
@@ -71,21 +71,21 @@ class Monomials:
         return unpack(self.key(i), self.nvars)
 
     def key(self, i: int) -> int:
-        """The packed key (`poly.pack`) of item i, unranked with no exponent tuple."""
+        """The packed key of item i: its exponents, unranked, packed by `poly.pack`."""
         if (key := self._memo.get(i)) is not None:
             return key
         if not 0 <= i < self.size:
             raise IndexError("monomial index out of range")
-        low, budget, rank = 0, self.max_degree, i
+        exps, budget, rank = [], self.max_degree, i
         for at in range(self.nvars):
             # C(rest + budget - e, rest) vectors continue a prefix ending in e
             rest, e = self.nvars - 1 - at, 0
             while rank >= (count := comb(rest + budget - e, rest)):
                 rank -= count
                 e += 1
-            low += e << (FIELD_BITS * at)
+            exps.append(e)
             budget -= e
-        key = self._memo[i] = ((self.max_degree - budget) << (FIELD_BITS * self.nvars)) - low
+        key = self._memo[i] = pack(tuple(exps))
         return key
 
 

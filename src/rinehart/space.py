@@ -304,20 +304,19 @@ def curvature(space: RinehartSpace, conn: Callable, x: VectorField,
 # verification reports
 
 
-class LeviCivitaReport(Value):
-    _fields = ("torsion_free", "metric_compatible", "counterexample")
+class Report(Value):
+    """A verifier's outcome: the first identity that fails, named as the check reports
+    print it, and its counterexample; both None when every identity holds."""
+
+    _fields = ("failed", "counterexample")
 
     @property
     def ok(self) -> bool:
-        return self.torsion_free and self.metric_compatible
-
-
-class ConstantCurvatureReport(Value):
-    _fields = ("ok", "counterexample")
+        return self.failed is None
 
 
 def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
-                      max_degree: int = 2) -> LeviCivitaReport:
+                      max_degree: int = 2) -> Report:
     """Verify torsion-freeness and metric compatibility exactly.
 
     Both identities are checked exhaustively on the coordinate basis and on
@@ -358,18 +357,16 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
 
     for x, y in samples_pairs:
         if not (gap := torsion_gap(x, y)).is_zero():
-            ce = space.render(identity="torsion", x=x, y=y, gap=gap)
-            return LeviCivitaReport(False, True, ce)
+            return Report("torsion", space.render(identity="torsion", x=x, y=y, gap=gap))
     for x, y, z in samples_triples:
         if not (gap := compat_gap(x, y, z)).is_zero():
-            ce = space.render(identity="compatibility", x=x, y=y, z=z, gap=gap)
-            return LeviCivitaReport(True, False, ce)
-    return LeviCivitaReport(True, True, None)
+            return Report("compatibility", space.render(
+                identity="compatibility", x=x, y=y, z=z, gap=gap))
+    return Report(None, None)
 
 
 def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
-                             spanning: list, gram: Optional[tuple] = None
-                             ) -> ConstantCurvatureReport:
+                             spanning: list, gram: Optional[tuple] = None) -> Report:
     """Check R(X, Y)Z = c(<Y,Z>X - <X,Z>Y) on all triples of spanning fields.
 
     Only i < j is evaluated, yet every triple is proved, with no Bianchi identity
@@ -400,7 +397,7 @@ def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
                         ideal) for al, bl, dl, xl, nyl
                        in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
                     continue
-                return ConstantCurvatureReport(False, space.render(
+                return Report("curvature", space.render(
                     triple=f"({i + 1}, {j + 1}, {k + 1})", lhs=a - b - d,
                     rhs=c_fn * ((gram[j][k] * x) - (gram[i][k] * y))))
-    return ConstantCurvatureReport(True, None)
+    return Report(None, None)

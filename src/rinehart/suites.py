@@ -248,8 +248,7 @@ def _check_levi_civita_suite(ws, rng, cases, max_degree):
     report = check_levi_civita(space, ws.plain_connection, rng=rng, cases=cases,
                                max_degree=max_degree)
     if not report.ok:
-        which = "torsion" if not report.torsion_free else "compatibility"
-        return _fail(space, f"{which} identity fails", **report.counterexample)
+        return _fail(space, f"{report.failed} identity fails", **report.counterexample)
     return _ok(f"basis plus {cases} random samples")
 
 
@@ -483,8 +482,8 @@ def _check_induced_identities(ws, rng, cases, max_degree):
 def _check_space_form(ws, rng, cases, max_degree):
     report = verify_space_form(ws.hyper, ws.c)
     if not report.ok:
-        which = "induced metric" if not report.metric_ok else "curvature"
-        return _fail(ws.hyper.quotient, f"{which} identity fails", **report.counterexample)
+        return _fail(ws.hyper.quotient, f"{report.failed} identity fails",
+                     **report.counterexample)
     n = ws.hyper.quotient.nvars
     return _ok(f"all {n ** 3} spanning triples at c = {ws.c}")
 

@@ -152,7 +152,7 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
 
     first = check_levi_civita(sp, perturbed, rng=seeded("acceptance-neg"))
     second = check_levi_civita(sp, perturbed, rng=seeded("acceptance-neg"))
-    ok = not first.ok and not first.torsion_free
+    ok = not first.ok and first.failed == "torsion"
     ok &= first.counterexample is not None
     print(f"perturbed-connection counterexample: {first.counterexample}")
     ok &= first.counterexample == second.counterexample   # deterministic

@@ -61,6 +61,15 @@ def test_rejects_char_two_sphere(tmp_path, capsys):
     assert err.startswith("error[ValidationError]: ring: sphere construction divides by 2")
 
 
+def test_rejects_a_sphere_over_a_char_two_extension(tmp_path, capsys):
+    # F_2(al) is not F_2, but 2 = 0 there too: make_sphere raises TwoNotAUnit, read as `ring`
+    spec = dict(BASE, ring={"kind": "quad", "base": {"kind": "Fp", "p": 2}, "s": 1},
+                vars=["x", "y", "z"], quotient={"sphere": {"c": "1"}})
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, spec)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[ValidationError]: ring: sphere construction divides by 2")
+
+
 @pytest.mark.parametrize("c, message", [
     ("1", "vars: a sphere quotient needs at least two variables"),
     ("1/", "quotient.sphere.c:"),              # c is parsed before the variable count is read

@@ -17,7 +17,7 @@ import pytest
 import rinehart.hypersurface
 import rinehart.space
 import rinehart.suites as suites
-from rinehart import MetricNotMusical
+from rinehart import MetricNotMusical, Rationals, make_sphere, verify_space_form
 from rinehart.cli import build_workspace, main
 from rinehart.suites import run_checks
 
@@ -279,6 +279,45 @@ def test_planted_bug_fails_with_its_report(monkeypatch, case_id, workspace, chec
     detail, digest = EXPECTED[case_id]
     assert result.detail == detail
     assert counterexample_digest(result.counterexample) == digest
+
+
+def recording(reports):
+    """A make() for `patch` whose wrapper keeps every return value of the real function."""
+    def make(real):
+        def recorded(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+        return recorded
+    return make
+
+
+# case id -> the identity that the verifier's Report names as failed
+FAILED = {"torsion-vector": "torsion", "torsion-form": "torsion",
+          "compatibility-vector": "compatibility", "compatibility-form": "compatibility",
+          "space-form-metric": "induced metric", "space-form-curvature": "curvature"}
+VERIFIERS = {"levi-civita": "suites.check_levi_civita", "space-form": "suites.verify_space_form"}
+
+
+@pytest.mark.parametrize("case_id", FAILED)
+def test_the_verifier_report_names_the_failed_identity(monkeypatch, case_id):
+    (_, workspace, check, plant), = [c for c in CASES if c[0] == case_id]
+    reports = []
+    patch(VERIFIERS[check], recording(reports))(monkeypatch)
+    result = planted_result(monkeypatch, workspace, check, plant)
+    (report,) = reports
+    assert (report.ok, report.failed) == (False, FAILED[case_id])
+    assert result.detail == f"{report.failed} identity fails"
+    assert result.counterexample == report.counterexample
+
+
+def test_a_curvature_failure_returns_the_curvature_report_itself(monkeypatch):
+    reports = []
+    patch("hypersurface.check_constant_curvature", recording(reports))(monkeypatch)
+    swap_class("hypersurface.InducedConnection", doubled)(monkeypatch)
+    q = Rationals()
+    report = verify_space_form(make_sphere(q, 3, q.one()), q.one())
+    (recorded,) = reports
+    assert report is recorded and report.failed == "curvature"
 
 
 def test_every_case_has_its_own_id():

@@ -15,11 +15,10 @@ import weakref
 
 import pytest
 
-from rinehart import (CharTwoUnsupported, EuclideanConnection,
-                      HypersurfaceSpace, InducedConnection, Metric, NotAUnit,
-                      NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
-                      RinehartSpace, SpaceMismatch, ambient_derivative,
-                      check_constant_curvature, curvature,
+from rinehart import (EuclideanConnection, HypersurfaceSpace, InducedConnection, Metric,
+                      NotAUnit, NotTangent, PrimeField, QuadExt, QuotientElem, Rationals,
+                      RinehartSpace, RingMismatch, SpaceMismatch, TwoNotAUnit,
+                      ambient_derivative, check_constant_curvature, curvature,
                       derive, inner, is_tangent, lie_bracket, make_sphere,
                       parse_poly, project_normal, project_tangent,
                       quotient_equal, second_fundamental_form, spanning_fields,
@@ -58,11 +57,14 @@ def test_sphere_generator_frozen_f5():
 def test_sphere_rejects_bad_inputs():
     with pytest.raises(NotAUnit):
         make_sphere(Q, 3, Q.zero())
-    with pytest.raises(CharTwoUnsupported):
+    with pytest.raises(TwoNotAUnit, match="sphere construction divides by 2"):
         make_sphere(PrimeField(2), 3, PrimeField(2).one())
+    f2al = QuadExt(PrimeField(2), 1)
+    with pytest.raises(TwoNotAUnit, match="sphere construction divides by 2"):
+        make_sphere(f2al, 3, f2al.one())
     with pytest.raises(ValueError):
         make_sphere(Q, 1, Q.one())
-    with pytest.raises(NotAUnit, match="curvature constant belongs to a different ring"):
+    with pytest.raises(RingMismatch, match="curvature constant belongs to a different ring"):
         make_sphere(Q, 3, PrimeField(7).one())
     with pytest.raises(ValueError, match="variable name count must match n"):
         make_sphere(Q, 3, Q.one(), var_names=("x", "y"))
@@ -311,7 +313,7 @@ def test_verify_space_form_c_mismatch_fails():
     report = verify_space_form(hyper, Q.from_int(2))
     assert not report.ok
     assert report.counterexample is not None
-    with pytest.raises(NotAUnit, match="curvature constant belongs to a different ring"):
+    with pytest.raises(RingMismatch, match="curvature constant belongs to a different ring"):
         verify_space_form(hyper, PrimeField(7).one())
 
 

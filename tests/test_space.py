@@ -411,7 +411,7 @@ def test_check_levi_civita_rejects_perturbed_connection():
 
     report = check_levi_civita(sp, Perturbed(), rng=seeded("space-lc-perturbed"))
     assert not report.ok
-    assert not report.torsion_free
+    assert report.failed == "torsion"
     assert report.counterexample is not None
     assert "x" in report.counterexample and "y" in report.counterexample
 
