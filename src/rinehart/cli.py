@@ -64,6 +64,10 @@ def load_spec(path: str) -> dict:
         raise ValidationError("spec", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError("spec", f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError("spec", f"not UTF-8: {exc}") from None
+    except RecursionError:
+        raise ValidationError("spec", "JSON nested too deeply") from None
 
 
 def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:

@@ -279,5 +279,5 @@ def verify_space_form(hyper: HypersurfaceSpace, c: GroundScalar) -> Report:
     gram = gram_table(spanning, space.metric)
     gap = induced_metric_gap(hyper, c, gram)
     if gap is not None:
-        return Report("induced metric", {"identity": "induced-metric", **gap})
+        return Report("induced metric", gap)
     return check_constant_curvature(space, InducedConnection(hyper), c, spanning, gram)

@@ -8,7 +8,7 @@
 
 Whitespace is insignificant.  Variables must match the declared names;
 'al' denotes the adjoined square root in a quadratic extension and is
-reserved.  Fractions over a prime field mean a * b^-1 mod p.
+reserved.  A quotient a/b over a prime field means a * b^-1 mod p.
 
 Bounds, so that no string can stall the parser, each a ParseError past
 it: parentheses nest at most MAX_NESTING deep, integers have at most
@@ -104,8 +104,7 @@ class _Parser:
     def _al_scalar(self, at: int) -> GroundScalar:
         if not isinstance(self.ring, QuadExt):
             raise ParseError("'al' is only defined over a quadratic extension", at)
-        base = self.ring.base
-        return self.ring.scalar((base._zero, base._from_int(1)))
+        return self.ring.make((0, 1))
 
     # -- grammar -------------------------------------------------------------
 

@@ -21,9 +21,9 @@ polynomials (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
 loop runs on ints.  Each sum weights its operands once to the lcm of their
 denominators and divides the result once by gcd(den, numerators).  Over
 F_p and its extensions `den` is 1 and the numerators are the residues.
-Scalars convert only at the API boundary: `constant`, `from_dict`,
-`scale`, `constant_value`, `leading_term` and `items`, which yields
-(exponent tuple, GroundScalar) pairs.
+A `GroundScalar` is the same form with no variables, one numerator over its
+own denominator, so `constant`, `scale` and `items` move numerators across
+unchanged.
 
 Normal forms modulo a principal ideal (f) are remainders of division by f,
 which takes each next divisible term from a heap (Johnson, SIGSAM Bull.
@@ -108,20 +108,19 @@ def _times(ring: RingDescriptor, terms, w: int):
     return [(k, times(c, w)) for k, c in terms]
 
 
-def _value(ring: RingDescriptor, c: GroundScalar):
-    """The value of a scalar of `ring`, where scalars enter the kernel."""
+def _checked(ring: RingDescriptor, c: GroundScalar) -> GroundScalar:
+    """c, checked to be a scalar of `ring` where scalars enter the kernel."""
     if not isinstance(c, GroundScalar) or c.ring != ring:
         raise RingMismatch(f"{getattr(c, 'ring', type(c).__name__)} vs {ring}")
-    return c.value
+    return c
 
 
-def over_common_den(ring: RingDescriptor, values) -> tuple:
-    """(numerators, den): scalar values of `ring` as numerators over the lcm of their
+def over_common_den(ring: RingDescriptor, scalars) -> tuple:
+    """(numerators, den): scalars of `ring` as numerators over the lcm of their
     denominators."""
-    parts = [ring.split(v) for v in values]
-    den = lcm(*[d for _, d in parts])
+    den = lcm(*[c.den for c in scalars])
     times = ring.times
-    return [times(n, den // d) for n, d in parts], den
+    return [times(c.num, den // c.den) for c in scalars], den
 
 
 class Poly(Value):
@@ -142,7 +141,7 @@ class Poly(Value):
         """Build from {exponent tuple: GroundScalar}."""
         if any(len(m) != nvars for m in coeffs):
             raise ArityMismatch(f"exponent tuples must have {nvars} entries")
-        nums, den = over_common_den(ring, [_value(ring, c) for c in coeffs.values()])
+        nums, den = over_common_den(ring, [_checked(ring, c) for c in coeffs.values()])
         return _canonical(ring, nvars, sorted(zip(map(pack, coeffs), nums), reverse=True), den)
 
     @staticmethod
@@ -151,10 +150,9 @@ class Poly(Value):
 
     @staticmethod
     def constant(ring: RingDescriptor, nvars: int, c: GroundScalar) -> "Poly":
-        num, den = ring.split(_value(ring, c))
-        if ring.reduce(num) is None:
+        if _checked(ring, c).is_zero():
             return Poly.zero(ring, nvars)
-        return Poly(ring, nvars, ((0, num),), den)
+        return Poly(ring, nvars, ((0, c.num),), c.den)
 
     @staticmethod
     def variable(ring: RingDescriptor, nvars: int, i: int) -> "Poly":
@@ -183,7 +181,7 @@ class Poly(Value):
             return self.ring.zero()
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return GroundScalar(self.ring, self.ring.join(self.terms[0][1], self.den))
+        return self.ring.make(self.terms[0][1], self.den)
 
     def total_degree(self) -> int:
         """Total degree, with -1 for the zero polynomial."""
@@ -196,12 +194,12 @@ class Poly(Value):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         k, c = self.terms[0]
-        return unpack(k, self.nvars), GroundScalar(self.ring, self.ring.join(c, self.den))
+        return unpack(k, self.nvars), self.ring.make(c, self.den)
 
     def items(self):
         """(exponent tuple, GroundScalar) pairs in descending grevlex order."""
-        ring, nvars, den = self.ring, self.nvars, self.den
-        return ((unpack(k, nvars), GroundScalar(ring, ring.join(c, den))) for k, c in self.terms)
+        make, nvars, den = self.ring.make, self.nvars, self.den
+        return ((unpack(k, nvars), make(c, den)) for k, c in self.terms)
 
     def variables(self) -> frozenset:
         """Indices of variables that actually occur."""
@@ -257,10 +255,9 @@ class Poly(Value):
     __rmul__ = __mul__
 
     def scale(self, c: GroundScalar) -> "Poly":
-        num, den = self.ring.split(_value(self.ring, c))
-        mul = self.ring.mul
+        num, mul = _checked(self.ring, c).num, self.ring.mul
         return _canonical(self.ring, self.nvars, [(k, mul(v, num)) for k, v in self.terms],
-                          self.den * den)
+                          self.den * c.den)
 
     def __pow__(self, k: int):
         """Square and multiply; QuotientElem shares this loop and reduces each product."""

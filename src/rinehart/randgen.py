@@ -8,7 +8,6 @@ into a proof for the sampled instance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
 from random import Random
@@ -20,15 +19,16 @@ from .tensors import VectorField
 
 @cache
 def scalar_pool(ring: RingDescriptor) -> tuple:
-    """The scalar values a ring draws from, built once per ring."""
+    """The scalars a ring draws from, built once per ring."""
     if isinstance(ring, Rationals):
-        return tuple(ring._norm(v) for v in (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)))
+        return tuple(ring.make(*v) for v in ((0,), (1,), (-1,), (2,), (-2,), (3,), (1, 2), (-3, 2)))
     if isinstance(ring, PrimeField):
         # the first residues only; random_scalar draws from all of F_p
-        return tuple(ring._norm(v) for v in range(min(ring.p, 4)))
+        return tuple(ring.from_int(v) for v in range(min(ring.p, 4)))
     if isinstance(ring, QuadExt):
         base_pool = scalar_pool(ring.base)[:4]
-        return tuple(ring._norm((a, b)) for a in base_pool for b in base_pool)
+        return tuple(ring.make((a.num * b.den, b.num * a.den), a.den * b.den)
+                     for a in base_pool for b in base_pool)
     raise TypeError(f"no sampling pool for {ring!r}")
 
 
@@ -40,7 +40,8 @@ def numerator_pool(ring: RingDescriptor) -> tuple:
 
 
 def _draw(rng: Random, ring: RingDescriptor, pool: tuple):
-    """One value, from all of F_p or else from `pool`, a tuple as long as the ring's pool."""
+    """One entry, a residue of all of F_p or else an entry of `pool`, a tuple as long as
+    the ring's pool."""
     if isinstance(ring, PrimeField):
         # the draw rng.choice makes from all p residues, without listing them
         return rng.randrange(ring.p)
@@ -48,7 +49,8 @@ def _draw(rng: Random, ring: RingDescriptor, pool: tuple):
 
 
 def random_scalar(rng: Random, ring: RingDescriptor) -> GroundScalar:
-    return GroundScalar(ring, _draw(rng, ring, scalar_pool(ring)))
+    drawn = _draw(rng, ring, scalar_pool(ring))
+    return ring.from_int(drawn) if isinstance(ring, PrimeField) else drawn
 
 
 class Monomials:

@@ -6,25 +6,21 @@ and Gaussian flavours).  Split extensions contain zero divisors, e.g.
 (1 + al)(1 - al) = 0 when s = +1, so unit tests are by the norm a^2 - s*b^2
 rather than by nonzeroness.
 
-Scalars are immutable and canonical: equal scalars have identical stored
-values (over Q an `int` when integral and a `Fraction` in lowest terms
-otherwise, residues in [0, p), component pairs for extensions), so equality
-and hashing are structural.
-
-Polynomials keep no such values.  Over Q, Q(i) and Q(j) a polynomial is
-integer numerators over one positive denominator, so every kernel
-operation runs on `int`s; a descriptor supplies the numerator arithmetic
-(`add`, `mul`, `neg`, `reduce`, `times`, `content`, `exquo`, `monic`) and
-the two conversions `split` and `join` between a scalar value and a
-(numerator, denominator) pair.  Over F_p and its extensions the
-denominator is always 1 and the numerators are the residues themselves.
+A scalar has the form of a polynomial term (see `poly`): a numerator over a
+positive int denominator, with gcd(den, numerator) = 1 and zero stored as
+(0, 1).  Over Q the numerator is an int and over Q(i) and Q(j) an int pair,
+so every operation runs on `int`s; over F_p and its extensions it is a
+residue or a residue pair over the denominator 1.  Canonical forms make
+equality and hashing structural.  A descriptor supplies the numerator
+arithmetic that scalars and polynomials share (`add`, `mul`, `neg`,
+`reduce`, `times`, `content`, `exquo`, `monic`) and `make`, the one place a
+scalar is made canonical.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotAUnit, RingMismatch
 
@@ -149,27 +145,21 @@ def rsub_by_negation(self, other):
 
 
 class RingDescriptor(Value):
-    """Common interface of the ground-ring descriptors.
+    """Common interface of the ground-ring descriptors: the arithmetic of numerators.
 
-    Scalar values are the canonical forms `GroundScalar` wraps for the public
-    API; `canon` makes an unreduced one canonical.  Numerators are what
-    polynomial terms hold: integers (or integer pairs) over a polynomial's
-    common denominator on the rings where `fractional` is set, and the scalar
-    values themselves elsewhere.  `add`, `mul` and `neg` serve both and may
-    return unreduced results (an F_p residue outside [0, p), say); `reduce`
-    makes a numerator canonical, or None for zero.
+    Scalars and polynomial terms both hold numerators over a positive int
+    denominator, which stays 1 unless `fractional` is set.  `add`, `mul` and
+    `neg` may return unreduced results (an F_p residue outside [0, p), say);
+    `reduce` makes a numerator canonical, or None for zero.  `monic(lc)` is
+    the one inverse: (u, d) with lc * u = d, a positive int, so dividing by
+    lc is multiplying by u over d; it raises NotAUnit when lc is not a unit.
     """
 
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     neg = staticmethod(operator.neg)
-    fractional = False  # whether polynomials over the ring carry a denominator
-    _one = 1  # the numerator of 1
-
-    def canon(self, v):
-        """Canonical form of an unreduced scalar value, zero included."""
-        r = self.reduce(v)
-        return self._zero if r is None else r
+    fractional = False  # whether numerators carry a denominator other than 1
+    _zero, _one = 0, 1  # the numerators of 0 and 1
 
     def nonzero(self, items) -> list:
         """The (key, numerator) pairs of `items` with nonzero numerators, made canonical."""
@@ -187,24 +177,23 @@ class RingDescriptor(Value):
 
     exquo = staticmethod(operator.floordiv)  # numerator divided exactly by an int
 
-    def split(self, value) -> tuple:
-        """(numerator, denominator) of a scalar value."""
-        return value, 1
-
-    def join(self, num, den: int):
-        """The scalar value num / den."""
-        return num
-
-    def monic(self, lc) -> tuple:
-        """(u, d) with lc * u = d, a positive integer: dividing by lc is multiplying
-        by u over the denominator d.  Raises NotAUnit when lc is not a unit."""
-        return self._inv(lc), 1
+    def make(self, num, den: int = 1) -> "GroundScalar":
+        """The scalar num / den in canonical form, for an unreduced numerator num and
+        a positive int den."""
+        num = self.reduce(num)
+        if num is None:
+            return GroundScalar(self, self._zero, 1)
+        if den != 1 and (g := self.content(den, (num,))) != 1:
+            num, den = self.exquo(num, g), den // g
+        return GroundScalar(self, num, den)
 
     def scalar(self, value) -> "GroundScalar":
-        return GroundScalar(self, self._norm(value))
+        """The scalar of a Python number with `as_integer_ratio`: an int, a float or a
+        `fractions` rational."""
+        return self.make(*value.as_integer_ratio())
 
     def from_int(self, k: int) -> "GroundScalar":
-        return GroundScalar(self, self._from_int(k))
+        return self.make(self.times(self._one, k))
 
     def zero(self) -> "GroundScalar":
         return self.from_int(0)
@@ -212,11 +201,11 @@ class RingDescriptor(Value):
     def one(self) -> "GroundScalar":
         return self.from_int(1)
 
-    def _is_unit(self, a) -> bool:
-        return a != 0
+    def _is_unit(self, num) -> bool:
+        return num != 0
 
-    def _fmt(self, a) -> str:
-        return str(a)
+    def _fmt(self, num, den: int) -> str:
+        return str(num) if den == 1 else f"{num}/{den}"
 
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -229,21 +218,9 @@ class RingDescriptor(Value):
 
 
 class Rationals(RingDescriptor):
-    """The field of rational numbers: scalar values are ints when integral, else
-    `Fraction`s; numerators are ints."""
+    """The field of rational numbers: numerators are ints."""
 
-    _zero = 0
     fractional = True
-
-    def _norm(self, v):
-        return self.canon(Fraction(v))
-
-    def _from_int(self, k: int):
-        return k
-
-    @staticmethod
-    def canon(v):
-        return v.numerator if v.denominator == 1 else v
 
     @staticmethod
     def reduce(v):
@@ -253,19 +230,11 @@ class Rationals(RingDescriptor):
     def nonzero(items) -> list:
         return [(k, v) for k, v in items if v]
 
-    def split(self, value) -> tuple:
-        return value.numerator, value.denominator
-
-    def join(self, num: int, den: int):
-        return num if den == 1 else self.canon(Fraction(num, den))
-
-    def monic(self, lc: int) -> tuple:
-        return (1, lc) if lc > 0 else (-1, -lc)
-
-    def _inv(self, a):
-        if a == 0:
+    @staticmethod
+    def monic(lc: int) -> tuple:
+        if lc == 0:
             raise NotAUnit("0 has no inverse in Q")
-        return self.canon(1 / Fraction(a))
+        return (1, lc) if lc > 0 else (-1, -lc)
 
     def characteristic(self) -> int:
         return 0
@@ -275,18 +244,15 @@ class PrimeField(RingDescriptor):
     """The prime field F_p, with residues stored in [0, p)."""
 
     _fields = ("p",)
-    _zero = 0
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         Value.__init__(self, p)
 
-    def _norm(self, v):
-        return int(v) % self.p
-
-    def _from_int(self, k: int):
-        return k % self.p
+    def scalar(self, value) -> "GroundScalar":
+        """The scalar of int(value), as for any other Python number."""
+        return self.make(int(value))
 
     def reduce(self, v):
         return v % self.p or None
@@ -295,23 +261,25 @@ class PrimeField(RingDescriptor):
         p = self.p
         return [(k, c) for k, v in items if (c := v % p)]
 
-    def _inv(self, a):
-        if a == 0:
+    def monic(self, lc: int) -> tuple:
+        if lc % self.p == 0:
             raise NotAUnit(f"0 has no inverse in F_{self.p}")
-        return pow(a, -1, self.p)
+        return pow(lc, -1, self.p), 1
 
     def characteristic(self) -> int:
         return self.p
 
 
 class QuadExt(RingDescriptor):
-    """Quadratic extension base[al] with al^2 = s, stored as pairs (a, b).
+    """Quadratic extension base[al] with al^2 = s: numerators are pairs (a, b) of
+    base numerators, a + b*al.
 
     Nesting is limited to depth one: the base must be Q or a prime field,
-    whose raw values take Python's arithmetic operators directly.
+    whose numerators take Python's arithmetic operators directly.
     """
 
     _fields = ("base", "s")
+    _zero, _one = (0, 0), (1, 0)
 
     def __init__(self, base: RingDescriptor, s: int):
         if not isinstance(base, (Rationals, PrimeField)):
@@ -321,26 +289,10 @@ class QuadExt(RingDescriptor):
         Value.__init__(self, base, s)
         set_field(self, "fractional", base.fractional)
 
-    @lazy
-    def _zero(self):
-        return (self.base._zero, self.base._zero)
-
-    @lazy
-    def _one(self):
-        return (self.base._one, self.base._zero)
-
-    def canon(self, v):
-        canon = self.base.canon
-        return (canon(v[0]), canon(v[1]))
-
-    def _norm(self, v):
-        if isinstance(v, tuple):
-            a, b = v
-            return (self.base._norm(a), self.base._norm(b))
-        return (self.base._norm(v), self.base._zero)
-
-    def _from_int(self, k: int):
-        return (self.base._from_int(k), self.base._zero)
+    def scalar(self, value) -> "GroundScalar":
+        """The scalar a + b*al of a pair (a, b) of base-ring values, or of one value a."""
+        a, b = (self.base.scalar(v) for v in (value if isinstance(value, tuple) else (value, 0)))
+        return self.make((a.num * b.den, b.num * a.den), a.den * b.den)
 
     @staticmethod
     def add(x, y):
@@ -362,26 +314,14 @@ class QuadExt(RingDescriptor):
     def exquo(x, k: int):
         return (x[0] // k, x[1] // k)
 
-    def split(self, value) -> tuple:
-        (a, da), (b, db) = map(self.base.split, value)
-        den = lcm(da, db)
-        return (a * (den // da), b * (den // db)), den
-
-    def join(self, num, den: int):
-        if den == 1:
-            return num
-        join = self.base.join
-        return (join(num[0], den), join(num[1], den))
-
     def monic(self, lc) -> tuple:
-        if not self.fractional:
-            return self._inv(lc), 1
-        # lc * conj(lc) is the norm a^2 - s*b^2, an integer
+        # lc * conj(lc) is the norm a^2 - s*b^2, a base numerator
         a, b = lc
-        norm = self._norm_form(lc)
-        if norm == 0:
+        norm = a * a - self.s * b * b
+        if self.base.reduce(norm) is None:
             raise NotAUnit("norm a^2 - s*b^2 is not a unit")
-        return ((a, -b), norm) if norm > 0 else ((-a, b), -norm)
+        u, d = self.base.monic(norm)
+        return (a * u, -b * u), d
 
     def mul(self, x, y):
         # (a + b*al)(c + d*al) = ac + s*bd + (ad + bc)*al
@@ -394,36 +334,23 @@ class QuadExt(RingDescriptor):
         reduce = self.base.reduce
         a, b = reduce(v[0]), reduce(v[1])
         if b is None:
-            return None if a is None else (a, self.base._zero)
-        return (self.base._zero if a is None else a, b)
-
-    def _norm_form(self, x):
-        # a^2 - s*b^2, the multiplicative norm into the base ring
-        a, b = x
-        return self.base.canon(a * a - self.s * b * b)
-
-    def _inv(self, x):
-        n = self._norm_form(x)
-        if not self.base._is_unit(n):
-            raise NotAUnit("norm a^2 - s*b^2 is not a unit")
-        ninv = self.base._inv(n)
-        a, b = x
-        return self.canon((a * ninv, -b * ninv))
+            return None if a is None else (a, 0)
+        return (0 if a is None else a, b)
 
     def _is_unit(self, x) -> bool:
-        return self.base._is_unit(self._norm_form(x))
-
-    def _fmt(self, x) -> str:
         a, b = x
-        base = self.base
-        if b == base._zero:
-            return base._fmt(a)
-        neg = isinstance(base, Rationals) and b < 0
+        return self.base.reduce(a * a - self.s * b * b) is not None
+
+    def _fmt(self, x, den: int) -> str:
+        a, b = (self.base.make(c, den) for c in x)
+        if b.is_zero():
+            return str(a)
+        neg = isinstance(self.base, Rationals) and b.num < 0
         mag = -b if neg else b
-        al = "al" if mag == base._from_int(1) else f"{base._fmt(mag)}*al"
-        if a == base._zero:
+        al = "al" if mag.is_one() else f"{mag}*al"
+        if a.is_zero():
             return f"-{al}" if neg else al
-        return f"{base._fmt(a)}{'-' if neg else '+'}{al}"
+        return f"{a}{'-' if neg else '+'}{al}"
 
     def characteristic(self) -> int:
         return self.base.characteristic()
@@ -441,13 +368,15 @@ class QuadExt(RingDescriptor):
 
 
 class GroundScalar(Value):
-    """An exact element of a ground ring, in canonical form."""
+    """An exact element of a ground ring: the numerator `num` over the positive int
+    `den`, as a polynomial term holds it, made canonical by `RingDescriptor.make`."""
 
-    _fields = ("ring", "value")
+    _fields = ("ring", "num", "den")
 
-    def __init__(self, ring: RingDescriptor, value):
+    def __init__(self, ring: RingDescriptor, num, den: int):
         set_field(self, "ring", ring)
-        set_field(self, "value", value)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
     def _check(self, other: "GroundScalar"):
         if self.ring != other.ring:
@@ -464,39 +393,41 @@ class GroundScalar(Value):
     def __add__(self, other):
         if (other := self._coerce(other)) is None:
             return NotImplemented
-        ring = self.ring
-        return GroundScalar(ring, ring.canon(ring.add(self.value, other.value)))
+        ring, times = self.ring, self.ring.times
+        return ring.make(ring.add(times(self.num, other.den), times(other.num, self.den)),
+                         self.den * other.den)
 
     __radd__ = __add__
     __sub__ = sub_by_negation
     __rsub__ = rsub_by_negation
 
     def __neg__(self):
-        ring = self.ring
-        return GroundScalar(ring, ring.canon(ring.neg(self.value)))
+        return self.ring.make(self.ring.neg(self.num), self.den)
 
     def __mul__(self, other):
         if (other := self._coerce(other)) is None:
             return NotImplemented
         ring = self.ring
-        return GroundScalar(ring, ring.canon(ring.mul(self.value, other.value)))
+        return ring.make(ring.mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GroundScalar":
-        return GroundScalar(self.ring, self.ring._inv(self.value))
+        ring = self.ring
+        u, d = ring.monic(self.num)  # 1 / (num / den) = den * u / d
+        return ring.make(ring.times(u, self.den), d)
 
     def is_unit(self) -> bool:
-        return self.ring._is_unit(self.value)
+        return self.ring._is_unit(self.num)
 
     def is_zero(self) -> bool:
-        return self.value == self.ring._zero
+        return self.num == self.ring._zero
 
     def is_one(self) -> bool:
-        return self.value == self.ring._from_int(1)
+        return self.den == 1 and self.num == self.ring._one
 
     def __str__(self) -> str:
-        return self.ring._fmt(self.value)
+        return self.ring._fmt(self.num, self.den)
 
 
 def ring_from_json(obj) -> RingDescriptor:

@@ -357,11 +357,10 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
 
     for x, y in samples_pairs:
         if not (gap := torsion_gap(x, y)).is_zero():
-            return Report("torsion", space.render(identity="torsion", x=x, y=y, gap=gap))
+            return Report("torsion", space.render(x=x, y=y, gap=gap))
     for x, y, z in samples_triples:
         if not (gap := compat_gap(x, y, z)).is_zero():
-            return Report("compatibility", space.render(
-                identity="compatibility", x=x, y=y, z=z, gap=gap))
+            return Report("compatibility", space.render(x=x, y=y, z=z, gap=gap))
     return Report(None, None)
 
 

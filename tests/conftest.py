@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,10 +24,9 @@ def any_ring(request):
 def sample_scalar(rng: random.Random, ring):
     """Uniform-ish scalar draws for law checks, covering negatives and zero."""
     if isinstance(ring, Rationals):
-        from fractions import Fraction
         return ring.scalar(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)))
     if isinstance(ring, PrimeField):
         return ring.from_int(rng.randrange(ring.p))
     a = sample_scalar(rng, ring.base)
     b = sample_scalar(rng, ring.base)
-    return ring.scalar((a.value, b.value))
+    return ring.scalar((Fraction(a.num, a.den), Fraction(b.num, b.den)))

@@ -127,8 +127,8 @@ def ref_of(p: Poly) -> dict:
     """The reference of a Poly, read through the API boundary `items`."""
     out = {}
     for m, c in p.items():
-        v = c.value
-        out[m] = (Fraction(v[0]), Fraction(v[1])) if isinstance(v, tuple) else Fraction(v)
+        v, d = c.num, c.den
+        out[m] = (Fraction(v[0], d), Fraction(v[1], d)) if isinstance(v, tuple) else Fraction(v, d)
     return out
 
 

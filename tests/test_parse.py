@@ -62,8 +62,8 @@ def test_a_literal_fraction_is_a_times_the_inverse_of_b(any_ring):
                 continue
             got = parse_scalar(f"{a}/{b}", ring)
             want = ring.from_int(a) * ring.from_int(b).inverse()
-            # equal canonical values: an integral rational is an int, not a Fraction
-            assert (got, repr(got.value)) == (want, repr(want.value)), (a, b)
+            # equal canonical forms: the same numerator over the same denominator
+            assert (got, got.num, got.den) == (want, want.num, want.den), (a, b)
 
 
 @pytest.mark.parametrize("ring", [F7, QuadExt(F7, -1)], ids=["F7", "F7(al)"])

@@ -55,7 +55,7 @@ def random_small_poly(rng, ring, nvars, max_degree=3, max_terms=4) -> Poly:
 def to_sympy(p: Poly, syms):
     expr = sympy.Integer(0)
     for exp, coeff in p.items():
-        term = sympy.Rational(coeff.value)
+        term = sympy.Rational(coeff.num, coeff.den)
         for s, e in zip(syms, exp):
             term *= s**e
         expr += term

@@ -47,7 +47,7 @@ def test_large_degrees_and_primes_draw_without_enumerating():
     p = random_poly(rng, Rationals(), 8, max_degree=40)
     assert 0 <= p.total_degree() <= 40
     big = PrimeField(1000000000000000003)
-    assert 0 <= random_scalar(rng, big).value < big.p
+    assert 0 <= random_scalar(rng, big).num < big.p
     # C(82, 41) monomials: more than sys.maxsize, where len() and rng.choice raise
     assert comb(82, 41) > sys.maxsize
     assert 0 <= random_poly(rng, Rationals(), 41, max_degree=41).total_degree() <= 41
@@ -85,7 +85,8 @@ def scalar_pool_oracle(ring):
     if isinstance(ring, PrimeField):
         return tuple(ring.scalar(v) for v in range(min(ring.p, 4)))
     base_pool = scalar_pool_oracle(ring.base)
-    return tuple(ring.scalar((a.value, b.value)) for a in base_pool[:4] for b in base_pool[:4])
+    return tuple(ring.scalar((Fraction(a.num, a.den), Fraction(b.num, b.den)))
+                 for a in base_pool[:4] for b in base_pool[:4])
 
 
 def random_poly_oracle(rng, ring, nvars, max_degree=2, max_terms=3):

@@ -5,13 +5,14 @@ inverses, characteristic tables) and the engine is checked against them.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinehart import (GroundScalar, NotAUnit, PrimeField, QuadExt, Rationals,
-                      RinehartSpace, ring_from_json)
+                      RinehartSpace, parse_scalar, ring_from_json)
 from conftest import sample_scalar, seeded
 
 
@@ -162,8 +163,9 @@ def test_rationals_match_fraction_oracle(n, d, m):
     ring = Rationals()
     a = ring.scalar(Fraction(n, d))
     b = ring.from_int(m)
-    assert (a * b).value == Fraction(n, d) * m
-    assert (a + b).value == Fraction(n, d) + m
+    prod, total = a * b, a + b
+    assert Fraction(prod.num, prod.den) == Fraction(n, d) * m
+    assert Fraction(total.num, total.den) == Fraction(n, d) + m
 
 
 @given(a=st.integers(0, 6), b=st.integers(0, 6), c=st.integers(0, 6))
@@ -171,7 +173,7 @@ def test_rationals_match_fraction_oracle(n, d, m):
 def test_prime_field_matches_int_oracle(a, b, c):
     ring = PrimeField(7)
     x, y, z = (ring.from_int(v) for v in (a, b, c))
-    assert (x * y + z).value == (a * b + c) % 7
+    assert (x * y + z).num == (a * b + c) % 7
 
 
 def test_ring_from_json_roundtrip():
@@ -217,7 +219,7 @@ def test_primality_is_deterministic_miller_rabin():
         assert not _is_prime(n)
     for n in (1000000000000000003, 2 ** 61 - 1, 3317044064679887385961813):
         assert _is_prime(n)
-    assert PrimeField(1000000000000000003).from_int(-1).value == 1000000000000000002
+    assert PrimeField(1000000000000000003).from_int(-1).num == 1000000000000000002
     with pytest.raises(ValueError, match="exceeds"):
         PrimeField(PRIME_BOUND)
 
@@ -233,3 +235,63 @@ def test_an_int_minus_a_scalar_or_a_function(any_ring):
     assert 1 - any_ring.from_int(3) == any_ring.from_int(-2)
     space = RinehartSpace.euclidean(any_ring, ("x", "y"))
     assert 1 - space.fn("x + 2") == space.fn("-x - 1")
+
+
+# ---------------------------------------------------------------------------
+# one scalar form: a numerator over a positive denominator, as a polynomial term holds it
+
+
+def test_scalars_are_reduced_numerators_over_positive_denominators(any_ring):
+    ring, rng = any_ring, seeded("scalar form")
+    assert GroundScalar._fields == ("ring", "num", "den")
+    assert (ring.zero().num, ring.zero().den) == (ring._zero, 1)
+    if ring.fractional:  # elsewhere the denominator is always 1
+        assert ring.make(ring.times(ring._one, 6), 6) == ring.one()
+    for _ in range(150):
+        a, b = sample_scalar(rng, ring), sample_scalar(rng, ring)
+        out = [a, b, a + b, a * b, -a, a - b, a - a] + ([a.inverse()] if a.is_unit() else [])
+        for x in out:
+            parts = x.num if isinstance(ring, QuadExt) else (x.num,)
+            assert x.den > 0 and gcd(x.den, *parts) == 1, x
+            assert x.den == 1 or ring.fractional, x
+            assert x.num == (ring.reduce(x.num) or ring._zero), x
+            assert x.den == 1 or not x.is_zero(), x
+            assert parse_scalar(str(x), ring) == x, x
+
+
+def _pair(x):
+    """x as a pair of Fractions (a, b), a + b*al, read from its numerator and denominator."""
+    num = x.num if isinstance(x.num, tuple) else (x.num, 0)
+    return tuple(Fraction(c, x.den) for c in num)
+
+
+@pytest.mark.parametrize("ring", [Rationals(), QuadExt(Rationals(), -1)], ids=["Q", "Qi"])
+def test_scalar_arithmetic_matches_a_fraction_reference(ring):
+    # over Q(i), (a + b*i)(c + d*i) = ac - bd + (ad + bc)*i and 1/(a + b*i) = (a - b*i)/(a^2 + b^2);
+    # over Q every b and d is 0
+    rng = seeded("scalar oracle")
+    for _ in range(300):
+        x, y = sample_scalar(rng, ring), sample_scalar(rng, ring)
+        (a, b), (c, d) = _pair(x), _pair(y)
+        assert _pair(x + y) == (a + c, b + d)
+        assert _pair(x * y) == (a * c - b * d, a * d + b * c)
+        if x.is_zero():
+            continue
+        norm = a * a + b * b
+        assert _pair(x.inverse()) == (a / norm, -b / norm)
+
+
+def test_every_inverse_refuses_a_non_unit_with_its_message():
+    with pytest.raises(NotAUnit, match=r"^0 has no inverse in Q$"):
+        Rationals().monic(0)
+    with pytest.raises(NotAUnit, match=r"^0 has no inverse in Q$"):
+        Rationals().zero().inverse()
+    with pytest.raises(NotAUnit, match=r"^0 has no inverse in F_5$"):
+        PrimeField(5).monic(10)
+    with pytest.raises(NotAUnit, match=r"^0 has no inverse in F_5$"):
+        PrimeField(5).zero().inverse()
+    for ring in (QuadExt(Rationals(), 1), QuadExt(PrimeField(3), 1)):
+        with pytest.raises(NotAUnit, match=r"^norm a\^2 - s\*b\^2 is not a unit$"):
+            ring.monic((1, 1))
+        with pytest.raises(NotAUnit, match=r"^norm a\^2 - s\*b\^2 is not a unit$"):
+            ring.scalar((1, -1)).inverse()

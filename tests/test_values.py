@@ -1,4 +1,5 @@
-"""Value semantics of the exact objects, and an import that needs no dataclasses.
+"""Value semantics of the exact objects, and an import that needs no dataclasses
+and no fractions.
 
 Rings, scalars, polynomials, quotient classes, fields, spaces and
 hypersurfaces are plain classes on one base, `rinehart.rings.Value`:
@@ -22,13 +23,23 @@ from rinehart.suites import Workspace
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site hooks, which may import either module themselves, out of the count
+def loaded_by_importing_the_cli(names) -> str:
+    """The modules among `names` that a fresh interpreter holds after `import rinehart.cli`."""
+    # -S keeps site hooks, which may import such modules themselves, out of the count
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import rinehart.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({set(names)!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert loaded_by_importing_the_cli(["dataclasses", "inspect"]) == "[]"
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # a scalar is a numerator over a denominator, so the engine needs no Fraction
+    assert loaded_by_importing_the_cli(["fractions", "decimal", "numbers"]) == "[]"
 
 
 def test_equal_values_have_equal_hashes():
@@ -82,8 +93,8 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
                 with pytest.raises(AttributeError):
                     setattr(obj, name, first)
     assert seen == {
-        "Poly.partials", "PrincipalIdeal.divisor", "QuadExt._zero", "QuadExt._one",
-        "Metric._minors", "Metric._adjugate", "Metric.det_status", "Metric.inverse",
+        "Poly.partials", "PrincipalIdeal.divisor", "Metric._minors", "Metric._adjugate",
+        "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
         "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
         "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
