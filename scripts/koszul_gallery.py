@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from rinehart import (KoszulConnection, Metric, MetricNotMusical, Rationals,
                       RinehartSpace, check_levi_civita)
-from rinehart.randgen import rng_for
+from rinehart.randgen import random_field, rng_for
 
 Q = Rationals()
 
@@ -54,7 +54,9 @@ def show(entry: GalleryEntry) -> bool:
                 om = conn.form(xi, xj)
                 print(f"   nabla_X{i+1} X{j+1}: no exact vector; one-form "
                       f"{sp.format_field(om)}")
-    report = check_levi_civita(sp, conn, rng=rng_for(0, entry.label))
+    rng = rng_for(0, entry.label)
+    trios = [tuple(random_field(rng, sp, 2) for _ in range(3)) for _ in range(10)]
+    report = check_levi_civita(sp, conn, trios)
     print(f"   Levi-Civita: {'verified' if report.ok else report.failed + ' identity fails'}")
     return report.ok
 

@@ -112,7 +112,7 @@ class _Parser:
         """(sum, max, D) of the coefficient sizes |c| * D, D the common denominator
         `poly.den`, whose numerators they are, or None over F_p."""
         ring = self.ring
-        if not ring.fractional:
+        if ring.characteristic():
             return None
         nums = poly.numerators()
         if isinstance(ring, QuadExt):

@@ -32,12 +32,13 @@ which takes each next divisible term from a heap (Johnson, SIGSAM Bull.
 enter the heap, every other key waits in the map, and the map is made
 canonical once at the end.  A sum of products reduced modulo (f) divides
 its own product accumulator this way, so nothing is sorted or made
-canonical before the division.  The divisor is made monic, with its tail
-over an integer denominator d; when d does not divide the next term, the
-map is multiplied through first (pseudo-division, Knuth, TAOCP vol. 2,
-section 4.6.1).  A single generator is a Groebner basis of its ideal, so
-the remainder is a canonical representative of the residue class and
-ideal membership is "remainder is zero".  Only a class built from an outside
+canonical before the division.  The divisor is made monic once, in its
+record `Poly.division`, with its tail over an integer denominator d; when d
+does not divide the next term, the map is multiplied through first
+(pseudo-division, Knuth, TAOCP vol. 2, section 4.6.1).  A single generator
+is a Groebner basis of its ideal, so the remainder is a canonical
+representative of the residue class and ideal membership is "remainder is
+zero".  Only a class built from an outside
 representative scans it for divisible terms: `+`, `-` and unary `-` of classes
 skip the scan, as sums and negations of remainders are remainders, and so do
 the products of `quotient_sum`, which `sum_products` has divided already.
@@ -79,11 +80,6 @@ def _degree(key: int, nvars: int) -> int:
 def _digits(key: int, nvars: int) -> int:
     """deg * W**n - key, whose W-adic digits are the exponents."""
     return (_degree(key, nvars) << (FIELD_BITS * nvars)) - key
-
-
-def _guard(nvars: int) -> int:
-    """The guard bits of the n exponent digits."""
-    return (W // 2) * ((1 << (FIELD_BITS * nvars)) - 1) // (W - 1)
 
 
 def _canonical(ring: RingDescriptor, nvars: int, items, den: int) -> "Poly":
@@ -295,6 +291,24 @@ class Poly(Value):
         return tuple(_canonical(self.ring, n, part, self.den) if part else zero
                      for _, _, part in steps)
 
+    @lazy
+    def division(self) -> tuple:
+        """(leading key, tail, d, guard), the division record of this polynomial as a
+        divisor, built once per polynomial: the tail of its monic associate is (key offset,
+        -numerator) pairs over the positive int d, so a quotient term c at key m adds
+        (c / d) * (-fc) at key m + (fk - lk); guard holds the top bit of each exponent
+        digit (see the module docstring)."""
+        ring, n = self.ring, self.nvars
+        lk, lc = self.terms[0]
+        u, d = ring.monic(lc)  # f / lc(f) = f * u / d, whatever den f has
+        neg, mul, reduce = ring.neg, ring.mul, ring.reduce
+        tail = [(fk - lk, reduce(neg(mul(fc, u)))) for fk, fc in self.terms[1:]]
+        if d != 1 and (g := ring.content(d, [c for _, c in tail])) != 1:
+            exquo = ring.exquo
+            tail = [(k, exquo(c, g)) for k, c in tail]
+            d //= g
+        return lk, tail, d, (W // 2) * ((1 << (FIELD_BITS * n)) - 1) // (W - 1)
+
 
 def _merge(a: Poly, b: Poly, sign: int) -> Poly:
     """a + sign * b for sign = 1 or -1: one merge of the two term lists over the lcm of
@@ -353,7 +367,7 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
         gen = ideal.generator
         if (gen.ring is not ring and gen.ring != ring) or gen.nvars != nvars:
             raise IdealMismatch("sum and ideal live in different rings")
-        den = _divide(ring, acc, ideal.divisor, den)[1]
+        den = _divide(ring, acc, gen.division, den)[1]
     return _canonical(ring, nvars, sorted(acc.items(), reverse=True), den)
 
 
@@ -364,26 +378,10 @@ def _rescale(ring: RingDescriptor, work: dict, s: int):
         work[k] = times(v, s)
 
 
-def _divisor(f: Poly) -> tuple:
-    """(leading key, tail, d, guard) of the monic associate of a divisor f, whose tail
-    is (key offset, -numerator) pairs over the positive int d: a quotient term c at
-    key m adds (c / d) * (-fc) at key m + (fk - lk)."""
-    ring = f.ring
-    lk, lc = f.terms[0]
-    u, d = ring.monic(lc)  # f / lc(f) = f * u / d, whatever den f has
-    neg, mul, reduce = ring.neg, ring.mul, ring.reduce
-    tail = [(fk - lk, reduce(neg(mul(fc, u)))) for fk, fc in f.terms[1:]]
-    if d != 1 and (g := ring.content(d, [c for _, c in tail])) != 1:
-        exquo = ring.exquo
-        tail = [(k, exquo(c, g)) for k, c in tail]
-        d //= g
-    return lk, tail, d, _guard(f.nvars)
-
-
 def _divide(ring: RingDescriptor, work: dict, divisor: tuple, den: int) -> tuple:
-    """Divide the raw {key: numerator} map `work` over `den` in place by `divisor`
-    (see `_divisor`) and return (quotient terms in descending key order, den), both
-    the quotient and what `work` holds then over the returned den.
+    """Divide the raw {key: numerator} map `work` over `den` in place by `divisor`, a
+    division record (see `Poly.division`), and return (quotient terms in descending key
+    order, den), both the quotient and what `work` holds then over the returned den.
 
     Only keys divisible by the leading monomial enter the heap, largest first;
     each division adds only keys below the one it divides.  Every other key stays
@@ -432,7 +430,7 @@ def divmod_poly(g: Poly, f: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
     work = dict(g.terms)
-    quo, den = _divide(ring, work, _divisor(f), g.den)
+    quo, den = _divide(ring, work, f.division, g.den)
     rem = _canonical(ring, g.nvars, sorted(work.items(), reverse=True), den)
     # the quotient by the monic associate, times 1 / lc(f) = f.den * u / d
     u, d = ring.monic(f.terms[0][1])
@@ -473,11 +471,6 @@ class PrincipalIdeal(Value):
     def nvars(self) -> int:
         return self.generator.nvars
 
-    @lazy
-    def divisor(self) -> tuple:
-        """The division data of the generator, built once (see `_divisor`)."""
-        return _divisor(self.generator)
-
 
 def normal_form(g: Poly, ideal: Optional[PrincipalIdeal]) -> Poly:
     if ideal is None:
@@ -506,7 +499,7 @@ class QuotientElem(Value):
             return
         if self.rep.ring != self.ideal.ring or self.rep.nvars != self.ideal.nvars:
             raise IdealMismatch("polynomial and ideal live in different rings")
-        lk, _, _, guard = self.ideal.divisor
+        lk, _, _, guard = self.ideal.generator.division
         # a cheap scan keeps reduced reps division-free; multiples of lm are >= lm
         for k, _ in self.rep.terms:
             if k < lk:

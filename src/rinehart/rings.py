@@ -148,7 +148,7 @@ class RingDescriptor(Value):
     """Common interface of the ground-ring descriptors: the arithmetic of numerators.
 
     Scalars and polynomial terms both hold numerators over a positive int
-    denominator, which stays 1 unless `fractional` is set.  `add`, `mul` and
+    denominator, which stays 1 in positive characteristic.  `add`, `mul` and
     `neg` may return unreduced results (an F_p residue outside [0, p), say);
     `reduce` makes a numerator canonical, or None for zero.  `monic(lc)` is
     the one inverse: (u, d) with lc * u = d, a positive int, so dividing by
@@ -158,7 +158,6 @@ class RingDescriptor(Value):
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     neg = staticmethod(operator.neg)
-    fractional = False  # whether numerators carry a denominator other than 1
     _zero, _one = 0, 1  # the numerators of 0 and 1
 
     def nonzero(self, items) -> list:
@@ -166,7 +165,7 @@ class RingDescriptor(Value):
         reduce = self.reduce
         return [(k, c) for k, v in items if (c := reduce(v)) is not None]
 
-    # -- numerators over a common denominator; used where `fractional` is set --
+    # -- numerators over a common denominator, other than 1 only in characteristic 0 --
 
     times = staticmethod(operator.mul)  # numerator times an int
 
@@ -188,9 +187,11 @@ class RingDescriptor(Value):
         return GroundScalar(self, num, den)
 
     def scalar(self, value) -> "GroundScalar":
-        """The scalar of a Python number with `as_integer_ratio`: an int, a float or a
-        `fractions` rational."""
-        return self.make(*value.as_integer_ratio())
+        """The scalar of a Python number with `as_integer_ratio` (an int, a float or a
+        `fractions` rational) by the parser's rule for a literal a/b: a times the inverse
+        of b, so NotAUnit when b is not a unit."""
+        num, den = value.as_integer_ratio()
+        return self.from_int(num) * self.from_int(den).inverse()
 
     def from_int(self, k: int) -> "GroundScalar":
         return self.make(self.times(self._one, k))
@@ -220,8 +221,6 @@ class RingDescriptor(Value):
 class Rationals(RingDescriptor):
     """The field of rational numbers: numerators are ints."""
 
-    fractional = True
-
     @staticmethod
     def reduce(v):
         return v or None
@@ -249,10 +248,6 @@ class PrimeField(RingDescriptor):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         Value.__init__(self, p)
-
-    def scalar(self, value) -> "GroundScalar":
-        """The scalar of int(value), as for any other Python number."""
-        return self.make(int(value))
 
     def reduce(self, v):
         return v % self.p or None
@@ -287,7 +282,6 @@ class QuadExt(RingDescriptor):
         if type(s) is not int or s not in (1, -1):
             raise ValueError("s must be +1 or -1")
         Value.__init__(self, base, s)
-        set_field(self, "fractional", base.fractional)
 
     def scalar(self, value) -> "GroundScalar":
         """The scalar a + b*al of a pair (a, b) of base-ring values, or of one value a."""

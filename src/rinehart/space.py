@@ -315,15 +315,14 @@ class Report(Value):
         return self.failed is None
 
 
-def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
-                      max_degree: int = 2) -> Report:
+def check_levi_civita(space: RinehartSpace, conn, samples=()) -> Report:
     """Verify torsion-freeness and metric compatibility exactly.
 
-    Both identities are checked exhaustively on the coordinate basis and on
-    `cases` random fields drawn from `rng`.  For a Koszul connection
-    whose vector values are only partially defined the identities are
-    checked at the one-form level, which is equivalent whenever the Gram
-    matrix has nonzero determinant over a domain.
+    Both identities are checked exhaustively on the coordinate basis and then
+    on each field trio (X, Y, Z) of `samples`, torsion on its (X, Y).  For a
+    Koszul connection whose vector values are only partially defined the
+    identities are checked at the one-form level, which is equivalent whenever
+    the Gram matrix has nonzero determinant over a domain.
     """
     fields = space.basis_fields()
     form_level = one_form_valued(conn)
@@ -347,18 +346,11 @@ def check_levi_civita(space: RinehartSpace, conn, rng, cases: int = 10,
             return lhs - (pairing(z, value(x, y)) + pairing(y, value(x, z)))
         return lhs - (inner(value(x, y), z, metric) + inner(y, value(x, z), metric))
 
-    from .randgen import random_field  # imported here, so `import rinehart` skips randgen
-    samples_pairs = [(x, y) for x in fields for y in fields]
-    samples_triples = [(x, y, z) for x in fields for y in fields for z in fields]
-    for _ in range(cases):
-        trio = tuple(random_field(rng, space, max_degree) for _ in range(3))
-        samples_pairs.append(trio[:2])
-        samples_triples.append(trio)
-
-    for x, y in samples_pairs:
+    samples = list(samples)
+    for x, y in [(x, y) for x in fields for y in fields] + [trio[:2] for trio in samples]:
         if not (gap := torsion_gap(x, y)).is_zero():
             return Report("torsion", space.render(x=x, y=y, gap=gap))
-    for x, y, z in samples_triples:
+    for x, y, z in [(x, y, z) for x in fields for y in fields for z in fields] + samples:
         if not (gap := compat_gap(x, y, z)).is_zero():
             return Report("compatibility", space.render(x=x, y=y, z=z, gap=gap))
     return Report(None, None)

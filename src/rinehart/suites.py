@@ -245,8 +245,8 @@ def _check_koszul_flat(ws, rng, cases, max_degree):
 
 def _check_levi_civita_suite(ws, rng, cases, max_degree):
     space = ws.space
-    report = check_levi_civita(space, ws.plain_connection, rng=rng, cases=cases,
-                               max_degree=max_degree)
+    trios = [tuple(random_field(rng, space, max_degree) for _ in range(3)) for _ in range(cases)]
+    report = check_levi_civita(space, ws.plain_connection, trios)
     if not report.ok:
         return _fail(space, f"{report.failed} identity fails", **report.counterexample)
     return _ok(f"basis plus {cases} random samples")

@@ -4,10 +4,17 @@ from fractions import Fraction
 import pytest
 
 from rinehart import PrimeField, QuadExt, Rationals
+from rinehart.randgen import random_field
 
 
 def seeded(label: str) -> random.Random:
     return random.Random(f"test:{label}")
+
+
+def random_trios(rng: random.Random, space, cases: int = 10, max_degree: int = 2) -> list:
+    """`cases` field trios (X, Y, Z) for `check_levi_civita`, drawn X, Y, Z in turn, as
+    the levi-civita check draws them."""
+    return [tuple(random_field(rng, space, max_degree) for _ in range(3)) for _ in range(cases)]
 
 
 @pytest.fixture(params=["Q", "F5", "F7", "Qi", "F3al"])

@@ -16,7 +16,7 @@ from rinehart.cli import main
 from rinehart.hypersurface import InducedConnection
 from rinehart.randgen import random_field
 from rinehart.suites import Workspace, run_checks
-from conftest import seeded
+from conftest import random_trios, seeded
 
 Q = Rationals()
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -112,7 +112,7 @@ def test_criterion_6_fundamental_theorem_consistency():
     metric = Metric.diagonal((helper.fn("1"), helper.fn("x1^2 + 1")))
     sp2 = RinehartSpace.with_metric(Q, ("x1", "x2"), metric)
     kz = KoszulConnection(sp2)
-    lc = check_levi_civita(sp2, kz, rng=seeded("acceptance-koszul"))
+    lc = check_levi_civita(sp2, kz, random_trios(seeded("acceptance-koszul"), sp2))
     ok &= lc.ok
     elapsed = time.perf_counter() - t0
     report(6, ok and elapsed < 5.0,
@@ -150,8 +150,8 @@ def test_criterion_8_negative_controls(tmp_path, capsys):
         bias = pairing(x, sp.basis_form(0)) * pairing(y, sp.basis_form(1))
         return base(x, y) + bias * sp.basis_field(0)
 
-    first = check_levi_civita(sp, perturbed, rng=seeded("acceptance-neg"))
-    second = check_levi_civita(sp, perturbed, rng=seeded("acceptance-neg"))
+    first = check_levi_civita(sp, perturbed, random_trios(seeded("acceptance-neg"), sp))
+    second = check_levi_civita(sp, perturbed, random_trios(seeded("acceptance-neg"), sp))
     ok = not first.ok and first.failed == "torsion"
     ok &= first.counterexample is not None
     print(f"perturbed-connection counterexample: {first.counterexample}")

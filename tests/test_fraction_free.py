@@ -21,7 +21,7 @@ from rinehart import (KoszulConnection, Metric, Poly, PrimeField, PrincipalIdeal
                       QuotientElem, Rationals, RingMismatch, RinehartSpace, divmod_poly,
                       flat, inner, make_sphere, normal_form, project_tangent, sum_products)
 from rinehart.hypersurface import InducedConnection
-from rinehart.poly import _divide, _divisor, class_key
+from rinehart.poly import _divide, class_key
 from rinehart.randgen import random_poly, rng_for
 
 Q = Rationals()
@@ -281,7 +281,7 @@ def test_a_division_that_needs_a_multiplied_map():
     x = Poly.variable(Q, 1, 0)
     f = x * x - Poly.constant(Q, 1, Q.scalar(Fraction(1, 2)))
     work = {k: c for k, c in (x * x + x).terms}
-    quo, den = _divide(Q, work, _divisor(f), 1)
+    quo, den = _divide(Q, work, f.division, 1)
     assert den == 2 and quo == [(0, 2)] and work == {x.terms[0][0]: 2, 0: 1}
     q, r = divmod_poly(x * x + x, f)
     assert q == Poly.constant(Q, 1, Q.one())
@@ -315,8 +315,8 @@ def test_the_kernel_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     sum_products(Q, 3, [(a, b), (half, a), (b, b)], ideal)
     sum_products(QI, 3, [(ai, ai), (ai, ai * ai)], gi)
-    _divide(Q, work, ideal.divisor, ab.den)
-    _divide(QI, work_i, gi.divisor, cube.den)
+    _divide(Q, work, ideal.generator.division, ab.den)
+    _divide(QI, work_i, gi.generator.division, cube.den)
     for p in fresh:
         assert len(p.partials) == 3
     a + b, half + a, ai + ai

@@ -6,10 +6,14 @@ rescanning for the grevlex-largest remaining term: the representation and
 algorithm the kernel used before packed keys and heap division.  It is
 compared over Q, F_2, F_5, Q(i) and the split Q(j), which has zero
 divisors; sums of products reduced straight from their accumulator are
-compared with it over Q, F_7, Q(i) and Q(j).
+compared with it over Q, F_7, Q(i) and Q(j).  A whole check run builds the
+division record of its ideal's generator once.
 """
 
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +21,8 @@ from hypothesis import strategies as st
 
 from rinehart import (DegreeOverflow, IdealMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt,
                       QuotientElem, Rationals, divmod_poly, normal_form, sum_products)
-from rinehart.poly import MAX_DEGREE, _guard, pack, unpack
+from rinehart import cli
+from rinehart.poly import MAX_DEGREE, pack, unpack
 
 Q = Rationals()
 RINGS = {
@@ -28,6 +33,7 @@ RINGS = {
     "Qj": QuadExt(Q, 1),
 }
 NVARS = 3
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,16 @@ def test_split_extension_zero_divisors_cancel():
         (1, 0): qj.from_int(2), (0, 0): qj.one()}
 
 
+def test_a_check_run_builds_the_division_record_once(monkeypatch):
+    # normal_form, sum_products and the scan of a new class all read the generator's record
+    division = vars(Poly)["division"]
+    built, build = [], division.build
+    monkeypatch.setattr(division, "build", lambda f: built.append(f) or build(f))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["check", "--json", "--seed", "7", str(SPECS / "sphere_q_n3.json")])
+    assert code == 0 and len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # packed keys
 
@@ -182,7 +198,8 @@ def test_packed_keys_order_add_and_divide(a, data):
     if sum(a) + sum(b) <= MAX_DEGREE:
         assert ka + kb == pack(tuple(x + y for x, y in zip(a, b)))
     divides = all(x <= y for x, y in zip(a, b))
-    assert (not (ka - kb) & _guard(n)) == divides
+    guard = Poly.variable(Q, n, 0).division[3]  # the guard of every divisor in n variables
+    assert (not (ka - kb) & guard) == divides
 
 
 def test_degree_bound_raises_instead_of_misordering():

@@ -245,7 +245,7 @@ def test_scalars_are_reduced_numerators_over_positive_denominators(any_ring):
     ring, rng = any_ring, seeded("scalar form")
     assert GroundScalar._fields == ("ring", "num", "den")
     assert (ring.zero().num, ring.zero().den) == (ring._zero, 1)
-    if ring.fractional:  # elsewhere the denominator is always 1
+    if ring.characteristic() == 0:  # elsewhere the denominator is always 1
         assert ring.make(ring.times(ring._one, 6), 6) == ring.one()
     for _ in range(150):
         a, b = sample_scalar(rng, ring), sample_scalar(rng, ring)
@@ -253,7 +253,7 @@ def test_scalars_are_reduced_numerators_over_positive_denominators(any_ring):
         for x in out:
             parts = x.num if isinstance(ring, QuadExt) else (x.num,)
             assert x.den > 0 and gcd(x.den, *parts) == 1, x
-            assert x.den == 1 or ring.fractional, x
+            assert x.den == 1 or ring.characteristic() == 0, x
             assert x.num == (ring.reduce(x.num) or ring._zero), x
             assert x.den == 1 or not x.is_zero(), x
             assert parse_scalar(str(x), ring) == x, x
@@ -295,3 +295,26 @@ def test_every_inverse_refuses_a_non_unit_with_its_message():
             ring.monic((1, 1))
         with pytest.raises(NotAUnit, match=r"^norm a\^2 - s\*b\^2 is not a unit$"):
             ring.scalar((1, -1)).inverse()
+
+
+def test_a_number_is_the_scalar_the_parser_reads(any_ring):
+    # a/b is a times the inverse of b in every ring, from a Python number as from a literal;
+    # a Fraction is in lowest terms, so only a p in its reduced denominator refuses
+    ring, p = any_ring, any_ring.characteristic()
+    for a in range(-8, 9):
+        for b in range(1, 8):
+            x = Fraction(a, b)
+            if p and x.denominator % p == 0:
+                with pytest.raises(NotAUnit):
+                    ring.scalar(x)
+                continue
+            text = f"{a}/{b}" if not p or b % p else f"{x.numerator}/{x.denominator}"
+            assert ring.scalar(x) == parse_scalar(text, ring), (a, b)
+    if not isinstance(ring, QuadExt):
+        return
+    for a, b, c, d in [(1, 2, -3, 4), (-5, 7, 2, 5), (3, 1, 1, 2), (0, 4, -7, 1), (6, 5, 0, 7)]:
+        want = parse_scalar(f"{a}/{b} + ({c}/{d})*al", ring)
+        assert ring.scalar((Fraction(a, b), Fraction(c, d))) == want, (a, b, c, d)
+    if p:
+        with pytest.raises(NotAUnit):
+            ring.scalar((Fraction(1), Fraction(1, p)))

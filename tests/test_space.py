@@ -10,6 +10,9 @@ Independent oracles:
     x1/(x1^2+1) is not a polynomial.
 """
 
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -25,7 +28,7 @@ from rinehart.tensors import VectorField
 from rinehart.hypersurface import make_sphere
 from rinehart.randgen import random_field, random_fn
 from rinehart.suites import Workspace, run_checks
-from conftest import seeded
+from conftest import random_trios, seeded
 
 Q = Rationals()
 
@@ -199,7 +202,7 @@ def test_flat_connection_is_flat_and_levi_civita():
         y = random_field(rng, sp, 2)
         z = random_field(rng, sp, 2)
         assert curvature(sp, conn, x, y, z).is_zero()
-    report = check_levi_civita(sp, conn, rng=seeded("space-flat-lc"))
+    report = check_levi_civita(sp, conn, random_trios(seeded("space-flat-lc"), sp))
     assert report.ok
 
 
@@ -244,7 +247,7 @@ def test_koszul_frozen_nonmusical_example():
     with pytest.raises(MetricNotMusical):
         kz(x1, x2)
     assert kz.form(x1, x2).coeffs == (sp.fn("0"), sp.fn("x1"))
-    report = check_levi_civita(sp, kz, rng=seeded("space-koszul-frozen"))
+    report = check_levi_civita(sp, kz, random_trios(seeded("space-koszul-frozen"), sp))
     assert report.ok
 
 
@@ -325,7 +328,7 @@ def test_koszul_levi_civita_on_unit_det_metric():
     sp = RinehartSpace.with_metric(Q, ("x", "y"), g)
     kz = KoszulConnection(sp)
     assert kz.fully_solvable
-    report = check_levi_civita(sp, kz, rng=seeded("space-lc-unit"))
+    report = check_levi_civita(sp, kz, random_trios(seeded("space-lc-unit"), sp))
     assert report.ok
     # metric compatibility spot check by hand:
     # d_x <y,y> = <nabla_x y, y> + <y, nabla_x y>
@@ -361,7 +364,7 @@ def test_check_levi_civita_forms_each_value_once(monkeypatch):
     kz = KoszulConnection(sp)
     assert kz.fully_solvable
     calls = counted(monkeypatch, "__call__")
-    assert check_levi_civita(sp, kz, rng=Random(7), cases=40).ok
+    assert check_levi_civita(sp, kz, random_trios(Random(7), sp, 40)).ok
     # the 9 basis pairs, and (x, y), (y, x) and (x, z) of each random trio
     assert len(calls) == len(set(calls)) == 9 + 3 * 40
 
@@ -372,7 +375,7 @@ def test_check_levi_civita_forms_each_one_form_once(monkeypatch):
     kz = KoszulConnection(sp)
     assert not kz.fully_solvable
     calls = counted(monkeypatch, "form")
-    assert check_levi_civita(sp, kz, rng=Random(7), cases=10).ok
+    assert check_levi_civita(sp, kz, random_trios(Random(7), sp, 10)).ok
     assert len(calls) == len(set(calls)) == 4 + 3 * 10
 
 
@@ -409,11 +412,37 @@ def test_check_levi_civita_rejects_perturbed_connection():
             bias = pairing(x, sp.basis_form(0)) * pairing(y, sp.basis_form(1))
             return v + bias * sp.basis_field(0)
 
-    report = check_levi_civita(sp, Perturbed(), rng=seeded("space-lc-perturbed"))
+    report = check_levi_civita(sp, Perturbed(), random_trios(seeded("space-lc-perturbed"), sp))
     assert not report.ok
     assert report.failed == "torsion"
     assert report.counterexample is not None
     assert "x" in report.counterexample and "y" in report.counterexample
+
+
+def test_a_connection_wrong_only_off_the_basis_fails_on_a_sampled_trio():
+    sp = RinehartSpace.euclidean(Q, ("x", "y"))
+    base, e1 = EuclideanConnection(sp), sp.basis_field(0)
+
+    def planted(x, y):
+        # X^1 d_1(X^1) e_1 is zero on every constant field, the coordinate basis among them
+        x1 = x.coeffs[0]
+        return base(x, y) + (x1 * derive(sp, e1, x1)) * e1
+
+    assert check_levi_civita(sp, planted).ok
+    report = check_levi_civita(sp, planted, random_trios(seeded("space-lc-off-basis"), sp, 1))
+    assert report.failed == "torsion"
+
+
+def test_check_levi_civita_loads_no_random_generator():
+    # -S keeps site hooks, which may import modules themselves, out of the count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rinehart; "
+            "sp = rinehart.RinehartSpace.euclidean(rinehart.Rationals(), ('x', 'y')); "
+            "assert rinehart.check_levi_civita(sp, rinehart.EuclideanConnection(sp)).ok; "
+            "print('rinehart.randgen' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_curvature_tensorial_in_function_coefficients():

@@ -1,12 +1,15 @@
 """The benchmark's tooling against the package: traced names, the pair summary and
-the bytecode count.
+the bytecode count; and the output of the example script `koszul_gallery.py`.
 
 `perfbench/tracing.py` wraps functions and methods by name,
 `scripts/bench_pairs.py` summarises alternating parent/change runs and
-`scripts/opcount.py` counts executed bytecodes.  All three are loaded from
+`scripts/opcount.py` counts executed bytecodes.  `scripts/koszul_gallery.py`
+draws the field trios its Levi-Civita checks sample; its stdout and its draws
+are pinned by sha256, so a change to either shows.  All four are loaded from
 their files; none is a package.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -183,3 +186,20 @@ def test_opcount_round_zero_is_the_benchmark_round(tmp_path):
     assert specs == [op["spec"] for op in inputs.koszul_inputs(3, 0)]
     sweep = opcount.round_zero("space-form-sweep", 3, tmp_path)
     assert sweep["items"] == [item for _, items in inputs.sweep_inputs(3) for item in items]
+
+
+def test_koszul_gallery_prints_and_draws_as_pinned(monkeypatch, capsys):
+    gallery = load("scripts/koszul_gallery.py")
+    drawn, check = [], gallery.check_levi_civita
+
+    def recording(space, conn, samples):
+        drawn.append([[space.format_field(f) for f in trio] for trio in samples])
+        return check(space, conn, samples)
+
+    monkeypatch.setattr(gallery, "check_levi_civita", recording)
+    assert gallery.main() == 0
+    assert [len(trios) for trios in drawn] == [10] * len(gallery.ENTRIES)
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (capsys.readouterr().out, json.dumps(drawn))]
+    assert digests == ["8bb4ec229a2ed89a8e989ba30085d69bd97339b2d7c03363260cd59d22641860",
+                       "44526cd55df60aca5b6706616d04e043611bf0b4c44c58b7cc0532dd58fc5e4e"]

@@ -93,7 +93,7 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
                 with pytest.raises(AttributeError):
                     setattr(obj, name, first)
     assert seen == {
-        "Poly.partials", "PrincipalIdeal.divisor", "Metric._minors", "Metric._adjugate",
+        "Poly.partials", "Poly.division", "Metric._minors", "Metric._adjugate",
         "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
         "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
