@@ -9,8 +9,10 @@ round 0 of the workload's seeded inputs, built by `perfbench/inputs.py` of
 this script's checkout: `rinehart check --json` on each spec of
 `quotient-check` and `koszul-metric`, `make_sphere` and `verify_space_form`
 on each item of `space-form-sweep`.  The import is not counted.  The script
-prints one JSON line with both counts and the relative change
-(change - parent) / parent.  On one interpreter version the count does not
+prints one JSON line with both counts, the relative change
+(change - parent) / parent and each child's peak resident set size
+(`VmHWM`, `parent_rss_kib` and `change_rss_kib`), which moves where the
+counts cannot; like the counts, the sizes are printed and never judged.  On one interpreter version the count does not
 depend on the machine's load or the hash seed, so a change of a few tenths
 of a percent shows where wall time cannot.  The children write no
 bytecode, so neither checkout gains a `__pycache__`.
@@ -30,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("quotient-check", "space-form-sweep", "koszul-metric")
 
-# The child reads its job from stdin and prints {"opcodes": N}.
+# The child reads its job from stdin and prints {"opcodes": N, "rss_kib": its VmHWM}.
 CHILD = r"""
 import contextlib, io, json, sys
 job = json.load(sys.stdin)
@@ -63,7 +65,9 @@ def run():
 sys.settrace(on_event)
 run()
 sys.settrace(None)
-print(json.dumps({"opcodes": count}))
+with open("/proc/self/status", encoding="ascii") as status:
+    rss = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"opcodes": count, "rss_kib": rss}))
 """
 
 
@@ -95,8 +99,9 @@ def write_specs(specs: list, folder: Path) -> list:
     return paths
 
 
-def count(checkout: Path, job: dict) -> int:
-    """The opcode events of `job` in a fresh interpreter running `checkout`'s package."""
+def count(checkout: Path, job: dict) -> dict:
+    """{"opcodes", "rss_kib"}: the opcode events of `job` in a fresh interpreter running
+    `checkout`'s package, and that interpreter's peak resident set size in KiB."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(job), env=env,
@@ -104,7 +109,7 @@ def count(checkout: Path, job: dict) -> int:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: the counting child exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])["opcodes"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -117,8 +122,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="opcount-") as folder:
         job = round_zero(args.workload, args.seed, Path(folder))
         parent, change = count(args.parent, job), count(args.change, job)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": parent,
-                      "change": change, "relative": (change - parent) / parent}))
+    ops = parent["opcodes"], change["opcodes"]
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": ops[0],
+                      "change": ops[1], "relative": (ops[1] - ops[0]) / ops[0],
+                      "parent_rss_kib": parent["rss_kib"], "change_rss_kib": change["rss_kib"]}))
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import (MetricNotMusical, NotAUnit, NotTangent, RingMismatch, SpaceMismatch,
                      TwoNotAUnit)
-from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum, sum_products
+from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, sum_products
 from .rings import GroundScalar, RingDescriptor, Value, lazy
 from .space import Report, RinehartSpace, check_constant_curvature, derivative_pairs, gradient
 from .tensors import VectorField, flat, gram_table, inner
@@ -141,7 +141,7 @@ def _representatives(hyper: HypersurfaceSpace, x: VectorField) -> list:
     """The reduced coefficients of an ambient or quotient field.  An ambient field is
     reduced before it is projected: its coefficients may hold many multiples of the
     leading monomial, and projecting them unreduced multiplies more terms."""
-    return [c.rep for c in hyper.to_quotient(x).coeffs]
+    return hyper.to_quotient(x).reps
 
 
 def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
@@ -152,8 +152,7 @@ def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
 def _normal_part(hyper: HypersurfaceSpace, v: list) -> VectorField:
     """q<V, N>N for raw polynomials V_k: q<V, N> is one raw sum with one normal form."""
     space = hyper.quotient
-    b = quotient_sum(space.ring, space.nvars, [
-        (a, g.rep) for a, g in zip(v, hyper.normal_covector)], hyper.ideal)
+    b = space.quotient_sum([(a, g.rep) for a, g in zip(v, hyper.normal_covector)])
     return b * hyper.quotient_normal
 
 
@@ -166,9 +165,8 @@ def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
     """(P V)_l = sum_k V_k M_kl for raw polynomials V_k, one normal form per component."""
     space = hyper.quotient
     live = [(a, row) for a, row in zip(v, hyper.tangent_projector) if a.terms]
-    return VectorField(space, tuple(quotient_sum(
-        space.ring, space.nvars, [(a, row[l].rep) for a, row in live], hyper.ideal)
-        for l in range(space.nvars)))
+    return VectorField(space, tuple(space.quotient_sum([(a, row[l].rep) for a, row in live])
+                                    for l in range(space.nvars)))
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
@@ -215,7 +213,7 @@ class InducedConnection:
 def _raw_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> list:
     """The unreduced sums sum_i X_i d_i Y_k of tangent X, Y; NotTangent for a field that is not."""
     _check_tangent(hyper, xq, yq)
-    xs, ring, n = [c.rep for c in xq.coeffs], hyper.quotient.ring, hyper.quotient.nvars
+    xs, ring, n = xq.reps, hyper.quotient.ring, hyper.quotient.nvars
     return [sum_products(ring, n, derivative_pairs(xs, w.rep)) for w in yq.coeffs]
 
 

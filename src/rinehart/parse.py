@@ -1,11 +1,12 @@
 """Parser for the polynomial string grammar used by the CLI and tests.
 
-    expr   := ['-'] term (('+' | '-') term)*
+    expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' posint)*
+    factor := '-'* atom ('^' posint)*
     atom   := coefficient | variable | '(' expr ')'
     coefficient := integer ['/' posint] | 'al'
 
+A minus sign may lead any factor (`x*-y`, `x - -y`); `-x^2` is -(x^2); `x^-1` is refused.
 Whitespace is insignificant.  Variables must match the declared names;
 'al' denotes the adjoined square root in a quadratic extension and is
 reserved.  A quotient a/b over a prime field means a * b^-1 mod p.
@@ -128,10 +129,7 @@ class _Parser:
         return poly
 
     def parse_expr(self) -> Poly:
-        negate = self.peek()[0] == "-"
-        if negate:
-            self.advance()
-        acc = -self.parse_term() if negate else self.parse_term()
+        acc = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op, _, at = self.advance()
             rhs = self.parse_term()
@@ -160,6 +158,10 @@ class _Parser:
         return acc
 
     def parse_factor(self) -> Poly:
+        negate = False
+        while self.peek()[0] == "-":  # a loop, so no run of signs recurses
+            self.advance()
+            negate = not negate
         base = self.parse_atom()
         while self.peek()[0] == "^":
             self.advance()
@@ -177,7 +179,7 @@ class _Parser:
                 raise ParseError(f"power could have coefficients of more than {MAX_DIGITS} "
                                  "digits", tok[2])
             base = base ** exp
-        return base
+        return -base if negate else base
 
     def parse_atom(self) -> Poly:
         kind, text, at = self.peek()

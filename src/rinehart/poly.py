@@ -47,6 +47,7 @@ the products of `quotient_sum`, which `sum_products` has divided already.
 from __future__ import annotations
 
 import enum
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -80,6 +81,13 @@ def _degree(key: int, nvars: int) -> int:
 def _digits(key: int, nvars: int) -> int:
     """deg * W**n - key, whose W-adic digits are the exponents."""
     return (_degree(key, nvars) << (FIELD_BITS * nvars)) - key
+
+
+@cache
+def _steps(nvars: int) -> tuple:
+    """(exponent digit shift, key of x_i) per variable i: the one place x_i's key is made."""
+    return tuple((FIELD_BITS * i, (1 << (FIELD_BITS * nvars)) - (1 << (FIELD_BITS * i)))
+                 for i in range(nvars))
 
 
 def _canonical(ring: RingDescriptor, nvars: int, items, den: int) -> "Poly":
@@ -154,8 +162,7 @@ class Poly(Value):
     def variable(ring: RingDescriptor, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
-        key = (1 << (FIELD_BITS * nvars)) - (1 << (FIELD_BITS * i))
-        return Poly(ring, nvars, ((key, ring._one),))
+        return Poly(ring, nvars, ((_steps(nvars)[i][1], ring._one),))
 
     # -- inspection ---------------------------------------------------------
 
@@ -276,20 +283,20 @@ class Poly(Value):
 
     @lazy
     def partials(self) -> tuple:
-        """All n first partials, taken once per polynomial: the one place derivatives are taken.
-        The partials in the variables that do not occur share one zero Poly."""
-        n, times = self.nvars, self.ring.times
-        # dividing every term by x_i shifts its key by the same step, the key of x_i
-        steps = [(FIELD_BITS * i, (1 << (FIELD_BITS * n)) - (1 << (FIELD_BITS * i)), [])
-                 for i in range(n)]
+        """All n first partials, taken once per polynomial in one pass: the one place
+        derivatives are taken.  Absent variables share one zero Poly.  In characteristic 0
+        over den 1 a part is canonical as built (keys keep their order, c * e != 0)."""
+        n, ring, at = self.nvars, self.ring, FIELD_BITS * self.nvars
+        times, steps, parts = ring.times, _steps(n), [[] for _ in range(n)]
         for k, c in self.terms:
-            low = _digits(k, n)
-            for at, step, part in steps:
-                if e := (low >> at) & (W - 1):
+            low = (-(-k >> at) << at) - k  # _digits(k, n); over x_i, a key drops by step
+            for (shift, step), part in zip(steps, parts):
+                if e := (low >> shift) & (W - 1):
                     part.append((k - step, times(c, e)))
-        zero = None if all(part for _, _, part in steps) else Poly(self.ring, n, ())
-        return tuple(_canonical(self.ring, n, part, self.den) if part else zero
-                     for _, _, part in steps)
+        zero = None if all(parts) else Poly(ring, n, ())
+        if self.den == 1 and not ring.characteristic():
+            return tuple(Poly(ring, n, tuple(part)) if part else zero for part in parts)
+        return tuple(_canonical(ring, n, part, self.den) if part else zero for part in parts)
 
     @lazy
     def division(self) -> tuple:

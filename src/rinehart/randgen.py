@@ -27,8 +27,7 @@ def scalar_pool(ring: RingDescriptor) -> tuple:
         return tuple(ring.from_int(v) for v in range(min(ring.p, 4)))
     if isinstance(ring, QuadExt):
         base_pool = scalar_pool(ring.base)[:4]
-        return tuple(ring.make((a.num * b.den, b.num * a.den), a.den * b.den)
-                     for a in base_pool for b in base_pool)
+        return tuple(ring.pair(a, b) for a in base_pool for b in base_pool)
     raise TypeError(f"no sampling pool for {ring!r}")
 
 

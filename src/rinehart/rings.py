@@ -285,7 +285,10 @@ class QuadExt(RingDescriptor):
 
     def scalar(self, value) -> "GroundScalar":
         """The scalar a + b*al of a pair (a, b) of base-ring values, or of one value a."""
-        a, b = (self.base.scalar(v) for v in (value if isinstance(value, tuple) else (value, 0)))
+        return self.pair(*map(self.base.scalar, value if isinstance(value, tuple) else (value, 0)))
+
+    def pair(self, a: "GroundScalar", b: "GroundScalar") -> "GroundScalar":
+        """The scalar a + b*al of two base-ring scalars."""
         return self.make((a.num * b.den, b.num * a.den), a.den * b.den)
 
     @staticmethod

@@ -67,6 +67,10 @@ class RinehartSpace(Value):
             return self.coerce_fn(self.poly_fn(value))
         raise TypeError(f"cannot interpret {value!r} as a function")
 
+    def quotient_sum(self, pairs) -> QuotientElem:
+        """The class of sum a*b over raw Poly pairs in this space, one normal form."""
+        return quotient_sum(self.ring, self.nvars, pairs, self.ideal)
+
     def constant(self, c: GroundScalar) -> QuotientElem:
         return QuotientElem(Poly.constant(self.ring, self.nvars, c), self.ideal)
 
@@ -146,8 +150,7 @@ def derive(space: RinehartSpace, x: VectorField, f: QuotientElem) -> QuotientEle
     _check_field(space, x)
     _check_fn(space, f)
     f.check_peers(x.coeffs)
-    return quotient_sum(space.ring, space.nvars,
-                        derivative_pairs([c.rep for c in x.coeffs], f.rep), space.ideal)
+    return space.quotient_sum(derivative_pairs(x.reps, f.rep))
 
 
 def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
@@ -161,18 +164,21 @@ def gradient(space: RinehartSpace, f: QuotientElem) -> VectorField:
 def ambient_derivative(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
     """The componentwise derivative sum_k (d_X Y^k) X_k, one normal form per component."""
     _check_pair(space, x, y)
-    xs = [c.rep for c in x.coeffs]
-    return VectorField(space, tuple(quotient_sum(
-        space.ring, space.nvars, derivative_pairs(xs, c.rep), space.ideal) for c in y.coeffs))
+    return VectorField(space, tuple(space.quotient_sum(derivative_pairs(x.reps, q))
+                                    for q in y.reps))
+
+
+def bracket_pairs(xs: list, ys: list) -> list:
+    """Per component k, the pairs of [X, Y]^k = sum_i X^i d_i Y^k - Y^i d_i X^k over raw
+    coefficients xs and ys: the one place the bracket's pairs are formed."""
+    negs = [-q for q in ys]
+    return [derivative_pairs(xs, q) + derivative_pairs(negs, p) for p, q in zip(xs, ys)]
 
 
 def lie_bracket(space: RinehartSpace, x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^k = sum_i X^i d_i Y^k - Y^i d_i X^k = D(X, Y) - D(Y, X), one normal form each."""
+    """[X, Y] = D(X, Y) - D(Y, X), one normal form per component."""
     _check_pair(space, x, y)
-    xs, ys, negs = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs], [-c.rep for c in y.coeffs]
-    return VectorField(space, tuple(quotient_sum(
-        space.ring, space.nvars, derivative_pairs(xs, q) + derivative_pairs(negs, p),
-        space.ideal) for p, q in zip(xs, ys)))
+    return VectorField(space, tuple(map(space.quotient_sum, bracket_pairs(x.reps, y.reps))))
 
 
 class EuclideanConnection:
@@ -225,10 +231,9 @@ class KoszulConnection:
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         for i, j in upper:
             # Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
-            self._first[(i, j)] = self._first[(j, i)] = tuple(quotient_sum(
-                space.ring, n, [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
-                                (-half, g[i][j].rep.diff(k))], space.ideal)
-                for k in range(n))
+            self._first[(i, j)] = self._first[(j, i)] = tuple(space.quotient_sum(
+                [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
+                 (-half, g[i][j].rep.diff(k))]) for k in range(n))
         for i, j in upper:
             value = self._solve(self._first[(i, j)])
             if value is None:
@@ -247,7 +252,7 @@ class KoszulConnection:
         normal form."""
         space, n = self.space, self.space.nvars
         _check_pair(space, x, y)
-        xs, ys = [c.rep for c in x.coeffs], [c.rep for c in y.coeffs]
+        xs, ys = x.reps, y.reps
         dy = [derivative_pairs(xs, q) for q in ys]
         xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
         out = []
@@ -255,7 +260,7 @@ class KoszulConnection:
             pairs = [(a if g.rep.is_one() else a * g.rep, b)
                      for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
             pairs += [(p, t[k].rep) for p, t in xy]
-            out.append(quotient_sum(space.ring, n, pairs, space.ideal))
+            out.append(space.quotient_sum(pairs))
         return tuple(out)
 
     def form(self, x: VectorField, y: VectorField) -> OneForm:
@@ -328,6 +333,7 @@ def check_levi_civita(space: RinehartSpace, conn, samples=()) -> Report:
     form_level = one_form_valued(conn)
     metric = space.metric
     connect = conn.form if form_level else conn
+    minus = Poly.constant(space.ring, space.nvars, space.ring.from_int(-1))
     values: dict = {}  # each value once in this run: (x, y) of the torsion loop serves (x, y, z)
 
     def value(x, y):
@@ -341,10 +347,11 @@ def check_levi_civita(space: RinehartSpace, conn, samples=()) -> Report:
         return value(x, y) - value(y, x) - (flat(bracket, metric) if form_level else bracket)
 
     def compat_gap(x, y, z):
-        lhs = derive(space, x, inner(y, z, metric))
-        if form_level:
-            return lhs - (pairing(z, value(x, y)) + pairing(y, value(x, z)))
-        return lhs - (inner(value(x, y), z, metric) + inner(y, value(x, z), metric))
+        # d_X<Y, Z> - <nabla_X Y, Z> - <Y, nabla_X Z> as one raw sum with one normal form
+        rhs = ((pairing(z, value(x, y)), pairing(y, value(x, z))) if form_level
+               else (inner(value(x, y), z, metric), inner(y, value(x, z), metric)))
+        return space.quotient_sum(derivative_pairs(x.reps, inner(y, z, metric).rep)
+                                  + [(p.rep, minus) for p in rhs])
 
     samples = list(samples)
     for x, y in [(x, y) for x in fields for y in fields] + [trio[:2] for trio in samples]:
@@ -370,22 +377,21 @@ def check_constant_curvature(space: RinehartSpace, conn, c: GroundScalar,
     is proved as A_l == B_l + D_l + (c g_jk) X_l - (c g_ik) Y_l, one raw sum of
     products with one normal form; A_l is canonical, so `==` decides the class.
     lhs = A - B - D and rhs are formed only for the counterexample."""
-    ring, n, ideal = space.ring, space.nvars, space.ideal
     if gram is None:
         gram = gram_table(spanning, space.metric)
     c_fn = space.constant(c)
     scaled = [[(c_fn * g).rep for g in row] for row in gram]
-    one = Poly.constant(ring, n, ring.one())
-    reps = [[a.rep for a in f.coeffs] for f in spanning]
+    one = space.constant(space.ring.one()).rep
+    reps = [f.reps for f in spanning]
     negs = [[-a for a in f] for f in reps]
     for i, x in enumerate(spanning):
         for j, y in enumerate(spanning[i + 1:], i + 1):
             bracket = lie_bracket(space, x, y)
             for k, z in enumerate(spanning):
                 a, b, d = conn(x, conn(y, z)), conn(y, conn(x, z)), conn(bracket, z)
-                if all(al == quotient_sum(ring, n, [
-                        (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)],
-                        ideal) for al, bl, dl, xl, nyl
+                if all(al == space.quotient_sum([
+                        (bl.rep, one), (dl.rep, one), (scaled[j][k], xl), (scaled[i][k], nyl)])
+                       for al, bl, dl, xl, nyl
                        in zip(a.coeffs, b.coeffs, d.coeffs, reps[i], negs[j])):
                     continue
                 return Report("curvature", space.render(

@@ -7,14 +7,15 @@ always possible, raising one goes through det(G)^-1 adj(G) and needs a
 certified unit determinant.  A metric keeps one memoised table of minors,
 read by det and adjugate, and decides once whether its det is a unit.
 Each sum of products (pairing, inner product, matrix row, minor expansion)
-is one raw `poly.sum_products` with one normal form per result:
+is one raw `poly.sum_products` with one normal form per result; an inner
+product goes by rows, sum_i X^i (sum_j G_ij Y^j), each row a raw sum:
 reduction mod (f) is a ring homomorphism with canonical remainders.
 """
 
 from __future__ import annotations
 
 from .errors import MetricNotMusical, SpaceMismatch
-from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, unit_status
+from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, sum_products, unit_status
 from .rings import Value, lazy, set_field
 
 
@@ -59,6 +60,11 @@ class _Coefficients(Value):
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
+
+    @lazy
+    def reps(self) -> tuple:
+        """The coefficients' representatives, raw `Poly` values."""
+        return tuple(c.rep for c in self.coeffs)
 
 
 class VectorField(_Coefficients):
@@ -174,15 +180,18 @@ def pairing(x: VectorField, om: OneForm) -> QuotientElem:
 
 
 def inner(x: VectorField, y: VectorField, metric: Metric) -> QuotientElem:
-    """<X, Y> = sum_ij X^i G_ij Y^j over the nonzero G_ij, with one normal form."""
+    """<X, Y> by rows over the nonzero G_ij (Y^j itself for a row whose one entry is 1)."""
     _check_same_space(x, y)
     _check_dimension(metric, x)
     like = metric.entries[0][0]
     like.check_peers(x.coeffs + y.coeffs)
-    pairs = [(u.rep if g.rep.is_one() else u.rep * g.rep, v.rep)
-             for u, row in zip(x.coeffs, metric.entries) if u.rep.terms
-             for g, v in zip(row, y.coeffs) if g.rep.terms]
-    return quotient_sum(like.ring, like.nvars, pairs, like.ideal)
+    ring, n, pairs = like.ring, like.nvars, []
+    for u, row in zip(x.reps, metric.entries):
+        if u.terms and (terms := [(g.rep, v) for g, v in zip(row, y.reps)
+                                  if g.rep.terms and v.terms]):
+            unit = len(terms) == 1 and terms[0][0].is_one()
+            pairs.append((u, terms[0][1] if unit else sum_products(ring, n, terms)))
+    return quotient_sum(ring, n, pairs, like.ideal)
 
 
 def gram_table(fields: list, metric: Metric) -> tuple:

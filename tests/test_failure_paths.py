@@ -1,7 +1,8 @@
 """Every failing branch of the check suites, reached by a planted bug.
 
 Each case monkeypatches one name a check reads (or a stateful wrapper of
-it, where an earlier branch of the same check must still pass) and runs
+it, where an earlier branch of the same check must still pass, or every
+binding of one shared builder) and runs
 that check alone.  It pins the detail line and the sha256 of the
 counterexample as sorted JSON, so a change to how reports render shows
 here, on the branches no passing spec reaches.
@@ -71,6 +72,20 @@ def swap_class(name, make_call):
     return patch(name, lambda base: type("Planted", (base,), {"__call__": make_call(base.__call__)}))
 
 
+def in_bracket_pairs(make):
+    """Plant make(original) in the bracket-pair builder where both of its readers bind it:
+    `space`, where `lie_bracket` reads it, and `suites`, where the Jacobi check's outer
+    brackets do."""
+    def apply(monkeypatch):
+        patch("space.bracket_pairs", make)(monkeypatch)
+        patch("suites.bracket_pairs", make)(monkeypatch)
+    return apply
+
+
+def dropped_first_pair(real):
+    return lambda xs, ys: [pairs[1:] for pairs in real(xs, ys)]
+
+
 def plus_x(real):
     return lambda self, x, y: real(self, x, y) + x
 
@@ -88,6 +103,8 @@ CASES = [
     ("anchor", "euclidean", "anchor-compatibility", patch("suites.lie_bracket", doubled)),
     ("jacobi", "euclidean", "jacobi-identity",
      patch("suites.lie_bracket", lambda real: lambda s, x, y: real(s, x, y) + x)),
+    ("anchor-pairs", "euclidean", "anchor-compatibility", in_bracket_pairs(dropped_first_pair)),
+    ("jacobi-pairs", "euclidean", "jacobi-identity", in_bracket_pairs(dropped_first_pair)),
     ("leibniz-vector", "euclidean", "connection-leibniz", patch("suites.derive", doubled)),
     ("leibniz-form", "form-level", "connection-leibniz", patch("suites.derive", doubled)),
     ("flat-basis", "euclidean", "flat-curvature",
@@ -179,6 +196,10 @@ EXPECTED = {
     "anchor": ("[X, fY] != (d_X f)Y + f[X, Y]",
         "75b1fffbddfeb9a9ecc52745868e158bfbb3144dc5b207e9731f14780ce88af6"),
     "jacobi": ("cyclic bracket sum is nonzero",
+        "37c73979b4d2b15999446c09ce908c8f8a1ff1d76f796971ddc619f554684684"),
+    "anchor-pairs": ("[X, fY] != (d_X f)Y + f[X, Y]",
+        "75b1fffbddfeb9a9ecc52745868e158bfbb3144dc5b207e9731f14780ce88af6"),
+    "jacobi-pairs": ("cyclic bracket sum is nonzero",
         "37c73979b4d2b15999446c09ce908c8f8a1ff1d76f796971ddc619f554684684"),
     "leibniz-vector": ("connection module laws fail",
         "bb2bd1ef956016fd5f386ccf5758735bb5b9664d676d6303eae3c9d393ae0069"),

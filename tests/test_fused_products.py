@@ -2,7 +2,9 @@
 
 `pairing`, `inner`, `apply_matrix`, `derive`, `ambient_derivative` and the
 vector values of `KoszulConnection` each accumulate all their products into
-one raw sum and take one normal form per result.  The reference below is
+one raw sum and take one normal form per result; `inner` first sums each
+row of G times Y raw, so a banded metric with a unit and a zero entry checks
+its rows form on a plain space and on a sphere quotient.  The reference below is
 the earlier code: every product is a reduced `QuotientElem` and the sums
 are taken in the quotient.  Reduction modulo (f) is a ring homomorphism
 and the remainder is canonical, so both must agree exactly.  They are
@@ -190,6 +192,38 @@ def test_koszul_values_match_per_product_reduction(ring_name, data):
     assert conn(x, y) == ref_koszul(conn, x, y)
     basis = space.basis_fields()
     assert conn(basis[0], basis[-1]) == ref_koszul(conn, basis[0], basis[-1])
+
+
+def banded_entries(ring, n, diagonal, band):
+    """A banded symmetric G: G_01 = 1, a zero G_00, the rest of the diagonal and of the
+    band from the draws and zeros off the band, so row 0 is (0, 1, 0, ...)."""
+    zero = Poly.zero(ring, n)
+    entries = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = diagonal[i] if i else zero
+        if i + 1 < n:
+            entries[i][i + 1] = entries[i + 1][i] = (Poly.constant(ring, n, ring.one()) if i == 0
+                                                     else band[i])
+    return entries
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["plain", "sphere"])
+@pytest.mark.parametrize("ring_name", RINGS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_inner_by_rows_matches_the_reference_on_unit_and_zero_entries(ring_name, quotient,
+                                                                       data):
+    ring = RINGS[ring_name]
+    n = data.draw(st.integers(2, 3), label="n")
+    diagonal = [data.draw(polys(ring, n, max_exp=1, max_terms=2)) for _ in range(n)]
+    band = [data.draw(linear(ring, n)) for _ in range(n)]
+    entries = banded_entries(ring, n, diagonal, band)
+    metric = Metric(tuple(tuple(QuotientElem(e, None) for e in row) for row in entries))
+    ideal = make_sphere(ring, n, ring.one()).ideal if quotient else None
+    space = RinehartSpace.with_metric(ring, NAMES[:n], metric, ideal)
+    x, y = fields(data.draw, space, 2)
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert inner(a, b, space.metric) == ref_inner(a, b, space.metric)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,25 @@ def test_basic_expressions():
     assert parse_poly("x + x", Q, names) == 2 * x
     assert parse_poly("0", Q, names) == Poly.zero(Q, 2)
     assert parse_poly("2^3", Q, names) == Poly.constant(Q, 2, Q.from_int(8))
-    with pytest.raises(ParseError):
-        parse_poly("x*-1", Q, names)       # unary minus only leads an expression
+    assert parse_poly("x*-1", Q, names) == -x
+
+
+def test_a_minus_sign_may_lead_any_factor():
+    x = Poly.variable(Q, 2, 0)
+    y = Poly.variable(Q, 2, 1)
+    names = ("x", "y")
+    assert parse_scalar("1/2 + -3/4*al", QI) == parse_scalar("1/2 - 3/4*al", QI)
+    assert parse_poly("x*-y", Q, names) == -(x * y)
+    assert parse_poly("x - -y", Q, names) == x + y
+    assert parse_poly("x + -y^2*-x", Q, names) == x + y * y * x
+    assert parse_poly("-x^2", Q, names) == -(x * x)      # a power binds tighter
+    assert parse_poly("--x", Q, names) == x
+    # a long run of signs is read in a loop, not by recursion
+    assert parse_poly("-" * 100001 + "x", Q, names) == -x
+    with pytest.raises(ParseError, match="position 2"):
+        parse_poly("x^-1", Q, names)                      # an exponent takes no sign
+    with pytest.raises(ParseError, match="end of input"):
+        parse_poly("x * -", Q, names)
 
 
 def test_whitespace_and_implicit_association():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from rinehart import (ArityMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt, QuotientElem,
                       Rationals, RingMismatch, UnitStatus, divide_exact, divmod_poly,
                       format_poly, normal_form, parse_poly, unit_status)
-from rinehart.poly import pack
+from rinehart.poly import _canonical, pack
 from conftest import sample_scalar, seeded
 
 Q = Rationals()
@@ -183,6 +183,28 @@ def test_partials_match_the_term_by_term_derivative(any_ring):
     # e = p in characteristic p: the term drops
     x = Poly.variable(PrimeField(5), 1, 0)
     assert (x ** 5).partials == (Poly.zero(PrimeField(5), 1),)
+
+
+def test_partials_built_canonical_match_the_canonical_pass():
+    # over Q with den 1 the parts skip _canonical: the same terms tuple and hash
+    rng = seeded("poly-partials-fast-path")
+    for ring in (Q, QuadExt(Q, -1)):
+        for _ in range(40):
+            p = random_small_poly(rng, ring, 3, max_degree=5, max_terms=6)
+            p = p.scale(ring.from_int(p.den))  # clear the denominator
+            assert p.den == 1
+            for i, d in enumerate(p.partials):
+                ref = reference_partial(p, i)
+                want = _canonical(ring, 3, list(ref.terms), 1)
+                assert (d.terms, d.den, hash(d)) == (want.terms, want.den, hash(want))
+    # den > 1 over Q: (1/2) x^2 has the partial x over den 1, not 2/2 x
+    half = parse_poly("1/2*x^2 + 1/3*y", Q, ("x", "y"))
+    assert [(d.terms, d.den) for d in half.partials] == [
+        (parse_poly("x", Q, ("x", "y")).terms, 1), (((0, 1),), 3)]
+    # F_3: the weight 3 of x^3 y reduces to zero, the weight 2 of y^2 to 2
+    f3 = PrimeField(3)
+    d = parse_poly("x^3*y + y^2", f3, ("x", "y")).partials
+    assert d[0].is_zero() and d[1] == parse_poly("x^3 + 2*y", f3, ("x", "y"))
 
 
 def test_absent_variables_share_one_zero_partial():

@@ -176,7 +176,18 @@ def test_opcount_is_the_same_in_two_fresh_interpreters(tmp_path):
             "metric": "euclidean", "checks": ["pairing-duality"], "seed": 1, "max_degree": 1}
     job = {"mode": "check", "specs": opcount.write_specs([spec], tmp_path)}
     first, second = opcount.count(ROOT, job), opcount.count(ROOT, job)
-    assert first == second > 0
+    assert first["opcodes"] == second["opcodes"] > 0
+
+
+def test_opcount_prints_each_side_peak_memory(monkeypatch, capsys, tmp_path):
+    spec = {"schema_version": 1, "ring": {"kind": "Q"}, "vars": ["x"],
+            "metric": "euclidean", "checks": ["pairing-duality"], "seed": 1, "max_degree": 1}
+    job = {"mode": "check", "specs": opcount.write_specs([spec], tmp_path)}
+    monkeypatch.setattr(opcount, "round_zero", lambda workload, seed, folder: job)
+    assert opcount.main([str(ROOT), str(ROOT), "--workload", "koszul-metric", "--seed", "3"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["parent"] == line["change"] > 0
+    assert line["parent_rss_kib"] > 0 and line["change_rss_kib"] > 0
 
 
 def test_opcount_round_zero_is_the_benchmark_round(tmp_path):
