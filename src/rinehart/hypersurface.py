@@ -9,9 +9,11 @@ canonical representatives modulo (f), from N reduced once, so two quotient
 fields are equal as classes exactly when they compare equal with `==`.
 The tangent projection is (P X)_l = sum_k X_k M_kl with
 M_kl = delta_kl - q (G N)_k N_l, and the normal part is q<X, N>N with
-q<X, N> = sum_k X_k q (G N)_k; the covector q G N and M are built once per
-hypersurface on first use.  Each component is one raw sum of products with
-one normal form.
+q<X, N> = sum_k X_k q (G N)_k.  The induced connection reads neither: by
+the Weingarten formula it is D_X Y + Hess f(X, Y) qN, from the Hessian
+table of f and the components q N_l.  The covector q G N, M, the Hessian
+table and qN are built once per hypersurface on first use.  Each
+component is one raw sum of products with one normal form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Optional
 
 from .errors import (MetricNotMusical, NotAUnit, NotTangent, RingMismatch, SpaceMismatch,
                      TwoNotAUnit)
-from .poly import Poly, PrincipalIdeal, QuotientElem, class_key, sum_products
+from .poly import (Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum,
+                   sum_products)
 from .rings import GroundScalar, RingDescriptor, Value, lazy
 from .space import Report, RinehartSpace, check_constant_curvature, derivative_pairs, gradient
 from .tensors import VectorField, flat, gram_table, inner
@@ -31,7 +34,10 @@ class HypersurfaceSpace(Value):
 
     `generator` is kept exactly as given; the ideal it generates stores a
     monic associate.  `normal` is grad(generator) over the ambient space
-    and `q` is the verified witness with 1 - q<N, N> in (f).
+    and `q` is the verified witness with 1 - q<N, N> in (f).  Built on first
+    use, once: N reduced, the covector q G N and the projector M that the
+    projections read, and the Hessian table of the generator and qN that the
+    induced connection reads.
     """
 
     _fields = ("ambient", "generator", "ideal", "normal", "q", "quotient")
@@ -66,6 +72,20 @@ class HypersurfaceSpace(Value):
         """q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
         gn = flat(self.quotient_normal, self.quotient.metric)
         return tuple(self.q * g for g in gn.coeffs)
+
+    @lazy
+    def scaled_normal(self) -> tuple:
+        """The representatives of q N_l modulo (f), the direction of the Weingarten term
+        of the connection."""
+        return tuple((self.q * v).rep for v in self.quotient_normal.coeffs)
+
+    @lazy
+    def hessian(self) -> tuple:
+        """(j, k, d_j d_k f) over the nonzero second partials of the generator, from
+        `Poly.partials` taken twice; an entry equal to 1 is None, so it costs no product."""
+        return tuple((j, k, None if h.is_one() else h)
+                     for j, d in enumerate(self.generator.partials)
+                     for k, h in enumerate(d.partials) if h.terms)
 
     @lazy
     def tangent_projector(self) -> tuple:
@@ -184,15 +204,30 @@ def spanning_fields(hyper: HypersurfaceSpace) -> list:
 
 
 class InducedConnection:
-    """Tangent projection of the ambient componentwise connection.
+    """The Levi-Civita connection of the hypersurface, by the Weingarten formula.
 
-    P(D_X W)_l = sum_k (sum_i X_i d_i W_k) M_kl, with one normal form per
-    component; the pairs (X_i, d_i W_k) come from `derivative_pairs`, as for
-    every derivative along a field.  Values are computed on canonical
+    For tangent X and Y, nabla_X Y = P(D_X Y) = D_X Y - q<D_X Y, N>N, and
+    q<D_X Y, N>N == -Hess f(X, Y) qN modulo (f), with
+    Hess f(X, Y) = sum_jk X_j (d_j d_k f) Y_k, so
+
+        nabla_X Y == D_X Y + Hess f(X, Y) qN   (mod f).
+
+    Proof, for the constant metric G and N = G^-1 df: <Y, N> lies in (f),
+    say <Y, N> = r f on representatives, and so does Xf = <X, N>; hence
+    X<Y, N> = (Xr) f + r Xf lies in (f).  G is constant, so
+    X<Y, N> = <D_X Y, N> + <Y, D_X N>, and D_X N = G^-1 Hess f X gives
+    <Y, D_X N> = Hess f(X, Y).  So <D_X Y, N> + Hess f(X, Y) lies in (f).
+    Both arguments are proved tangent before the formula is applied, once
+    per distinct field and hypersurface.  Component l is one raw sum of
+    the pairs (X_i, d_i Y_l) from `derivative_pairs`, as for every
+    derivative along a field, and the one pair (Hess f(X, Y), q N_l), with
+    one normal form; Hess f(X, Y) is one raw sum over the nonzero Hessian
+    entries with one normal form (sum_j X_j Y_j on a sphere).  No product
+    with the projector M is formed.  Values are computed on canonical
     representatives; the result is independent of the representatives for
     tangent arguments.  Values are memoised per hypersurface, keyed by
     coefficients, so all connections built on one hypersurface compute each
-    once.  Tangency of each distinct argument is proved once per hypersurface.
+    once.
     """
 
     def __init__(self, hyper: HypersurfaceSpace):
@@ -206,8 +241,22 @@ class InducedConnection:
         key = (class_key(xq.coeffs), class_key(yq.coeffs))
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = _project(hyper, _raw_derivative(hyper, xq, yq))
+            hit = self._memo[key] = _weingarten(hyper, xq, yq)
         return hit
+
+
+def _weingarten(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> VectorField:
+    """D_X Y + Hess f(X, Y) qN for tangent X, Y, one normal form per component;
+    NotTangent for a field that is not tangent."""
+    _check_tangent(hyper, xq, yq)
+    space, ideal, xs, ys = hyper.quotient, hyper.ideal, xq.reps, yq.reps
+    ring, n = space.ring, space.nvars
+    hess = sum_products(ring, n, [(xs[j], ys[k] if h is None else h * ys[k])
+                                  for j, k, h in hyper.hessian
+                                  if xs[j].terms and ys[k].terms], ideal)
+    term = [[(hess, v)] if hess.terms and v.terms else [] for v in hyper.scaled_normal]
+    return VectorField(space, tuple(quotient_sum(ring, n, derivative_pairs(xs, w) + t, ideal)
+                                    for w, t in zip(ys, term)))
 
 
 def _raw_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> list:

@@ -2,9 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from rinehart import PrimeField, QuadExt, Rationals
 from rinehart.randgen import random_field
+
+# A failing property reports its first failing example unshrunk: shrinking an exact
+# identity over large random polynomials could run for minutes before the failure showed.
+# `pytest --hypothesis-profile default` shrinks again.
+settings.register_profile(
+    "unshrunk", phases=tuple(p for p in settings.default.phases if p is not Phase.shrink))
+settings.load_profile("unshrunk")
 
 
 def seeded(label: str) -> random.Random:

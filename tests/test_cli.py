@@ -453,6 +453,18 @@ def test_de_sitter_check_matches_golden_digest(tmp_path, capsys):
         "359899c772dc916fed13cea1fd8449b939155435b552d6908211382fd9aeaa3b"
 
 
+# three lines x = -1, 0, 1 in K^2: 1 - q<N, N> lies in (x^3 - x) with q = 1 - 3/4 x^2
+CUBIC = dict(BASE, quotient={"generator": "x^3 - x", "q": "1 - 3/4*x^2"})
+
+
+def test_cubic_generator_check_matches_golden_digest(tmp_path, capsys):
+    # the first pinned report whose Hessian is not constant, Hess f = diag(6x, 0); 18 checks
+    code, out, err = run(capsys, ["check", write_spec(tmp_path, CUBIC), "--json", "--seed", "7"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b4869625b65c3cce50d3abf9097c8afee4530dddc14c590b8d8143ab51164274"
+
+
 # G = L L^T with L unit lower bidiagonal, linear below the diagonal (the koszul-metric
 # shape): det G = 1 and Koszul symbols that are not constant
 LOWER_GRAM = dict(BASE, vars=["x", "y", "z"], metric={"matrix": [

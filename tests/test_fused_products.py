@@ -31,7 +31,7 @@ from rinehart import (ArityMismatch, DegreeOverflow, IdealMismatch, InducedConne
                       spanning_fields, sum_products)
 from rinehart import hypersurface, space as space_module
 from rinehart.cli import build_workspace
-from rinehart.poly import MAX_DEGREE, QuotientElem
+from rinehart.poly import MAX_DEGREE, QuotientElem, quotient_sum
 from rinehart.suites import run_checks
 from rinehart.tensors import VectorField, apply_matrix
 
@@ -272,17 +272,20 @@ def test_every_ambient_derivative_reads_the_one_pair_builder(monkeypatch):
 
 
 def test_hypersurface_sums_get_no_zero_factor(monkeypatch):
-    # the induced connection and the second form hand sum_products nonzero factors only
+    # the induced connection and the second form hand their sums nonzero factors only
     path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "sphere_q_n3.json"
     ws, _ = build_workspace(json.loads(path.read_text(encoding="utf-8")))
     seen = []
 
-    def recording(ring, nvars, pairs, ideal=None):
-        pairs = list(pairs)
-        seen.extend(pairs)
-        return sum_products(ring, nvars, pairs, ideal)
+    def recording(sum_fn):
+        def recorded(ring, nvars, pairs, ideal=None):
+            pairs = list(pairs)
+            seen.extend(pairs)
+            return sum_fn(ring, nvars, pairs, ideal)
+        return recorded
 
-    monkeypatch.setattr(hypersurface, "sum_products", recording)
+    monkeypatch.setattr(hypersurface, "sum_products", recording(sum_products))
+    monkeypatch.setattr(hypersurface, "quotient_sum", recording(quotient_sum))
     names = ["gauss-split", "second-form-symmetric", "space-form"]
     results = run_checks(ws, names=names, seed=7, cases=5)
     assert [(r.name, r.status) for r in results] == [(name, "pass") for name in names]

@@ -11,6 +11,7 @@ Frozen values, derived by hand for the circle x^2 + y^2 = 1 (c = 1):
 """
 
 import gc
+import pathlib
 import weakref
 
 import pytest
@@ -23,11 +24,16 @@ from rinehart import (EuclideanConnection, HypersurfaceSpace, InducedConnection,
                       parse_poly, project_normal, project_tangent,
                       quotient_equal, second_fundamental_form, spanning_fields,
                       verify_space_form)
+from rinehart.cli import build_workspace, load_spec
 from rinehart.hypersurface import induced_metric_gap, sphere_metric_entry
 from rinehart.poly import normal_form
 from rinehart.randgen import random_field
+from rinehart.rings import set_field
+from rinehart.suites import Workspace, run_checks
 from rinehart.tensors import VectorField, gram_table
 from conftest import seeded
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 Q = Rationals()
 
@@ -357,11 +363,7 @@ def test_verify_space_form_quad_ext():
 
 def test_de_sitter_quotient_has_constant_curvature_one():
     # x^2 + y^2 - z^2 = 1 under diag(1, 1, -1): N = G^-1 df = (2x, 2y, 2z), <N, N> = 4
-    plain = sphere3().ambient
-    metric = Metric.diagonal([plain.fn("1"), plain.fn("1"), plain.fn("-1")])
-    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
-    f = parse_poly("x^2 + y^2 - z^2 - 1", Q, plain.var_names)
-    hyper = HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+    hyper = _de_sitter()
     conn, fields = InducedConnection(hyper), spanning_fields(hyper)
     assert check_constant_curvature(hyper.quotient, conn, Q.one(), fields).ok
     report = check_constant_curvature(hyper.quotient, conn, Q.from_int(-1), fields)
@@ -571,20 +573,28 @@ def test_fused_curvature_comparison_catches_planted_bugs(ring_name, n, planted):
 # the one-sum second fundamental form and ambient projections, step by step
 
 
-def _de_sitter():
-    plain = sphere3().ambient
-    metric = Metric.diagonal([plain.fn("1"), plain.fn("1"), plain.fn("-1")])
-    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
-    f = parse_poly("x^2 + y^2 - z^2 - 1", Q, plain.var_names)
-    return HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+def _level_set(ring, names, generator, q, rows=None):
+    """The quotient generator = 0 with witness q, under the constant metric `rows`
+    (Euclidean when None)."""
+    ambient = RinehartSpace.euclidean(ring, names)
+    if rows is not None:
+        metric = Metric(tuple(tuple(ambient.fn(e) for e in row) for row in rows))
+        ambient = RinehartSpace.with_metric(ring, names, metric)
+    return HypersurfaceSpace.build(ambient, parse_poly(generator, ring, names), ambient.fn(q))
+
+
+def _de_sitter(ring=Q):
+    return _level_set(ring, ("x", "y", "z"), "x^2 + y^2 - z^2 - 1", "1/4",
+                      [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]])
 
 
 def _generator_quotient():
-    plain = circle().ambient
-    metric = Metric(((plain.fn("2"), plain.fn("1")), (plain.fn("1"), plain.fn("1"))))
-    ambient = RinehartSpace.with_metric(Q, plain.var_names, metric)
-    f = parse_poly("2*x^2 + 2*x*y + y^2 - 1", Q, plain.var_names)
-    return HypersurfaceSpace.build(ambient, f, ambient.fn("1/4"))
+    return _level_set(Q, ("x", "y"), "2*x^2 + 2*x*y + y^2 - 1", "1/4", [["2", "1"], ["1", "1"]])
+
+
+def _cubic():
+    # three parallel lines x = -1, 0, 1 in K^2; Hess f = diag(6x, 0) is not constant
+    return _level_set(Q, ("x", "y"), "x^3 - x", "1 - 3/4*x^2")
 
 
 STEP_HYPERSURFACES = {
@@ -672,3 +682,68 @@ def test_induced_metric_gap_matches_the_entrywise_comparison(ring_name, n):
         assert gap == _reference_metric_gap(hyper, c, bad)
     wrong = c + sp.ring.one()
     assert induced_metric_gap(hyper, wrong, gram) == _reference_metric_gap(hyper, wrong, gram)
+
+
+# ---------------------------------------------------------------------------
+# the Weingarten form of the induced connection
+
+LEVEL_SETS = {
+    "de-sitter-Q": _de_sitter,
+    "de-sitter-F7": lambda: _de_sitter(PrimeField(7)),
+    "generator-quotient": _generator_quotient,
+    "cylinder": lambda: _level_set(Q, ("x", "y", "z"), "x^2 + y^2 - 1", "1/4"),
+    "cubic": _cubic,
+}
+
+
+@pytest.mark.parametrize("label", sorted(LEVEL_SETS))
+def test_weingarten_connection_equals_the_projected_ambient_derivative(label):
+    # D_X Y + Hess f(X, Y) qN against P(D_X Y) off the sphere; spheres over Q, F_7, Q(i)
+    # and Q(j) at n = 2..4 are compared the same way in the fused-connection test above
+    hyper = LEVEL_SETS[label]()
+    sp = hyper.quotient
+    rng = seeded(f"weingarten:{label}")
+    fields = list(spanning_fields(hyper))
+    fields += [project_tangent(hyper, random_field(rng, sp, d)) for d in (1, 1, 2, 2)]
+    conn = InducedConnection(hyper)
+    for x in fields:
+        assert is_tangent(hyper, x)
+        for y in fields:
+            assert conn(x, y) == project_tangent(hyper, ambient_derivative(sp, x, y))
+
+
+def _dropped_term(hyper):
+    set_field(hyper, "hessian", ())
+
+
+def _flipped_term(hyper):
+    set_field(hyper, "scaled_normal", tuple(-v for v in hyper.scaled_normal))
+
+
+def _doubled_normal(hyper):
+    set_field(hyper, "scaled_normal", tuple(v + v for v in hyper.scaled_normal))
+
+
+def _rejects(hyper, c) -> bool:
+    try:
+        return not verify_space_form(hyper, c).ok
+    except NotTangent:   # a wrong value fed back into the connection as an argument
+        return True
+
+
+@pytest.mark.parametrize("plant", [_dropped_term, _flipped_term, _doubled_normal])
+def test_planted_weingarten_term_bugs_are_caught(plant):
+    ws, _ = build_workspace(load_spec(str(SPECS / "sphere_q_n3.json")))
+    plant(ws.hyper)
+    results = run_checks(ws, names=["gauss-split", "induced-identities"], seed=7)
+    assert [r.status for r in results] == ["fail", "fail"]
+    hyper = sphere3()
+    plant(hyper)
+    assert _rejects(hyper, Q.one())
+    # on x^3 - x the term is zero on tangent fields, so no plant shows: 3x^2 - 1 is a unit
+    # modulo (f), so a tangent field's x-component lies in (f), and with it
+    # Hess f(X, Y) = 6x X_x Y_x; the three lines are totally geodesic
+    cubic = _cubic()
+    plant(cubic)
+    (result,) = run_checks(Workspace(cubic.ambient, cubic), names=["gauss-split"], seed=7)
+    assert result.status == "pass"

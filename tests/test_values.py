@@ -96,6 +96,7 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
         "Poly.partials", "Poly.division", "Metric._minors", "Metric._adjugate",
         "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
+        "HypersurfaceSpace.scaled_normal", "HypersurfaceSpace.hessian",
         "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
         "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
 
