@@ -38,11 +38,12 @@ class TwoNotAUnit(RinehartError):
 
 
 class NotTangent(RinehartError):
-    """A vector field argument is not tangent to the hypersurface."""
+    """A vector field argument is not tangent to the hypersurface; `field` is that field."""
 
-    def __init__(self, argument: str):
+    def __init__(self, argument: str, field):
         super().__init__(f"field {argument!r} is not tangent to the hypersurface")
         self.argument = argument
+        self.field = field
 
 
 class DegreeOverflow(RinehartError):

@@ -7,13 +7,13 @@ that 1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the
 induced connection and the second fundamental form are all computed on
 canonical representatives modulo (f), from N reduced once, so two quotient
 fields are equal as classes exactly when they compare equal with `==`.
-The tangent projection is (P X)_l = sum_k X_k M_kl with
-M_kl = delta_kl - q (G N)_k N_l, and the normal part is q<X, N>N with
-q<X, N> = sum_k X_k q (G N)_k.  The induced connection reads neither: by
-the Weingarten formula it is D_X Y + Hess f(X, Y) qN, from the Hessian
-table of f and the components q N_l.  The covector q G N, M, the Hessian
-table and qN are built once per hypersurface on first use.  Each
-component is one raw sum of products with one normal form.
+Both projections read one normal coefficient q<V, N> = sum_k V_k q (G N)_k:
+the normal part is q<V, N>N and the tangent part has the components
+V_l - q<V, N> N_l.  The induced connection reads neither: by the
+Weingarten formula it is D_X Y + Hess f(X, Y) qN, from the Hessian table
+of f and the components q N_l.  The covector q G N, the spanning fields,
+the Hessian table and qN are built once per hypersurface on first use.
+Each component is one raw sum of products with one normal form.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ class HypersurfaceSpace(Value):
     `generator` is kept exactly as given; the ideal it generates stores a
     monic associate.  `normal` is grad(generator) over the ambient space
     and `q` is the verified witness with 1 - q<N, N> in (f).  Built on first
-    use, once: N reduced, the covector q G N and the projector M that the
-    projections read, and the Hessian table of the generator and qN that the
-    induced connection reads.
+    use, once: N reduced and the covector q G N that the projections read,
+    the spanning fields, and the Hessian table of the generator and qN that
+    the induced connection reads.
     """
 
     _fields = ("ambient", "generator", "ideal", "normal", "q", "quotient")
@@ -69,9 +69,9 @@ class HypersurfaceSpace(Value):
 
     @lazy
     def normal_covector(self) -> tuple:
-        """q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
+        """The representatives of q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
         gn = flat(self.quotient_normal, self.quotient.metric)
-        return tuple(self.q * g for g in gn.coeffs)
+        return tuple((self.q * g).rep for g in gn.coeffs)
 
     @lazy
     def scaled_normal(self) -> tuple:
@@ -88,11 +88,9 @@ class HypersurfaceSpace(Value):
                      for k, h in enumerate(d.partials) if h.terms)
 
     @lazy
-    def tangent_projector(self) -> tuple:
-        """The rows of M_kl = delta_kl - q (G N)_k N_l modulo (f)."""
-        nq = self.quotient_normal.coeffs
-        return tuple(tuple(e - g * v for e, v in zip(self.quotient._unit_vector(k), nq))
-                     for k, g in enumerate(self.normal_covector))
+    def spanning(self) -> tuple:
+        """The tangent projections Y_k = P X_k of the coordinate fields; they span."""
+        return tuple(_tangent_part(self, e.reps) for e in self.quotient.basis_fields())
 
     @lazy
     def _induced_memo(self) -> dict:
@@ -157,36 +155,30 @@ def is_tangent(hyper: HypersurfaceSpace, x: VectorField) -> bool:
     return inner(hyper.to_quotient(x), hyper.quotient_normal, hyper.quotient.metric).is_zero()
 
 
-def _representatives(hyper: HypersurfaceSpace, x: VectorField) -> list:
-    """The reduced coefficients of an ambient or quotient field.  An ambient field is
-    reduced before it is projected: its coefficients may hold many multiples of the
-    leading monomial, and projecting them unreduced multiplies more terms."""
-    return hyper.to_quotient(x).reps
+def _normal_coefficient(hyper: HypersurfaceSpace, v) -> QuotientElem:
+    """q<V, N> = sum_k V_k q (G N)_k for raw polynomials V_k, one raw sum with one normal form."""
+    return hyper.quotient.quotient_sum(zip(v, hyper.normal_covector))
 
 
 def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The normal part q<X, N>N of X, with coefficients reduced modulo (f)."""
-    return _normal_part(hyper, _representatives(hyper, x))
-
-
-def _normal_part(hyper: HypersurfaceSpace, v: list) -> VectorField:
-    """q<V, N>N for raw polynomials V_k: q<V, N> is one raw sum with one normal form."""
-    space = hyper.quotient
-    b = space.quotient_sum([(a, g.rep) for a, g in zip(v, hyper.normal_covector)])
-    return b * hyper.quotient_normal
+    return _normal_coefficient(hyper, hyper.to_quotient(x).reps) * hyper.quotient_normal
 
 
 def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The tangent part X - q<X, N>N of X, with coefficients reduced modulo (f)."""
-    return _project(hyper, _representatives(hyper, x))
+    # an ambient field is reduced before it is projected: its coefficients may hold many
+    # multiples of the leading monomial, and projecting them unreduced multiplies more terms
+    return _tangent_part(hyper, hyper.to_quotient(x).reps)
 
 
-def _project(hyper: HypersurfaceSpace, v: list) -> VectorField:
-    """(P V)_l = sum_k V_k M_kl for raw polynomials V_k, one normal form per component."""
+def _tangent_part(hyper: HypersurfaceSpace, v) -> VectorField:
+    """V_l - q<V, N> N_l for raw polynomials V_k, one raw sum and normal form per component."""
     space = hyper.quotient
-    live = [(a, row) for a, row in zip(v, hyper.tangent_projector) if a.terms]
-    return VectorField(space, tuple(space.quotient_sum([(a, row[l].rep) for a, row in live])
-                                    for l in range(space.nvars)))
+    one = Poly.constant(space.ring, space.nvars, space.ring.one())
+    minus_b = -_normal_coefficient(hyper, v).rep
+    return VectorField(space, tuple(space.quotient_sum([(a, one), (minus_b, w)])
+                                    for a, w in zip(v, hyper.quotient_normal.reps)))
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
@@ -195,8 +187,8 @@ def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> 
 
 
 def spanning_fields(hyper: HypersurfaceSpace) -> list:
-    """The tangent projections Y_i = P X_i of the coordinate fields, the rows of M; they span."""
-    return [VectorField(hyper.quotient, row) for row in hyper.tangent_projector]
+    """The tangent projections Y_i = P X_i of the coordinate fields, a fresh list; they span."""
+    return list(hyper.spanning)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +214,8 @@ class InducedConnection:
     the pairs (X_i, d_i Y_l) from `derivative_pairs`, as for every
     derivative along a field, and the one pair (Hess f(X, Y), q N_l), with
     one normal form; Hess f(X, Y) is one raw sum over the nonzero Hessian
-    entries with one normal form (sum_j X_j Y_j on a sphere).  No product
-    with the projector M is formed.  Values are computed on canonical
+    entries with one normal form (sum_j X_j Y_j on a sphere).  The normal
+    coefficient q<D_X Y, N> is never formed.  Values are computed on canonical
     representatives; the result is independent of the representatives for
     tangent arguments.  Values are memoised per hypersurface, keyed by
     coefficients, so all connections built on one hypersurface compute each
@@ -275,7 +267,7 @@ def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
         key = class_key(field.coeffs)
         if key not in proved:
             if not is_tangent(hyper, field):
-                raise NotTangent(name)
+                raise NotTangent(name, field)
             proved.add(key)
 
 
@@ -283,7 +275,8 @@ def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
     """h(X, Y) = q<D_X Y, N>N, the normal part of the ambient derivative of tangent
     fields, with q<D_X Y, N> = sum_k (sum_i X_i d_i Y_k) q (G N)_k one raw sum."""
-    return _normal_part(hyper, _raw_derivative(hyper, hyper.to_quotient(x), hyper.to_quotient(y)))
+    v = _raw_derivative(hyper, hyper.to_quotient(x), hyper.to_quotient(y))
+    return _normal_coefficient(hyper, v) * hyper.quotient_normal
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .errors import MetricNotMusical, TwoNotAUnit
+from .errors import MetricNotMusical, NotTangent, TwoNotAUnit
 from .hypersurface import (HypersurfaceSpace, InducedConnection,
                            induced_metric_gap, is_tangent, project_normal,
                            project_tangent, second_fundamental_form,
@@ -607,6 +607,9 @@ def run_checks(ws: Workspace, names: Optional[list] = None, seed: int = 0,
                 status, detail, ce = _skip(f"metric is not musical: {exc}")
             except TwoNotAUnit:
                 status, detail, ce = _skip("2 is not a unit, no connection available")
+            except NotTangent as exc:  # a value of the connection fed back as an argument
+                status, detail, ce = _fail(exc.field.space, str(exc), argument=exc.argument,
+                                           field=exc.field)
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name, status, detail, ce, elapsed))
     return results

@@ -7,9 +7,11 @@ import time
 
 import pytest
 
-from rinehart import InducedConnection, parse_poly
+from rinehart import InducedConnection, is_tangent, parse_poly
+from rinehart import cli
 from rinehart.cli import main
-from rinehart.rings import Rationals
+from rinehart.parse import parse_vector
+from rinehart.rings import Rationals, set_field
 from rinehart.suites import CHECK_NAMES
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -237,6 +239,40 @@ def test_connection_rejects_non_tangent_on_sphere(capsys):
                                 "--x", "x, y, z", "--y", "1 - x^2, -x*y, -x*z"])
     assert code == 2
     assert err.startswith("error[NotTangent]:")
+
+
+def test_a_non_tangent_connection_value_fails_its_check_and_the_report_is_printed(
+        monkeypatch, capsys):
+    # with the Weingarten term dropped, values of the induced connection leave the tangent
+    # bundle; the checks that feed them back into the connection fail, and every check
+    # still reports
+    build = cli.build_workspace
+
+    def planted(spec):
+        ws, meta = build(spec)
+        set_field(ws.hyper, "hessian", ())
+        return ws, meta
+
+    monkeypatch.setattr(cli, "build_workspace", planted)
+    sphere = str(SPECS / "sphere_q_n3.json")
+    code, out, err = run(capsys, ["check", sphere, "--json", "--seed", "7"])
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == sorted(CHECK_NAMES)
+    raised = [c for c in checks if c["detail"].endswith("is not tangent to the hypersurface")]
+    assert {c["name"] for c in raised} >= {"curvature-tensorial", "space-form"}
+    ws, _ = planted(cli.load_spec(sphere))
+    space = ws.hyper.quotient
+    for c in raised:
+        ce = c["counterexample"]
+        assert c["status"] == "fail" and set(ce) == {"argument", "field"}
+        assert c["detail"].startswith(f"field {ce['argument']!r} ")
+        field = space.field(parse_vector(ce["field"][1:-1], space.ring, space.var_names))
+        assert not is_tangent(ws.hyper, field)
+    # a non-tangent field given by the user is still bad input
+    code, _, err = run(capsys, ["curvature", sphere, "--x", "x, y, z",
+                                "--y", "1 - x^2, -x*y, -x*z", "--z", "1 - x^2, -x*y, -x*z"])
+    assert code == 2 and err.startswith("error[NotTangent]:")
 
 
 def test_curvature_command(capsys):

@@ -30,7 +30,7 @@ from rinehart.poly import normal_form
 from rinehart.randgen import random_field
 from rinehart.rings import set_field
 from rinehart.suites import Workspace, run_checks
-from rinehart.tensors import VectorField, gram_table
+from rinehart.tensors import VectorField, flat, gram_table
 from conftest import seeded
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -597,11 +597,18 @@ def _cubic():
     return _level_set(Q, ("x", "y"), "x^3 - x", "1 - 3/4*x^2")
 
 
+def _cylinder():
+    return _level_set(Q, ("x", "y", "z"), "x^2 + y^2 - 1", "1/4")
+
+
 STEP_HYPERSURFACES = {
     **{f"sphere-{name}-n{n}": (lambda name=name, n=n: _sphere(name, n)[0])
        for name in ("Q", "F7", "Qi") for n in (3, 4)},
     "generator-quotient": _generator_quotient,
     "de-sitter": _de_sitter,
+    # q = 1 - 3/4 x^2 is not constant on the cubic
+    "cubic": _cubic,
+    "cylinder": _cylinder,
 }
 
 
@@ -630,6 +637,36 @@ def test_second_form_and_ambient_projections_match_their_step_by_step_forms(labe
         normal = _step_normal_part(hyper, w)
         assert project_normal(hyper, w) == project_normal(hyper, wq) == normal
         assert project_tangent(hyper, w) == project_tangent(hyper, wq) == wq - normal
+
+
+def _covector_without_q(hyper):
+    set_field(hyper, "normal_covector", flat(hyper.quotient_normal, hyper.quotient.metric).reps)
+
+
+def _flipped_covector(hyper):
+    set_field(hyper, "normal_covector", tuple(-g for g in hyper.normal_covector))
+
+
+def _de_sitter_workspace():
+    hyper = _de_sitter()
+    return Workspace(hyper.ambient, hyper)
+
+
+PROJECTION_WORKSPACES = {
+    "sphere-F7": lambda: build_workspace(load_spec(str(SPECS / "sphere_f7_n3.json")))[0],
+    "de-sitter": _de_sitter_workspace,
+}
+
+
+@pytest.mark.parametrize("plant", [_covector_without_q, _flipped_covector])
+@pytest.mark.parametrize("label", sorted(PROJECTION_WORKSPACES))
+def test_planted_projection_bugs_are_caught(label, plant):
+    # q = 3 on the F_7 sphere and 1/4 on de Sitter space, so a dropped q shows; is_tangent
+    # reads <X, N>, not the covector, so it witnesses the projection independently
+    ws = PROJECTION_WORKSPACES[label]()
+    plant(ws.hyper)
+    results = run_checks(ws, names=["projection-retraction", "tangency"], seed=7)
+    assert [r.status for r in results] == ["fail", "fail"]
 
 
 def test_one_sum_forms_keep_their_refusals():
@@ -691,7 +728,7 @@ LEVEL_SETS = {
     "de-sitter-Q": _de_sitter,
     "de-sitter-F7": lambda: _de_sitter(PrimeField(7)),
     "generator-quotient": _generator_quotient,
-    "cylinder": lambda: _level_set(Q, ("x", "y", "z"), "x^2 + y^2 - 1", "1/4"),
+    "cylinder": _cylinder,
     "cubic": _cubic,
 }
 

@@ -97,7 +97,7 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
         "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
         "HypersurfaceSpace.scaled_normal", "HypersurfaceSpace.hessian",
-        "HypersurfaceSpace.tangent_projector", "HypersurfaceSpace._induced_memo",
+        "HypersurfaceSpace.spanning", "HypersurfaceSpace._induced_memo",
         "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
 
 
