@@ -18,8 +18,8 @@ The spec file is JSON:
 
 Exit codes: 0 all requested checks pass (or the computation succeeded),
 1 at least one check failed, 2 validation or computation error.
-Reports are deterministic: identical spec, seed and engine version give
-byte-identical output.
+`--json` reports are deterministic: identical spec, seed and engine version
+give byte-identical output.  The text `check` report adds per-check seconds.
 """
 
 from __future__ import annotations

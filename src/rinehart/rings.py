@@ -152,7 +152,8 @@ class RingDescriptor(Value):
     `neg` may return unreduced results (an F_p residue outside [0, p), say);
     `reduce` makes a numerator canonical, or None for zero.  `monic(lc)` is
     the one inverse: (u, d) with lc * u = d, a positive int, so dividing by
-    lc is multiplying by u over d; it raises NotAUnit when lc is not a unit.
+    lc is multiplying by u over d; it raises NotAUnit when lc is not a unit,
+    which makes it the unit test too (`GroundScalar.is_unit`).
     """
 
     add = staticmethod(operator.add)
@@ -201,9 +202,6 @@ class RingDescriptor(Value):
 
     def one(self) -> "GroundScalar":
         return self.from_int(1)
-
-    def _is_unit(self, num) -> bool:
-        return num != 0
 
     def _fmt(self, num, den: int) -> str:
         return str(num) if den == 1 else f"{num}/{den}"
@@ -334,10 +332,6 @@ class QuadExt(RingDescriptor):
             return None if a is None else (a, 0)
         return (0 if a is None else a, b)
 
-    def _is_unit(self, x) -> bool:
-        a, b = x
-        return self.base.reduce(a * a - self.s * b * b) is not None
-
     def _fmt(self, x, den: int) -> str:
         a, b = (self.base.make(c, den) for c in x)
         if b.is_zero():
@@ -415,7 +409,12 @@ class GroundScalar(Value):
         return ring.make(ring.times(u, self.den), d)
 
     def is_unit(self) -> bool:
-        return self.ring._is_unit(self.num)
+        """Whether the ring's one inverse, `monic`, exists for this scalar."""
+        try:
+            self.ring.monic(self.num)
+        except NotAUnit:
+            return False
+        return True
 
     def is_zero(self) -> bool:
         return self.num == self.ring._zero

@@ -206,16 +206,15 @@ class KoszulConnection:
     Against the basis fields, whose brackets vanish, this reads
     <nabla_X Y, X_k> = sum_j G_kj d_X Y^j + sum_ij X^i Y^j Gamma_ij,k with
     the first-kind symbols Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
-    (do Carmo, Riemannian Geometry, 1992, section 2.3).  That table is the
-    one place the formula lives.  `form(X, Y)` contracts it with G and is
-    always available.  Calling the connection contracts the second-kind
-    table Gamma^k_ij, the solution of G v = Gamma_ij,., with the identity,
-    so `form(X, Y) == flat(nabla_X Y)`, also on a quotient.  When the Gram
-    determinant is a certified unit (`Metric.det_status`, decided once per
-    metric) the solve applies `Metric.inverse` and the second-kind table is
-    built up front; otherwise each requested value solves
-    G v = form(X, Y) by exact division when possible and raises
-    `MetricNotMusical` when not.
+    (do Carmo, Riemannian Geometry, 1992, section 2.3), built in `__init__`,
+    the one place the formula lives.  `form(X, Y)` contracts them with the
+    rows of G and is always available.  The second-kind symbols Gamma^k_ij
+    solve G v = Gamma_ij,. by `Metric.inverse` when det G is a certified unit
+    (`Metric.det_status`), else by exact division.  When every column solves
+    (`fully_solvable`), component k of nabla_X Y is d_X Y^k +
+    sum_ij X^i Y^j Gamma^k_ij, one raw sum with one normal form, so
+    `form(X, Y) == flat(nabla_X Y)`, also on a quotient; otherwise each value
+    solves G v = form(X, Y) the same way, or raises `MetricNotMusical`.
     """
 
     def __init__(self, space: RinehartSpace):
@@ -225,48 +224,42 @@ class KoszulConnection:
         self.space = space
         n, g = space.nvars, space.metric.entries
         half = Poly.constant(space.ring, n, two.inverse())
-        self._identity = Metric.euclidean(space.ring, n, space.ideal).entries
-        self._first: dict = {}
-        self._gamma: dict = {}
+        first: dict = {}
+        second: dict = {}
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         for i, j in upper:
             # Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2
-            self._first[(i, j)] = self._first[(j, i)] = tuple(space.quotient_sum(
+            first[(i, j)] = first[(j, i)] = tuple(space.quotient_sum(
                 [(half, g[j][k].rep.diff(i)), (half, g[i][k].rep.diff(j)),
                  (-half, g[i][j].rep.diff(k))]) for k in range(n))
         for i, j in upper:
-            value = self._solve(self._first[(i, j)])
-            if value is None:
-                self._gamma.clear()
+            if (value := self._solve(first[(i, j)])) is None:
                 break
-            self._gamma[(i, j)] = self._gamma[(j, i)] = value
-        self.fully_solvable = bool(self._gamma)
-        # (i, j, column) of each table's nonzero symbol columns: the only X^i Y^j formed
-        self._first_live, self._gamma_live = (
+            second[(i, j)] = second[(j, i)] = value
+        self.fully_solvable = len(second) == len(first)
+        # (i, j, column) of each kind's nonzero columns: the only X^i Y^j formed
+        self._first_live, self._second_live = (
             [(i, j, col) for (i, j), col in table.items() if any(c.rep.terms for c in col)]
-            for table in (self._first, self._gamma))
+            for table in (first, second if self.fully_solvable else {}))
 
-    def _contract(self, w: tuple, symbols: list, x: VectorField, y: VectorField) -> tuple:
-        """Component k of sum_j w[k][j] d_X Y^j + sum_ij X^i Y^j table[(i, j)][k], over
-        the nonzero columns `symbols` of the table, each one raw sum of products with one
-        normal form."""
-        space, n = self.space, self.space.nvars
-        _check_pair(space, x, y)
+    def _products(self, x: VectorField, y: VectorField, symbols: list) -> tuple:
+        """The raw coefficients of the pair x, y and the products (X^i Y^j, column) over
+        the live columns `symbols` whose factors are both nonzero."""
+        _check_pair(self.space, x, y)
         xs, ys = x.reps, y.reps
-        dy = [derivative_pairs(xs, q) for q in ys]
-        xy = [(xs[i] * ys[j], col) for i, j, col in symbols if xs[i].terms and ys[j].terms]
-        out = []
-        for k in range(n):
-            pairs = [(a if g.rep.is_one() else a * g.rep, b)
-                     for g, dyj in zip(w[k], dy) if g.rep.terms for a, b in dyj]
-            pairs += [(p, t[k].rep) for p, t in xy]
-            out.append(space.quotient_sum(pairs))
-        return tuple(out)
+        return xs, ys, [(xs[i] * ys[j], col) for i, j, col in symbols
+                        if xs[i].terms and ys[j].terms]
 
     def form(self, x: VectorField, y: VectorField) -> OneForm:
-        """The one-form Z |-> <nabla_X Y, Z>, from the first-kind symbols."""
-        return OneForm(self.space,
-                       self._contract(self.space.metric.entries, self._first_live, x, y))
+        """The one-form Z |-> <nabla_X Y, Z>: component k is
+        sum_j G_kj d_X Y^j + sum_ij X^i Y^j Gamma_ij,k, one normal form."""
+        space = self.space
+        xs, ys, xy = self._products(x, y, self._first_live)
+        dy = [derivative_pairs(xs, q) for q in ys]
+        return OneForm(space, tuple(space.quotient_sum(
+            [(a if g.rep.is_one() else a * g.rep, b)
+             for g, dyj in zip(row, dy) if g.rep.terms for a, b in dyj]
+            + [(p, t[k].rep) for p, t in xy]) for k, row in enumerate(space.metric.entries)))
 
     def _solve(self, beta: tuple) -> Optional[tuple]:
         """Solve G v = beta exactly, or return None."""
@@ -285,17 +278,20 @@ class KoszulConnection:
         return tuple(out)
 
     def __call__(self, x: VectorField, y: VectorField) -> VectorField:
-        if self.fully_solvable:
-            return VectorField(self.space, self._contract(self._identity, self._gamma_live, x, y))
-        value = self._solve(self.form(x, y).coeffs)
-        if value is None:
-            raise MetricNotMusical("Koszul value has no exact solution for this pair")
-        return VectorField(self.space, value)
+        space = self.space
+        if not self.fully_solvable:
+            if (value := self._solve(self.form(x, y).coeffs)) is None:
+                raise MetricNotMusical("Koszul value has no exact solution for this pair")
+            return VectorField(space, value)
+        xs, ys, xy = self._products(x, y, self._second_live)
+        return VectorField(space, tuple(
+            space.quotient_sum(derivative_pairs(xs, q) + [(p, t[k].rep) for p, t in xy])
+            for k, q in enumerate(ys)))
 
 
 def one_form_valued(conn) -> bool:
-    """Whether a connection gives only one-forms: a Koszul connection whose second-kind
-    table has no exact solution.  Every other connection gives vectors."""
+    """Whether a connection gives only one-forms: a Koszul connection with a second-kind
+    column that has no exact solution.  Every other connection gives vectors."""
     return isinstance(conn, KoszulConnection) and not conn.fully_solvable
 
 

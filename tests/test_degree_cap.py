@@ -12,7 +12,7 @@ import rinehart.hypersurface as hypersurface
 import rinehart.poly as poly_module
 import rinehart.randgen as randgen
 import rinehart.suites as suites
-from rinehart import DegreeOverflow, MetricNotMusical, Poly
+from rinehart import DegreeOverflow, KoszulConnection, MetricNotMusical, Poly
 from rinehart.cli import build_workspace, main
 from rinehart.poly import MAX_DEGREE
 from rinehart.space import one_form_valued
@@ -137,13 +137,19 @@ def test_cap_survives_a_registry_rebuilt_from_name_needs_and_runner(monkeypatch)
     assert degree_cap(build_workspace(spec)[0]) == before == 37
 
 
-def test_cap_reads_the_connection_values_not_its_tables():
-    # Gamma^k_ij are the components of nabla_{X_i} X_j, so the cap needs no private table
+def test_cap_reads_the_connection_values_not_its_tables(monkeypatch):
+    # Gamma^k_ij are the components of nabla_{X_i} X_j, so the cap asks the connection for
+    # its n^2 basis values, one each, and for nothing else
     ws, _ = build_workspace(DERIVED["dense_llt_n3"][0])
     conn = ws.plain_connection
-    del conn._gamma
-    assert ws.plain_connection is conn
+    calls = []
+    value = KoszulConnection.__call__
+    monkeypatch.setattr(KoszulConnection, "__call__",
+                        lambda self, x, y: calls.append((x, y)) or value(self, x, y))
     assert degree_cap(ws) == 37
+    assert ws.plain_connection is conn
+    basis = ws.space.basis_fields()
+    assert calls == [(x, y) for x in basis for y in basis]
 
 
 def test_one_form_level_cap_comes_from_the_metric_alone():

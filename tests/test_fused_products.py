@@ -82,12 +82,19 @@ def ref_ambient_derivative(space, x, y):
 
 
 def ref_koszul(conn, x, y):
+    """D_X Y + sum_ij X^i Y^j Gamma^k_ij X_k, with the symbols built here from the metric:
+    Gamma_ij,k = (d_i G_jk + d_j G_ik - d_k G_ij) / 2 in class arithmetic, then
+    Gamma^k_ij = sum_l (G^-1)_kl Gamma_ij,l through `Metric.inverse`."""
     space = conn.space
+    n, metric = space.nvars, space.metric
+    half = space.constant(space.ring.from_int(2).inverse())
+    d = [[differential(space, e).coeffs for e in row] for row in metric.entries]
     acc = ref_ambient_derivative(space, x, y)
-    for i in range(space.nvars):
-        for j in range(space.nvars):
-            g = x.coeffs[i] * y.coeffs[j]
-            acc = acc + g * VectorField(space, conn._gamma[(i, j)])
+    for i in range(n):
+        for j in range(n):
+            first = tuple(half * (d[j][k][i] + d[i][k][j] - d[i][j][k]) for k in range(n))
+            second = ref_apply_matrix(metric.inverse, first)
+            acc = acc + (x.coeffs[i] * y.coeffs[j]) * VectorField(space, second)
     return acc
 
 

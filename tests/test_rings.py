@@ -145,15 +145,22 @@ def test_ring_laws_seeded(any_ring):
 
 
 def test_unit_inverses_roundtrip(any_ring):
+    # a scalar is a unit exactly when its inverse exists: a unit's inverse roundtrips,
+    # and a non-unit's inverse raises NotAUnit
     ring = any_ring
     rng = seeded(f"ring-units:{ring}")
-    seen_units = 0
-    for _ in range(400):
-        a = sample_scalar(rng, ring)
+    draws = [sample_scalar(rng, ring) for _ in range(400)]
+    if isinstance(ring, QuadExt) and ring.s == 1:
+        divisors = [ring.scalar((1, 1)), ring.scalar((1, -1))]  # (1 + al)(1 - al) = 0
+        assert not any(z.is_unit() for z in divisors)
+        draws += divisors
+    for a in draws:
         if a.is_unit():
-            seen_units += 1
             assert a.inverse() * a == ring.one()
-    assert seen_units > 100
+        else:
+            with pytest.raises(NotAUnit):
+                a.inverse()
+    assert 100 < sum(a.is_unit() for a in draws) < len(draws)
 
 
 @given(n=st.integers(-10**6, 10**6), d=st.integers(1, 10**3),

@@ -233,6 +233,24 @@ def test_koszul_constant_diagonal_metric_has_zero_gamma():
             assert kz(sp.basis_field(i), sp.basis_field(j)).is_zero()
 
 
+@pytest.mark.parametrize("ring", [Q, PrimeField(7), QuadExt(Q, -1)], ids=str)
+@pytest.mark.parametrize("entries", [(("1", "0", "0"), ("0", "1", "0"), ("0", "0", "-1")),
+                                     (("2", "1"), ("1", "1"))], ids=["diag", "dense"])
+def test_koszul_on_a_constant_metric_is_the_ambient_derivative(ring, entries):
+    # a constant G, diag(1, 1, -1) or [[2, 1], [1, 1]], has no nonzero symbol column, so
+    # nabla_X Y = D_X Y exactly although G is not the identity
+    names = ("x", "y", "z")[:len(entries)]
+    plain = RinehartSpace.euclidean(ring, names)
+    sp = RinehartSpace.with_metric(ring, names, Metric(tuple(tuple(map(plain.fn, row))
+                                                             for row in entries)))
+    kz = KoszulConnection(sp)
+    assert kz.fully_solvable
+    rng = seeded(f"space-koszul-constant:{ring}:{len(names)}")
+    for _ in range(30):
+        x, y = random_field(rng, sp, 2), random_field(rng, sp, 2)
+        assert kz(x, y) == ambient_derivative(sp, x, y)
+
+
 def test_koszul_frozen_nonmusical_example():
     sp = RinehartSpace.with_metric(
         Q, ("x1", "x2"),
