@@ -97,6 +97,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
         if metric_spec == "euclidean":
             metric = Metric.euclidean(ring, n, None)
         elif isinstance(metric_spec, dict) and "diag" in metric_spec:
+            if "matrix" in metric_spec:
+                raise ValidationError("metric", "holds both 'diag' and 'matrix'")
             if not isinstance(metric_spec["diag"], list) or len(metric_spec["diag"]) != n:
                 raise ValidationError("metric", f"diagonal needs {n} entries")
             diag = [QuotientElem(parse_poly(text, ring, names), None)
@@ -124,6 +126,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
         if not isinstance(quotient_spec, dict):
             raise ValidationError("quotient", "must be an object")
         if "sphere" in quotient_spec:
+            if "generator" in quotient_spec:
+                raise ValidationError("quotient", "holds both 'sphere' and 'generator'")
             sphere = quotient_spec["sphere"]
             if not isinstance(sphere, dict) or "c" not in sphere:
                 raise ValidationError("quotient.sphere", "needs a 'c' scalar string")

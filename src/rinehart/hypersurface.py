@@ -1,18 +1,17 @@
 """Hypersurface quotients of coordinate spaces with a constant metric.
 
 The ambient metric G may be any constant matrix whose determinant is a
-unit, so that N = grad f = G^-1 df is a polynomial field.  A hypersurface
-is cut out by one equation f = 0 together with a scaling witness q such
-that 1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the
-induced connection and the second fundamental form are all computed on
-canonical representatives modulo (f), from N reduced once, so two quotient
-fields are equal as classes exactly when they compare equal with `==`.
-Both projections read one normal coefficient q<V, N> = sum_k V_k q (G N)_k:
-the normal part is q<V, N>N and the tangent part has the components
-V_l - q<V, N> N_l.  The induced connection reads neither: by the
-Weingarten formula it is D_X Y + Hess f(X, Y) qN, from the Hessian table
-of f and the components q N_l.  The covector q G N, the spanning fields,
-the Hessian table and qN are built once per hypersurface on first use.
+unit, so that N = grad f = G^-1 df is a polynomial field, formed once.  A
+hypersurface is cut out by f = 0 with a scaling witness q such that
+1 - q<N, N> lies in (f).  Tangency, orthogonal projection, the induced
+connection and the second fundamental form are computed on canonical
+representatives modulo (f), so two quotient fields are equal as classes
+exactly when they compare equal with `==`.  None of them reads G, since
+G N = df gives <V, N> = sum_k V_k d_k f: both projections read one normal
+coefficient q<V, N> = sum_k V_k q d_k f, for the normal part q<V, N>N and
+the tangent components V_l - q<V, N> N_l; by the Weingarten formula the
+induced connection is D_X Y + Hess f(X, Y) qN.  The covector q df, the
+spanning fields, the Hessian table and qN are built once, on first use.
 Each component is one raw sum of products with one normal form.
 """
 
@@ -26,18 +25,18 @@ from .poly import (Poly, PrincipalIdeal, QuotientElem, class_key, quotient_sum,
                    sum_products)
 from .rings import GroundScalar, RingDescriptor, Value, lazy
 from .space import Report, RinehartSpace, check_constant_curvature, derivative_pairs, gradient
-from .tensors import VectorField, flat, gram_table, inner
+from .tensors import VectorField, gram_table
 
 
 class HypersurfaceSpace(Value):
     """An ambient coordinate space with a distinguished level set.
 
     `generator` is kept exactly as given; the ideal it generates stores a
-    monic associate.  `normal` is grad(generator) over the ambient space
-    and `q` is the verified witness with 1 - q<N, N> in (f).  Built on first
-    use, once: N reduced and the covector q G N that the projections read,
-    the spanning fields, and the Hessian table of the generator and qN that
-    the induced connection reads.
+    monic associate.  `normal` is N = G^-1 df as a quotient field, canonical
+    as built since deg N_k < deg f, and `q` is the verified witness with
+    1 - q<N, N> in (f).  Built on first use, once: the covector q df that the
+    projections read, the spanning fields, and the Hessian table of the
+    generator and qN that the induced connection reads.
     """
 
     _fields = ("ambient", "generator", "ideal", "normal", "q", "quotient")
@@ -51,33 +50,25 @@ class HypersurfaceSpace(Value):
         if ambient.metric.det_status[1] is None:
             raise MetricNotMusical("the ambient metric determinant is not a unit")
         ideal = PrincipalIdeal.of(generator)
-        normal = gradient(ambient, ambient.poly_fn(generator))
-        q_fn = ambient.coerce_fn(q)
-        nn = inner(normal, normal, ambient.metric)
-        witness = ambient.constant(ambient.ring.one()) - q_fn * nn
-        if not QuotientElem(witness.rep, ideal).is_zero():
-            raise ValueError("1 - q<N, N> does not lie in the ideal (f)")
         quotient = RinehartSpace.with_metric(ambient.ring, ambient.var_names,
                                              ambient.metric, ideal)
-        return HypersurfaceSpace(ambient, generator, ideal, normal,
-                                 QuotientElem(q_fn.rep, ideal), quotient)
-
-    @lazy
-    def quotient_normal(self) -> VectorField:
-        """N with coefficients reduced modulo (f), computed once."""
-        return self.to_quotient(self.normal)
+        normal = quotient.field(gradient(ambient, ambient.poly_fn(generator)).reps)
+        q_fn = QuotientElem(ambient.coerce_fn(q).rep, ideal)
+        nn = quotient.quotient_sum(zip(normal.reps, generator.partials))  # <N, N> = N . df
+        if not (quotient.constant(ambient.ring.one()) - q_fn * nn).is_zero():
+            raise ValueError("1 - q<N, N> does not lie in the ideal (f)")
+        return HypersurfaceSpace(ambient, generator, ideal, normal, q_fn, quotient)
 
     @lazy
     def normal_covector(self) -> tuple:
-        """The representatives of q (G N)_k modulo (f), so that q<X, N> = sum_k X_k q (G N)_k."""
-        gn = flat(self.quotient_normal, self.quotient.metric)
-        return tuple((self.q * g).rep for g in gn.coeffs)
+        """The reps of q d_k f mod (f): q<X, N> = sum_k X_k q d_k f, since G N = df."""
+        return tuple(self.quotient.quotient_sum([(self.q.rep, d)]).rep
+                     for d in self.generator.partials)
 
     @lazy
     def scaled_normal(self) -> tuple:
-        """The representatives of q N_l modulo (f), the direction of the Weingarten term
-        of the connection."""
-        return tuple((self.q * v).rep for v in self.quotient_normal.coeffs)
+        """The reps of q N_l mod (f), the direction of the connection's Weingarten term."""
+        return tuple((self.q * v).rep for v in self.normal.coeffs)
 
     @lazy
     def hessian(self) -> tuple:
@@ -151,18 +142,19 @@ def make_sphere(ring: RingDescriptor, n: int, c: GroundScalar,
 
 
 def is_tangent(hyper: HypersurfaceSpace, x: VectorField) -> bool:
-    """Whether <X, N> lies in the ideal (f)."""
-    return inner(hyper.to_quotient(x), hyper.quotient_normal, hyper.quotient.metric).is_zero()
+    """Whether <X, N> = sum_k X_k d_k f lies in the ideal (f); reads df, not the covector."""
+    return hyper.quotient.quotient_sum(zip(hyper.to_quotient(x).reps,
+                                           hyper.generator.partials)).is_zero()
 
 
 def _normal_coefficient(hyper: HypersurfaceSpace, v) -> QuotientElem:
-    """q<V, N> = sum_k V_k q (G N)_k for raw polynomials V_k, one raw sum with one normal form."""
+    """q<V, N> = sum_k V_k q d_k f for raw polynomials V_k, one raw sum with one normal form."""
     return hyper.quotient.quotient_sum(zip(v, hyper.normal_covector))
 
 
 def project_normal(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
     """The normal part q<X, N>N of X, with coefficients reduced modulo (f)."""
-    return _normal_coefficient(hyper, hyper.to_quotient(x).reps) * hyper.quotient_normal
+    return _normal_coefficient(hyper, hyper.to_quotient(x).reps) * hyper.normal
 
 
 def project_tangent(hyper: HypersurfaceSpace, x: VectorField) -> VectorField:
@@ -178,7 +170,7 @@ def _tangent_part(hyper: HypersurfaceSpace, v) -> VectorField:
     one = Poly.constant(space.ring, space.nvars, space.ring.one())
     minus_b = -_normal_coefficient(hyper, v).rep
     return VectorField(space, tuple(space.quotient_sum([(a, one), (minus_b, w)])
-                                    for a, w in zip(v, hyper.quotient_normal.reps)))
+                                    for a, w in zip(v, hyper.normal.reps)))
 
 
 def quotient_equal(hyper: HypersurfaceSpace, x: VectorField, y: VectorField) -> bool:
@@ -274,9 +266,9 @@ def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
 def second_fundamental_form(hyper: HypersurfaceSpace, x: VectorField,
                             y: VectorField) -> VectorField:
     """h(X, Y) = q<D_X Y, N>N, the normal part of the ambient derivative of tangent
-    fields, with q<D_X Y, N> = sum_k (sum_i X_i d_i Y_k) q (G N)_k one raw sum."""
+    fields, with q<D_X Y, N> = sum_k (sum_i X_i d_i Y_k) q d_k f one raw sum."""
     v = _raw_derivative(hyper, hyper.to_quotient(x), hyper.to_quotient(y))
-    return _normal_coefficient(hyper, v) * hyper.quotient_normal
+    return _normal_coefficient(hyper, v) * hyper.normal
 
 
 def sphere_metric_entry(space: RinehartSpace, c: GroundScalar, i: int, j: int) -> QuotientElem:

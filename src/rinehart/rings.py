@@ -439,7 +439,7 @@ def ring_from_json(obj) -> RingDescriptor:
         return Rationals()
     if kind == "Fp":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ValueError("Fp descriptor needs an integer 'p'")
         return PrimeField(p)
     if kind == "quad":

@@ -443,7 +443,7 @@ def _check_induced_identities(ws, rng, cases, max_degree):
     ambient = hyper.ambient
     space = hyper.quotient
     n = space.nvars
-    normal = hyper.normal
+    normal = hyper.to_ambient(hyper.normal)
     # ambient pipeline identities
     for i in range(n):
         if derive(ambient, normal, ambient.coordinate(i)) != ambient.coordinate(i):
@@ -461,7 +461,7 @@ def _check_induced_identities(ws, rng, cases, max_degree):
     fields = spanning_fields(hyper)
     for i in range(n):
         lift = hyper.to_quotient(ambient.basis_field(i))
-        want = lift - hyper.q * hyper.quotient_normal.coeffs[i] * hyper.quotient_normal
+        want = lift - hyper.q * hyper.normal.coeffs[i] * hyper.normal
         # project_tangent(X_i) = X_i - c x_i N for the sphere witness q = c
         if fields[i] != want:
             return _fail(space, "Y_i != X_i - c x_i N", index=i + 1)
@@ -479,7 +479,7 @@ def _check_induced_identities(ws, rng, cases, max_degree):
             want_b = (c_fn * space.coordinate(i)) * yj - (c_fn * space.coordinate(j)) * yi
             if lie_bracket(space, yi, yj) != want_b:
                 return _fail(space, "[Y_i, Y_j] != c(x_i Y_j - x_j Y_i)", pair=pair)
-            if second_fundamental_form(hyper, yi, yj) != -(c_fn * want_d) * hyper.quotient_normal:
+            if second_fundamental_form(hyper, yi, yj) != -(c_fn * want_d) * hyper.normal:
                 return _fail(space, "h(Y_i, Y_j) != -c(delta_ij - c x_i x_j)N", pair=pair)
     return _ok(f"ambient pipeline and {n * n} spanning pairs")
 

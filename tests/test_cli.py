@@ -111,6 +111,8 @@ def test_rejects_unknown_check_names(tmp_path, capsys):
     {"ring": {"kind": "quad", "base": {"kind": "Q"}, "s": 1.0}},
     {"ring": {"kind": "quad", "base": {"kind": "Fp", "p": 7}, "s": -1.0}},
     {"ring": {"kind": "quad", "base": {"kind": "Q"}, "s": True}},
+    {"metric": {"diag": ["1", "1"], "matrix": [["1", "0"], ["0", "1"]]}},
+    {"quotient": {"sphere": {"c": "1"}, "generator": "x^2 + y^2 - 1", "q": "1/4"}},
 ])
 def test_rejects_malformed_field_types(tmp_path, capsys, fields):
     code, _, err = run(capsys, ["check", write_spec(tmp_path, dict(BASE, **fields))])

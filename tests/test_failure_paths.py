@@ -153,7 +153,7 @@ CASES = [
            lambda real: lambda h, x, y: real(h, x, y) + real(h, x, x))),
     ("second-form-bilinear", "sphere", "second-form-symmetric",
      patch("suites.second_fundamental_form",
-           lambda real: lambda h, x, y: real(h, x, y) + h.quotient_normal)),
+           lambda real: lambda h, x, y: real(h, x, y) + h.normal)),
     ("representative-independence", "sphere", "representative-independence",
      patch("suites.ambient_derivative",
            lambda real: on_calls(real, lambda s, x, y: real(s, x, y) + x, {1}))),

@@ -94,8 +94,9 @@ def test_build_validates_witness():
 
 def test_normal_field_is_gradient_of_generator():
     hyper = circle()
-    ambient = hyper.ambient
-    assert hyper.normal.coeffs == (ambient.fn("x"), ambient.fn("y"))
+    sp = hyper.quotient
+    assert hyper.normal.space == sp
+    assert hyper.normal.coeffs == (sp.fn("x"), sp.fn("y"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_normal_field_is_gradient_of_generator():
 
 def test_normal_is_not_tangent_but_projections_are():
     hyper = sphere3()
-    assert not is_tangent(hyper, hyper.to_quotient(hyper.normal))
+    assert not is_tangent(hyper, hyper.normal)
     rng = seeded("hyper-tangency")
     for _ in range(50):
         w = random_field(rng, hyper.quotient, 2)
@@ -123,7 +124,7 @@ def test_projection_of_basis_fields_frozen():
 def test_project_normal_of_basis_is_coordinate_times_normal():
     hyper = sphere3()
     sp = hyper.quotient
-    nq = hyper.to_quotient(hyper.normal)
+    nq = hyper.normal
     for i in range(3):
         want = sp.coordinate(i) * nq
         got = project_normal(hyper, sp.basis_field(i))
@@ -173,7 +174,7 @@ def test_induced_connection_rejects_non_tangent():
     for hyper in [circle()] + [_sphere(name, 3)[0] for name in sorted(SWEEP_RINGS)]:
         conn = InducedConnection(hyper)
         y1 = spanning_fields(hyper)[0]
-        nq = hyper.to_quotient(hyper.normal)
+        nq = hyper.normal
         with pytest.raises(NotTangent) as err:
             conn(nq, y1)
         assert err.value.argument == "x"
@@ -245,7 +246,7 @@ def test_second_form_frozen_sphere():
     # h(Y_i, Y_j) = -c*(delta_ij - c*x_i*x_j)*N on the c-sphere
     hyper = sphere3()
     sp = hyper.quotient
-    nq = hyper.to_quotient(hyper.normal)
+    nq = hyper.normal
     ys = spanning_fields(hyper)
     for i in range(3):
         for j in range(3):
@@ -504,7 +505,7 @@ def test_tangency_record_never_admits_a_non_tangent_field():
     y1, y2, y3 = spanning_fields(hyper)
     conn(y1, y2)
     conn(y3, conn(y1, y2))   # the spanning fields and a connection value are now recorded
-    nq = hyper.quotient_normal
+    nq = hyper.normal
     for bad in (nq, y1 + nq):
         for _ in range(2):   # a field found not tangent is refused on every call
             with pytest.raises(NotTangent) as err:
@@ -532,17 +533,17 @@ def test_verify_space_form_proves_each_field_tangent_once(monkeypatch):
         return counted
 
     inner_counted = counting("inner", tensors.inner)
-    for module in (tensors, hs, space_module):
+    for module in (tensors, space_module):
         monkeypatch.setattr(module, "inner", inner_counted)
     monkeypatch.setattr(hs, "is_tangent", counting("is_tangent", hs.is_tangent))
     assert verify_space_form(hyper, Q.one()).ok
     fields = {key for pair in hyper._induced_memo for key in pair}
-    # one proof per distinct argument of the induced connection, one inner product
-    # per proof, and the n^2 = 9 entries of the one Gram table
+    # one proof per distinct argument of the induced connection, each reading df and no
+    # inner product, and the n^2 = 9 entries of the one Gram table
     assert counts["is_tangent"] == len(fields) == 15
-    assert counts["inner"] == 9 + 15
+    assert counts["inner"] == 9
     assert verify_space_form(hyper, Q.one()).ok
-    assert counts["is_tangent"] == 15 and counts["inner"] == 2 * 9 + 15
+    assert counts["is_tangent"] == 15 and counts["inner"] == 2 * 9
 
 
 def _doubled(hyper):
@@ -588,13 +589,14 @@ def _de_sitter(ring=Q):
                       [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]])
 
 
-def _generator_quotient():
-    return _level_set(Q, ("x", "y"), "2*x^2 + 2*x*y + y^2 - 1", "1/4", [["2", "1"], ["1", "1"]])
+def _generator_quotient(ring=Q):
+    return _level_set(ring, ("x", "y"), "2*x^2 + 2*x*y + y^2 - 1", "1/4",
+                      [["2", "1"], ["1", "1"]])
 
 
-def _cubic():
+def _cubic(ring=Q):
     # three parallel lines x = -1, 0, 1 in K^2; Hess f = diag(6x, 0) is not constant
-    return _level_set(Q, ("x", "y"), "x^3 - x", "1 - 3/4*x^2")
+    return _level_set(ring, ("x", "y"), "x^3 - x", "1 - 3/4*x^2")
 
 
 def _cylinder():
@@ -612,9 +614,30 @@ STEP_HYPERSURFACES = {
 }
 
 
+@pytest.mark.parametrize("ring", [Q, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("make", [_generator_quotient, _de_sitter, _cubic],
+                         ids=["generator-quotient", "de-sitter", "cubic"])
+def test_the_normal_meets_the_metric_as_df(make, ring):
+    # N = G^-1 df, so G N = df: the covector q df is q G N, and tangency read from df agrees
+    # with <X, N> in (f) read through G
+    hyper = make(ring)
+    sp = hyper.quotient
+    assert hyper.normal.space == sp
+    gn = flat(hyper.normal, sp.metric)
+    assert gn.reps == tuple(sp.poly_fn(d).rep for d in hyper.generator.partials)
+    assert hyper.normal_covector == tuple((hyper.q * g).rep for g in gn.coeffs)
+    rng = seeded(f"g-n-df:{make.__name__}:{ring}")
+    spanning = spanning_fields(hyper)
+    fields = spanning + [hyper.normal] + [random_field(rng, hyper.ambient, 2) for _ in range(8)]
+    tangent = [is_tangent(hyper, x) for x in fields]
+    assert tangent[:len(spanning) + 1] == [True] * len(spanning) + [False]
+    assert tangent == [inner(hyper.to_quotient(x), hyper.normal, sp.metric).is_zero()
+                       for x in fields]
+
+
 def _step_normal_part(hyper, v):
     """q<V, N>N the long way: reduce V, one inner product with N, then scale by q."""
-    nq = hyper.quotient_normal
+    nq = hyper.normal
     return (hyper.q * inner(hyper.to_quotient(v), nq, hyper.quotient.metric)) * nq
 
 
@@ -640,7 +663,7 @@ def test_second_form_and_ambient_projections_match_their_step_by_step_forms(labe
 
 
 def _covector_without_q(hyper):
-    set_field(hyper, "normal_covector", flat(hyper.quotient_normal, hyper.quotient.metric).reps)
+    set_field(hyper, "normal_covector", flat(hyper.normal, hyper.quotient.metric).reps)
 
 
 def _flipped_covector(hyper):
@@ -662,7 +685,8 @@ PROJECTION_WORKSPACES = {
 @pytest.mark.parametrize("label", sorted(PROJECTION_WORKSPACES))
 def test_planted_projection_bugs_are_caught(label, plant):
     # q = 3 on the F_7 sphere and 1/4 on de Sitter space, so a dropped q shows; is_tangent
-    # reads <X, N>, not the covector, so it witnesses the projection independently
+    # reads Xf = sum_k X_k d_k f, not the covector, so it witnesses the projection
+    # independently
     ws = PROJECTION_WORKSPACES[label]()
     plant(ws.hyper)
     results = run_checks(ws, names=["projection-retraction", "tangency"], seed=7)
@@ -672,7 +696,7 @@ def test_planted_projection_bugs_are_caught(label, plant):
 def test_one_sum_forms_keep_their_refusals():
     hyper = sphere3()
     y1 = spanning_fields(hyper)[0]
-    nq = hyper.quotient_normal
+    nq = hyper.normal
     for args, name in (((nq, y1), "x"), ((y1, nq), "y"), ((nq, nq), "x")):
         with pytest.raises(NotTangent) as err:
             second_fundamental_form(hyper, *args)

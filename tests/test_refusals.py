@@ -60,6 +60,7 @@ def test_unit_status_of_a_non_unit_constant_and_over_a_ring_with_zero_divisors()
 @pytest.mark.parametrize("obj, message", [
     ({"kind": "Fp", "p": "7"}, "Fp descriptor needs an integer 'p'"),
     ({"kind": "quad", "s": 1}, "quad descriptor needs 'base' and 's'"),
+    ({"kind": "Fp", "p": True}, "Fp descriptor needs an integer 'p'"),
 ])
 def test_ring_from_json_refuses_a_malformed_descriptor(obj, message):
     with pytest.raises(ValueError, match=message):

@@ -265,7 +265,7 @@ def test_maximal_ideal_submodule_membership():
         w = random_field(rng, ambient, 2)
         assert in_maximal_ideal_submodule(gen * w, ideal, ambient.metric)
     # the normal field pairs to the coordinates, which are not in the ideal
-    normal = hyper.normal
+    normal = hyper.to_ambient(hyper.normal)
     assert not in_maximal_ideal_submodule(normal, ideal, ambient.metric)
     # brute equivalence with the definition on random fields
     from rinehart.poly import normal_form

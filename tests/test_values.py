@@ -75,7 +75,7 @@ def test_fields_cannot_be_assigned():
             setattr(obj, name, getattr(obj, name))
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert hyper.quotient_normal is hyper.quotient_normal  # cached on the instance
+    assert hyper.normal_covector is hyper.normal_covector  # cached on the instance
 
 
 def test_lazy_fields_are_built_once_and_cannot_be_assigned():
@@ -95,8 +95,8 @@ def test_lazy_fields_are_built_once_and_cannot_be_assigned():
     assert seen == {
         "Poly.partials", "Poly.division", "Metric._minors", "Metric._adjugate",
         "Metric.det_status", "Metric.inverse",
-        "HypersurfaceSpace.quotient_normal", "HypersurfaceSpace.normal_covector",
-        "HypersurfaceSpace.scaled_normal", "HypersurfaceSpace.hessian",
+        "HypersurfaceSpace.normal_covector", "HypersurfaceSpace.scaled_normal",
+        "HypersurfaceSpace.hessian",
         "HypersurfaceSpace.spanning", "HypersurfaceSpace._induced_memo",
         "HypersurfaceSpace._tangent_keys", "Workspace.plain_connection", "Workspace.connection"}
 
