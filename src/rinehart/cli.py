@@ -5,7 +5,7 @@ The spec file is JSON:
     {
       "schema_version": 1,
       "ring": {"kind": "Q"} | {"kind": "Fp", "p": 5}
-              | {"kind": "quad", "base": {...}, "s": 1},
+              | {"kind": "quad", "base": {<a ring>}, "s": 1},   # s = 1 or -1
       "vars": ["x", "y", "z"],
       "metric": "euclidean" | {"diag": [...]} | {"matrix": [[...]]},
       "quotient": {"sphere": {"c": "1"}} | {"generator": "...", "q": "..."},
@@ -15,6 +15,8 @@ The spec file is JSON:
                                           # checks that read a high-degree metric or quotient
                                           # (suites.degree_cap)
     }
+
+Each object holds only the keys shown for it; any other key exits 2 under its field.
 
 Exit codes: 0 all requested checks pass (or the computation succeeded),
 1 at least one check failed, 2 validation or computation error.
@@ -30,7 +32,8 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import NotAUnit, ParseError, RinehartError, TwoNotAUnit, ValidationError
+from .errors import (NotAUnit, ParseError, RinehartError, TwoNotAUnit, ValidationError,
+                     spec_object)
 from .hypersurface import (HypersurfaceSpace, make_sphere, project_normal,
                            project_tangent, spanning_fields, verify_space_form)
 from .parse import parse_poly, parse_scalar, parse_vector
@@ -62,18 +65,18 @@ def load_spec(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise ValidationError("spec", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError("spec", f"invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError("spec", f"not UTF-8: {exc}") from None
+    except ValueError as exc:  # malformed JSON, or an integer past the int-string limit
+        raise ValidationError("spec", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("spec", "JSON nested too deeply") from None
 
 
 def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
     """Validate a parsed spec file and construct the described space."""
-    if not isinstance(spec, dict):
-        raise ValidationError("spec", "top level must be an object")
+    spec_object("spec", spec, ("schema_version", "ring", "vars", "metric", "quotient", "checks",
+                               "seed", "max_degree"))
     version = spec.get("schema_version", 1)
     if version != 1:
         raise ValidationError("schema_version", f"unsupported version {version!r}")
@@ -93,27 +96,22 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
     n = len(names)
 
     metric_spec = spec.get("metric", "euclidean")
-    try:
-        if metric_spec == "euclidean":
-            metric = Metric.euclidean(ring, n, None)
-        elif isinstance(metric_spec, dict) and "diag" in metric_spec:
-            if "matrix" in metric_spec:
-                raise ValidationError("metric", "holds both 'diag' and 'matrix'")
-            if not isinstance(metric_spec["diag"], list) or len(metric_spec["diag"]) != n:
-                raise ValidationError("metric", f"diagonal needs {n} entries")
-            diag = [QuotientElem(parse_poly(text, ring, names), None)
-                    for text in metric_spec["diag"]]
-            metric = Metric.diagonal(diag)
-        elif isinstance(metric_spec, dict) and "matrix" in metric_spec:
-            rows = metric_spec["matrix"]
-            if (not isinstance(rows, list) or len(rows) != n
-                    or any(not isinstance(row, list) or len(row) != n for row in rows)):
-                raise ValidationError("metric", f"matrix must be {n} x {n}")
-            metric = Metric(tuple(
-                tuple(QuotientElem(parse_poly(text, ring, names), None) for text in row)
-                for row in rows))
-        else:
+    if metric_spec != "euclidean":
+        if not isinstance(metric_spec, dict) or not {"diag", "matrix"} & metric_spec.keys():
             raise ValidationError("metric", "must be 'euclidean', {'diag': ...} or {'matrix': ...}")
+        key = "diag" if "diag" in metric_spec else "matrix"
+        rows = spec_object("metric", metric_spec, (key,))[key]
+        if key == "diag":  # one parse path: a diagonal is the matrix with "0" off it
+            if not isinstance(rows, list) or len(rows) != n:
+                raise ValidationError("metric", f"diagonal needs {n} entries")
+            rows = [[text if i == j else "0" for j in range(n)] for i, text in enumerate(rows)]
+        elif (not isinstance(rows, list) or len(rows) != n
+              or any(not isinstance(row, list) or len(row) != n for row in rows)):
+            raise ValidationError("metric", f"matrix must be {n} x {n}")
+    try:
+        metric = Metric.euclidean(ring, n, None) if metric_spec == "euclidean" else Metric(tuple(
+            tuple(QuotientElem(parse_poly(text, ring, names), None) for text in row)
+            for row in rows))
     except (ParseError, ValueError) as exc:
         raise ValidationError("metric", str(exc)) from None
 
@@ -126,10 +124,8 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
         if not isinstance(quotient_spec, dict):
             raise ValidationError("quotient", "must be an object")
         if "sphere" in quotient_spec:
-            if "generator" in quotient_spec:
-                raise ValidationError("quotient", "holds both 'sphere' and 'generator'")
-            sphere = quotient_spec["sphere"]
-            if not isinstance(sphere, dict) or "c" not in sphere:
+            sphere = spec_object("quotient", quotient_spec, ("sphere",))["sphere"]
+            if "c" not in spec_object("quotient.sphere", sphere, ("c",)):
                 raise ValidationError("quotient.sphere", "needs a 'c' scalar string")
             if not metric.is_euclidean():
                 raise ValidationError("metric", "sphere quotients need the euclidean metric")
@@ -144,7 +140,7 @@ def build_workspace(spec: dict) -> tuple[Workspace, SpecMeta]:
                 raise ValidationError(field.get(type(exc), "vars"), str(exc)) from None
             space = hyper.ambient
         elif "generator" in quotient_spec:
-            if "q" not in quotient_spec:
+            if "q" not in spec_object("quotient", quotient_spec, ("generator", "q")):
                 raise ValidationError("quotient.q", "generator quotients need a witness 'q'")
             try:
                 gen = parse_poly(quotient_spec["generator"], ring, names)
@@ -227,20 +223,27 @@ def _emit_report(ws: Workspace, args, results) -> None:
                                  for i, f in enumerate(fields)) + _report_text(results))
 
 
-def _emit_field(args, space, value: VectorField) -> int:
-    if args.json:
-        sys.stdout.write(_json(command=args.command, result=_field_strings(space, value)))
+def _emit_field(args, space, value) -> int:
+    """Print a field, or a dict of named fields, as JSON coefficient strings or as text."""
+    if not isinstance(value, dict):
+        sys.stdout.write(_json(command=args.command, result=_field_strings(space, value))
+                         if args.json else space.format_field(value) + "\n")
+    elif args.json:
+        sys.stdout.write(_json(command=args.command, result={
+            name: _field_strings(space, field) for name, field in value.items()}))
     else:
-        sys.stdout.write(space.format_field(value) + "\n")
+        width = max(map(len, value))
+        sys.stdout.write("".join(f"{name.ljust(width)} = {space.format_field(field)}\n"
+                                 for name, field in value.items()))
     return 0
 
 
-def _parse_field(ws: Workspace, text: str) -> VectorField:
+def _parse_fields(ws: Workspace, *texts: str) -> list:
     space = ws.working_space
-    polys = parse_vector(text, space.ring, space.var_names)
-    if len(polys) != space.nvars:
+    vectors = [parse_vector(text, space.ring, space.var_names) for text in texts]
+    if any(len(polys) != space.nvars for polys in vectors):
         raise ValidationError("field", f"expected {space.nvars} components")
-    return space.field(polys)
+    return [space.field(polys) for polys in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +283,14 @@ def _cmd_space_form(ws, meta, args) -> int:
 
 def _cmd_connection(ws, meta, args) -> int:
     conn = ws.connection
-    x = _parse_field(ws, args.x)
-    y = _parse_field(ws, args.y)
-    return _emit_field(args, ws.working_space, conn(x, y))
+    return _emit_field(args, ws.working_space, conn(*_parse_fields(ws, args.x, args.y)))
 
 
 def _cmd_curvature(ws, meta, args) -> int:
     conn = ws.connection
     space = ws.working_space
-    x = _parse_field(ws, args.x)
-    y = _parse_field(ws, args.y)
-    z = _parse_field(ws, args.z)
-    return _emit_field(args, space, curvature(space, conn, x, y, z))
+    return _emit_field(args, space,
+                       curvature(space, conn, *_parse_fields(ws, args.x, args.y, args.z)))
 
 
 def _cmd_gradient(ws, meta, args) -> int:
@@ -302,17 +301,9 @@ def _cmd_gradient(ws, meta, args) -> int:
 def _cmd_project(ws, meta, args) -> int:
     if ws.hyper is None:
         raise ValidationError("quotient", "project needs a quotient space")
-    x = _parse_field(ws, args.x)
-    space = ws.hyper.quotient
-    tangent = project_tangent(ws.hyper, x)
-    normal = project_normal(ws.hyper, x)
-    if args.json:
-        sys.stdout.write(_json(command="project", result={
-            "tangent": _field_strings(space, tangent), "normal": _field_strings(space, normal)}))
-    else:
-        sys.stdout.write(f"tangent = {space.format_field(tangent)}\n"
-                         f"normal  = {space.format_field(normal)}\n")
-    return 0
+    x, = _parse_fields(ws, args.x)
+    return _emit_field(args, ws.hyper.quotient, {"tangent": project_tangent(ws.hyper, x),
+                                                 "normal": project_normal(ws.hyper, x)})
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -321,51 +312,31 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact verification of Rinehart-space geometry over a spec file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, *operands, spanning=False):
+        """A subcommand on a spec with --json, the optional --spanning and its operands."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="path to a JSON space spec")
         p.add_argument("--json", action="store_true", help="machine readable output")
+        if spanning:
+            p.add_argument("--spanning", action="store_true",
+                           help="also print the spanning tangent fields of a quotient")
+        for operand in operands:
+            p.add_argument(f"--{operand}", required=True, help="polynomial string" if operand == "f"
+                           else "comma separated coefficient vector")
+        p.set_defaults(func=func)
+        return p
 
-    def spanning(p):
-        p.add_argument("--spanning", action="store_true",
-                       help="also print the spanning tangent fields of a quotient")
-
-    p_check = sub.add_parser("check", help="run the invariant suites")
-    common(p_check)
-    spanning(p_check)
+    p_check = command("check", _cmd_check, "run the invariant suites", spanning=True)
     p_check.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p_check.add_argument("--max-degree", type=int, default=None, dest="max_degree",
                          help="degree bound for random coefficients")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_sf = sub.add_parser("space-form", help="verify the constant-curvature identities")
-    common(p_sf)
-    spanning(p_sf)
+    p_sf = command("space-form", _cmd_space_form, "verify the constant-curvature identities",
+                   spanning=True)
     p_sf.add_argument("--c", default=None, help="curvature constant (defaults to the sphere c)")
-    p_sf.set_defaults(func=_cmd_space_form)
-
-    p_conn = sub.add_parser("connection", help="apply the space's connection")
-    common(p_conn)
-    p_conn.add_argument("--x", required=True, help="comma separated coefficient vector")
-    p_conn.add_argument("--y", required=True, help="comma separated coefficient vector")
-    p_conn.set_defaults(func=_cmd_connection)
-
-    p_curv = sub.add_parser("curvature", help="evaluate the curvature operator")
-    common(p_curv)
-    p_curv.add_argument("--x", required=True)
-    p_curv.add_argument("--y", required=True)
-    p_curv.add_argument("--z", required=True)
-    p_curv.set_defaults(func=_cmd_curvature)
-
-    p_grad = sub.add_parser("gradient", help="gradient of a function")
-    common(p_grad)
-    p_grad.add_argument("--f", required=True, help="polynomial string")
-    p_grad.set_defaults(func=_cmd_gradient)
-
-    p_proj = sub.add_parser("project", help="tangent and normal parts of a field")
-    common(p_proj)
-    p_proj.add_argument("--x", required=True)
-    p_proj.set_defaults(func=_cmd_project)
-
+    command("connection", _cmd_connection, "apply the space's connection", "x", "y")
+    command("curvature", _cmd_curvature, "evaluate the curvature operator", "x", "y", "z")
+    command("gradient", _cmd_gradient, "gradient of a function", "f")
+    command("project", _cmd_project, "tangent and normal parts of a field", "x")
     return parser
 
 

@@ -66,3 +66,13 @@ class ValidationError(RinehartError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def spec_object(field: str, value, keys: tuple) -> dict:
+    """`value` as a spec object whose keys all lie in `keys`, else a ValidationError of `field`."""
+    if not isinstance(value, dict):
+        raise ValidationError(field, "must be an object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValidationError(field, f"unknown key {unknown[0]!r}; known keys: {', '.join(keys)}")
+    return value

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from math import gcd
 
-from .errors import NotAUnit, RingMismatch
+from .errors import NotAUnit, RingMismatch, spec_object
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13 =
@@ -426,26 +426,28 @@ class GroundScalar(Value):
         return self.ring._fmt(self.num, self.den)
 
 
-def ring_from_json(obj) -> RingDescriptor:
+def ring_from_json(obj, field: str = "ring") -> RingDescriptor:
     """Build a ring descriptor from its serialized form.
 
     Accepts {"kind": "Q"}, {"kind": "Fp", "p": 5} and
-    {"kind": "quad", "base": ..., "s": +-1}; raises ValueError otherwise.
+    {"kind": "quad", "base": ..., "s": +-1}; raises ValueError otherwise, and a
+    ValidationError of `field` (`ring.base` for a base) on a key its kind does not hold.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("ring descriptor must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "Q":
+        spec_object(field, obj, ("kind",))
         return Rationals()
     if kind == "Fp":
-        p = obj.get("p")
+        p = spec_object(field, obj, ("kind", "p")).get("p")
         if type(p) is not int:
             raise ValueError("Fp descriptor needs an integer 'p'")
         return PrimeField(p)
     if kind == "quad":
-        if "base" not in obj or "s" not in obj:
+        if "base" not in spec_object(field, obj, ("kind", "base", "s")) or "s" not in obj:
             raise ValueError("quad descriptor needs 'base' and 's'")
-        base = ring_from_json(obj["base"])
+        base = ring_from_json(obj["base"], field + ".base")
         s = obj["s"]
         if type(s) is not int or s not in (1, -1):
             raise ValueError("quad 's' must be 1 or -1")

@@ -98,6 +98,18 @@ def test_rejects_unknown_check_names(tmp_path, capsys):
     assert "unknown checks" in err
 
 
+# keys outside their object's known keys, each with the field its message names
+UNKNOWN_KEYS = [
+    ({"metirc": {"diag": ["1", "-1"]}}, "spec"),
+    ({"quotient": {"sphere": {"c": "1"}, "q": "5"}}, "quotient"),
+    ({"quotient": {"sphere": {"c": "1", "q": "5"}}}, "quotient.sphere"),
+    ({"ring": {"kind": "Fp", "p": 7, "s": -1}}, "ring"),
+    ({"ring": {"kind": "Q", "p": 5}}, "ring"),
+    ({"ring": {"kind": "quad", "base": {"kind": "Q", "s": 1}, "s": -1}}, "ring.base"),
+    ({"metric": {"diag": ["1", "1"], "scale": "2"}}, "metric"),
+]
+
+
 @pytest.mark.parametrize("fields", [
     {"metric": {"diag": 3}},
     {"metric": {"diag": [1, 2]}},
@@ -113,16 +125,21 @@ def test_rejects_unknown_check_names(tmp_path, capsys):
     {"ring": {"kind": "quad", "base": {"kind": "Q"}, "s": True}},
     {"metric": {"diag": ["1", "1"], "matrix": [["1", "0"], ["0", "1"]]}},
     {"quotient": {"sphere": {"c": "1"}, "generator": "x^2 + y^2 - 1", "q": "1/4"}},
-])
+] + [fields for fields, _ in UNKNOWN_KEYS])
 def test_rejects_malformed_field_types(tmp_path, capsys, fields):
     code, _, err = run(capsys, ["check", write_spec(tmp_path, dict(BASE, **fields))])
     assert code == 2
     assert err.startswith("error[ValidationError]")
     assert "Traceback" not in err
+    named = next((name for case, name in UNKNOWN_KEYS if case == fields), None)
+    assert named is None or err.startswith(f"error[ValidationError]: {named}: unknown key ")
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000],
-                         ids=["not-utf8", "nested-200000-deep"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000,
+    # past the interpreter's int-string limit of 4,300 digits, which json.load refuses
+    b'{"ring": {"kind": "Q"}, "vars": ["x"], "seed": ' + b"9" * 5000 + b"}",
+], ids=["not-utf8", "nested-200000-deep", "seed-5000-digits"])
 def test_an_unreadable_spec_file_exits_two(tmp_path, capsys, content):
     path = tmp_path / "space.json"
     path.write_bytes(content)
@@ -478,6 +495,81 @@ def test_generator_quotient_over_a_constant_metric_matches_golden_digests(
     # N = G^-1 df = (2x, 2y) here, so the normal part pairs with G != I; 16 checks pass, 2 skip
     path = write_spec(tmp_path, GENERATOR_OVER_G)
     code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the Koszul metric of CI's pinned `connection` lines: G = L L^T with L = [[1, x], [0, 1]]
+KOSZUL_METRIC = dict(BASE, metric={"matrix": [["x^2 + 1", "x"], ["x", "1"]]})
+# the field commands' operands on each spec; T = (2x + 2y, -4x - 2y) is tangent to
+# 2x^2 + 2xy + y^2 = 1, and the rotations -y X1 + x X2, ... to the sphere
+TANGENT = "2*x + 2*y, -4*x - 2*y"
+FIELD_ARGS = {
+    "sphere": {"connection": ["--x", "-y, x, 0", "--y", "0, -z, y"],
+               "curvature": ["--x", "-y, x, 0", "--y", "0, -z, y", "--z", "z, 0, -x"],
+               "gradient": ["--f", "x*y + z"], "project": ["--x", "1, 0, 0"]},
+    "generator": {"connection": ["--x", TANGENT, "--y", "x*y*(2*x + 2*y), -x*y*(4*x + 2*y)"],
+                  "curvature": ["--x", TANGENT, "--y", TANGENT, "--z", TANGENT],
+                  "gradient": ["--f", "x*y"], "project": ["--x", "1, y"]},
+    "koszul": {"connection": ["--x", "x, y", "--y", "y, x^2"],
+               "curvature": ["--x", "1, 0", "--y", "0, 1", "--z", "x, 1"],
+               "gradient": ["--f", "x*y"]},
+}
+
+
+@pytest.mark.parametrize("spec, command, as_json, digest", [
+    ("sphere", "connection", False,
+     "10e15312117342bff54f9b9205615baffdc12a5458d31163a027211b90cbcfa6"),
+    ("sphere", "connection", True,
+     "ef8cd60807279f42e59f0e76e0ef55955dd6083f7a26dca0f205c62cd62a6b8f"),
+    ("sphere", "curvature", False,
+     "4e8d038d3359400322c9cb380114edbc38a2eb33f69058ae0ef0fb2cccdef02a"),
+    ("sphere", "curvature", True,
+     "a29e048772a7200a2de9adfc4f48a392f6c65c3f1605801556c8d8d0658b3e8a"),
+    ("sphere", "gradient", False,
+     "2919e2f36ad4064e1e232cf1135da077fd8c3db5fe9b0fc70a14c303465d2ee0"),
+    ("sphere", "gradient", True,
+     "1375eef084bbeb9292986ab0c3ea904f0c9e2a91f869fff9d65ff2a4505b2c9f"),
+    ("sphere", "project", False,
+     "148608bd3395baaed7ba0fc7b276908130de7c79816a33d0c1ad2da1d4423442"),
+    ("sphere", "project", True, "d52c6f5268ea9463e137b64dd361ef5228f820c388f4b412841f7dfd9a5dc798"),
+    ("generator", "connection", False,
+     "9194857a7beeb32d31d29de30a36e8da25686c8108770293408d38296e645b6c"),
+    ("generator", "connection", True,
+     "7a9ef8974ca95e33421229a96d9992cf8311dd7bb255109a58816141c24d11e1"),
+    ("generator", "curvature", False,
+     "7211ad359c55dcd75c38c53c5da3fe7c80724fec884b8ac9042a261f3e14caa4"),
+    ("generator", "curvature", True,
+     "0ba6ea23a3a9a59773b6b24e40ce97c8d1a9c9a29a204ac6407440ca06e5ff4f"),
+    ("generator", "gradient", False,
+     "76f58736014054c85310a06d3b4b1cf772693bed400c025713d4fe24aeb4693b"),
+    ("generator", "gradient", True,
+     "e8cee5c48416428e03b4c27dece7d2b7d5b369ae87a660282d966f2c58ceb0f8"),
+    ("generator", "project", False,
+     "d50f1fc6f994a7a1c7402f971e04b8f194b126acca3204dc9512224a1a5fdf4f"),
+    ("generator", "project", True,
+     "6f70c5745063c6c1f1167683ef6bffc6841da5de45db3d9c1043a526e70c04c2"),
+    ("koszul", "connection", False,
+     "6fc0515a061870d7209645b9f5e3f656fc8b819a5a00dae76f95a1be482876f6"),
+    ("koszul", "connection", True,
+     "91b9cb96350b3f85e7a5ac55567ff704819fa3a36e92a1d2778edb2ee3ebd1c1"),
+    ("koszul", "curvature", False,
+     "7211ad359c55dcd75c38c53c5da3fe7c80724fec884b8ac9042a261f3e14caa4"),
+    ("koszul", "curvature", True,
+     "0ba6ea23a3a9a59773b6b24e40ce97c8d1a9c9a29a204ac6407440ca06e5ff4f"),
+    ("koszul", "gradient", False,
+     "33a3236ef703635ddfbaae16c2199672ea59f7f73b401d071f6b09fd6f274c3a"),
+    ("koszul", "gradient", True,
+     "e4127062ba5eac7c799857f43d3ef572f2d51368d2068efec33a10fd79807130"),
+])
+def test_field_commands_match_golden_digests(tmp_path, capsys, spec, command, as_json, digest):
+    # sha256 of the exact stdout of each field command, text and JSON, before the commands
+    # shared one operand parser and one field writer
+    path = {"sphere": str(SPECS / "sphere_q_n3.json"),
+            "generator": write_spec(tmp_path, GENERATOR_OVER_G),
+            "koszul": write_spec(tmp_path, KOSZUL_METRIC, "koszul.json")}[spec]
+    argv = [command, path] + ["--json"] * as_json + FIELD_ARGS[spec][command]
+    code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
