@@ -16,8 +16,10 @@ change won at least 9 in 10 pairs and its median beats the parent's by more
 than the parent's quartile spread q3 - q1; `within_bound` is true when the
 change's median is no worse than the parent's by more than the bound, a
 fraction of the parent's median.  An existing output file is updated: the
-workload's entry is replaced and the others are kept.  The script exits 1,
-after writing the file, when any run is not correct or failed an operation.
+workload's entry is replaced and the others are kept.  After the runs, one
+line per end-to-end metric on stderr gives both medians, the pairs won out
+of the pairs run, `gain` and `within_bound`.  The script exits 1, after
+writing the file, when any run is not correct or failed an operation.
 
 Both checkouts must hold compiled bytecode (`src/rinehart/__pycache__`)
 or neither: a compiled side skips compiling rinehart inside `setup_s`.
@@ -71,6 +73,13 @@ def summarise(runs: list, declared: list) -> dict:
     return out
 
 
+def summary_line(name: str, metric: dict) -> str:
+    """One metric's summary as a line: both medians, the pairs won, `gain` and `within_bound`."""
+    return (f"{name}: parent {metric['parent']['median']:.4g}, change "
+            f"{metric['change']['median']:.4g}, won {metric['change_won_pairs']}/"
+            f"{metric['pairs']}, gain {metric['gain']}, within_bound {metric['within_bound']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -101,9 +110,11 @@ def main(argv=None) -> int:
                   + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
                   file=sys.stderr, flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    report["workloads"][args.workload] = {
-        "seconds": args.seconds, "runs": runs, "summary": summarise(runs, declared)}
+    summary = summarise(runs, declared)
+    report["workloads"][args.workload] = {"seconds": args.seconds, "runs": runs, "summary": summary}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for metric in declared:
+        print(summary_line(metric["name"], summary[metric["name"]]), file=sys.stderr)
     return 0 if all(r["result"]["correct"] and not r["result"]["failed"] for r in runs) else 1
 
 

@@ -225,14 +225,13 @@ class InducedConnection:
         key = (class_key(xq.coeffs), class_key(yq.coeffs))
         hit = self._memo.get(key)
         if hit is None:
+            _check_tangent(hyper, xq, yq, key)
             hit = self._memo[key] = _weingarten(hyper, xq, yq)
         return hit
 
 
 def _weingarten(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> VectorField:
-    """D_X Y + Hess f(X, Y) qN for tangent X, Y, one normal form per component;
-    NotTangent for a field that is not tangent."""
-    _check_tangent(hyper, xq, yq)
+    """D_X Y + Hess f(X, Y) qN for tangent X, Y, one normal form per component."""
     space, ideal, xs, ys = hyper.quotient, hyper.ideal, xq.reps, yq.reps
     ring, n = space.ring, space.nvars
     hess = sum_products(ring, n, [(xs[j], ys[k] if h is None else h * ys[k])
@@ -245,18 +244,18 @@ def _weingarten(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> V
 
 def _raw_derivative(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField) -> list:
     """The unreduced sums sum_i X_i d_i Y_k of tangent X, Y; NotTangent for a field that is not."""
-    _check_tangent(hyper, xq, yq)
+    _check_tangent(hyper, xq, yq, (class_key(xq.coeffs), class_key(yq.coeffs)))
     xs, ring, n = xq.reps, hyper.quotient.ring, hyper.quotient.nvars
     return [sum_products(ring, n, derivative_pairs(xs, w.rep)) for w in yq.coeffs]
 
 
-def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField):
-    """Raise NotTangent for the first of X, Y that is not tangent.  Each field
-    proved tangent is recorded by the class key of its coefficients and never proved again;
-    a field that is not tangent is never recorded, so it raises on every call."""
+def _check_tangent(hyper: HypersurfaceSpace, xq: VectorField, yq: VectorField, keys: tuple):
+    """Raise NotTangent for the first of X, Y that is not tangent.  Each field proved
+    tangent is recorded by the class key of its coefficients, given in `keys`, and never
+    proved again; a field that is not tangent is never recorded, so it raises on every
+    call."""
     proved = hyper._tangent_keys
-    for name, field in (("x", xq), ("y", yq)):
-        key = class_key(field.coeffs)
+    for name, field, key in zip("xy", (xq, yq), keys):
         if key not in proved:
             if not is_tangent(hyper, field):
                 raise NotTangent(name, field)

@@ -53,7 +53,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import ArityMismatch, DegreeOverflow, IdealMismatch, NotAUnit, RingMismatch
-from .rings import GroundScalar, RingDescriptor, Value, lazy, rsub_by_negation, set_field
+from .rings import GroundScalar, RingDescriptor, Value, lazy, rsub_by_negation, slot_setters
 
 FIELD_BITS = 8
 W = 1 << FIELD_BITS
@@ -131,12 +131,13 @@ class Poly(Value):
     """A multivariate polynomial over a ground ring: numerator terms over `den`."""
 
     _fields = ("ring", "nvars", "terms", "den")
+    __slots__ = _fields + ("__dict__",)  # the dict holds `partials` and `division`
 
     def __init__(self, ring: RingDescriptor, nvars: int, terms: tuple, den: int = 1):
-        set_field(self, "ring", ring)
-        set_field(self, "nvars", nvars)
-        set_field(self, "terms", terms)  # ((key, numerator), ...) strictly descending
-        set_field(self, "den", den)
+        _set_ring(self, ring)
+        _set_nvars(self, nvars)
+        _set_terms(self, terms)  # ((key, numerator), ...) strictly descending
+        _set_den(self, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -317,6 +318,9 @@ class Poly(Value):
         return lk, tail, d, (W // 2) * ((1 << (FIELD_BITS * n)) - 1) // (W - 1)
 
 
+_set_ring, _set_nvars, _set_terms, _set_den = slot_setters(Poly)
+
+
 def _merge(a: Poly, b: Poly, sign: int) -> Poly:
     """a + sign * b for sign = 1 or -1: one merge of the two term lists over the lcm of
     their denominators, the sign folded into the weight of b, made canonical once."""
@@ -367,14 +371,19 @@ def sum_products(ring: RingDescriptor, nvars: int, pairs: Iterable,
                 v = get(k)
                 acc[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
     # the digits of two exponent vectors add without carry, and cancelled keys stay in acc,
-    # so a key past this bound is exactly a product past MAX_DEGREE
-    if acc and max(acc) > MAX_DEGREE << (FIELD_BITS * nvars):
+    # so a key past this bound is exactly a product past MAX_DEGREE; keys are never negative
+    top = max(acc, default=0)
+    if top > MAX_DEGREE << (FIELD_BITS * nvars):
         raise DegreeOverflow(f"product exceeds total degree {MAX_DEGREE}")
     if ideal is not None:
         gen = ideal.generator
         if (gen.ring is not ring and gen.ring != ring) or gen.nvars != nvars:
             raise IdealMismatch("sum and ideal live in different rings")
-        den = _divide(ring, acc, gen.division, den)[1]
+        division = gen.division
+        # a multiple of the leading monomial has a key at least its key, so a map whose
+        # keys all lie below it is already the remainder
+        if top >= division[0]:
+            den = _divide(ring, acc, division, den)[1]
     return _canonical(ring, nvars, sorted(acc.items(), reverse=True), den)
 
 
@@ -495,10 +504,11 @@ class QuotientElem(Value):
     """
 
     _fields = ("rep", "ideal")
+    __slots__ = _fields
 
     def __init__(self, rep: Poly, ideal: Optional[PrincipalIdeal]):
-        set_field(self, "rep", rep)
-        set_field(self, "ideal", ideal)
+        _set_rep(self, rep)
+        _set_ideal(self, ideal)
         self.__post_init__()
 
     def __post_init__(self):
@@ -512,7 +522,7 @@ class QuotientElem(Value):
             if k < lk:
                 break
             if not (lk - k) & guard:
-                set_field(self, "rep", normal_form(self.rep, self.ideal))
+                _set_rep(self, normal_form(self.rep, self.ideal))
                 break
 
     # -- inspection ---------------------------------------------------------
@@ -582,6 +592,9 @@ class QuotientElem(Value):
     __pow__ = Poly.__pow__
 
 
+_set_rep, _set_ideal = slot_setters(QuotientElem)
+
+
 def class_key(elems) -> tuple:
     """A hashable key of a tuple of QuotientElems of one quotient ring, equal for two
     tuples exactly when their classes are, since representatives are canonical."""
@@ -591,8 +604,8 @@ def class_key(elems) -> tuple:
 def _reduced(rep: Poly, ideal: Optional[PrincipalIdeal]) -> QuotientElem:
     """The class of `rep`, reduced modulo `ideal` already: no scan of `__post_init__`."""
     elem = object.__new__(QuotientElem)
-    set_field(elem, "rep", rep)
-    set_field(elem, "ideal", ideal)
+    _set_rep(elem, rep)
+    _set_ideal(elem, ideal)
     return elem
 
 

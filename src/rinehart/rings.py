@@ -51,17 +51,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# stores a field by name past the refusing `Value.__setattr__`: a `lazy` field, or a
+# field of a class without slots
 set_field = object.__setattr__
 
 
-class lazy:
-    """A field of a `Value` built on first read and stored on the instance through
-    `set_field`, where later reads find it before this descriptor.
+def slot_setters(cls) -> tuple:
+    """The `__set__` of the slot of each of `cls._fields`, in field order.
 
-    `functools.cached_property` writes the instance `__dict__` instead, which turns
-    the attribute values kept inline in the instance into a plain dict and makes
-    every later attribute read slower.  A `__getattr__` hook would build lazily
-    too, but a class that defines one gets no specialised attribute reads at all.
+    A hot class captures these once, at import, and calls them from its constructor:
+    a member descriptor's `__set__` stores straight into the slot, where `set_field`
+    first looks the name up along the type's bases.  Slots stored through `set_field`
+    build a `Poly` no faster than an instance `__dict__` does.
+    """
+    return tuple(vars(cls)[name].__set__ for name in cls._fields)
+
+
+class lazy:
+    """A field of a `Value` built on first read and stored through `set_field` in the
+    instance `__dict__`, where later reads find it before this descriptor, which
+    defines no `__set__`.
+
+    A slotted class that holds one adds `"__dict__"` to its `__slots__`.
+    `functools.cached_property` takes a lock on every first read up to Python 3.11,
+    and a `__getattr__` hook would build lazily too, but a class that defines one
+    gets no specialised attribute reads at all.
     """
 
     def __init__(self, build):
@@ -85,11 +99,14 @@ class Value:
     of the same fields, and no assignment, so `lazy` fields may memoise on the
     instance.
 
-    Fields are set once, in `__init__`, through `set_field` (`object.__setattr__`),
-    which keeps attribute values inline in the instance: writing `__dict__` directly
-    would turn them into a plain dict and make every later attribute read slower.
+    Fields are set once, at construction, past the refusing `__setattr__`.  The
+    classes built once per sum (`Poly`, `QuotientElem`, and the coefficient vectors
+    of `tensors`) declare their `_fields` as `__slots__`, with `"__dict__"` only where
+    a `lazy` field lives, and store through `slot_setters`; every other class keeps an
+    instance `__dict__` and stores through `set_field`.
     """
 
+    __slots__ = ()
     _fields: tuple = ()
 
     def __init_subclass__(cls):

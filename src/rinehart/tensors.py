@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import MetricNotMusical, SpaceMismatch
 from .poly import Poly, PrincipalIdeal, QuotientElem, quotient_sum, sum_products, unit_status
-from .rings import Value, lazy, set_field
+from .rings import Value, lazy, slot_setters
 
 
 def _check_same_space(a, b):
@@ -33,10 +33,11 @@ class _Coefficients(Value):
     """A coefficient vector over a space, with its module operations."""
 
     _fields = ("space", "coeffs")
+    __slots__ = _fields + ("__dict__",)  # the dict holds `reps`
 
     def __init__(self, space, coeffs: tuple):
-        set_field(self, "space", space)
-        set_field(self, "coeffs", coeffs)
+        _set_space(self, space)
+        _set_coeffs(self, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -67,12 +68,19 @@ class _Coefficients(Value):
         return tuple(c.rep for c in self.coeffs)
 
 
+_set_space, _set_coeffs = slot_setters(_Coefficients)
+
+
 class VectorField(_Coefficients):
     """A vector field sum_i coeffs[i] * X_i over its space."""
+
+    __slots__ = ()
 
 
 class OneForm(_Coefficients):
     """A one-form sum_i coeffs[i] * om_i over its space."""
+
+    __slots__ = ()
 
 
 class Metric(Value):

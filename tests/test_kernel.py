@@ -6,7 +6,8 @@ rescanning for the grevlex-largest remaining term: the representation and
 algorithm the kernel used before packed keys and heap division.  It is
 compared over Q, F_2, F_5, Q(i) and the split Q(j), which has zero
 divisors; sums of products reduced straight from their accumulator are
-compared with it over Q, F_7, Q(i) and Q(j).  A whole check run builds the
+compared with it over Q, F_7, Q(i) and Q(j), and divide only when a key
+reaches the divisor's leading monomial.  A whole check run builds the
 division record of its ideal's generator once.
 """
 
@@ -20,8 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rinehart import (DegreeOverflow, IdealMismatch, Poly, PrimeField, PrincipalIdeal, QuadExt,
-                      QuotientElem, Rationals, divmod_poly, normal_form, sum_products)
-from rinehart import cli
+                      QuotientElem, Rationals, divmod_poly, normal_form, parse_poly,
+                      sum_products)
+from rinehart import cli, poly
 from rinehart.poly import MAX_DEGREE, pack, unpack
 
 Q = Rationals()
@@ -266,3 +268,35 @@ def test_reduced_sum_refuses_an_ideal_of_another_ring():
     for f in (Poly.variable(Q, 3, 0), Poly.variable(PrimeField(5), 2, 0)):
         with pytest.raises(IdealMismatch):
             sum_products(Q, 2, [(x, x)], PrincipalIdeal.of(f))
+
+
+# per generator: factor pairs whose products all lie below its leading monomial, and one
+# pair whose product is exactly that monomial
+SKIP_CASES = {
+    "sphere": ("x^2 + y^2 + z^2 - 1", [("x", "y"), ("y + 2", "z - 3"), ("z", "z")], ("x", "x")),
+    "cubic": ("x^3 - x", [("x^2", "y + 1"), ("y", "z^2"), ("x", "x - 1")], ("x^2", "x")),
+}
+
+
+@pytest.mark.parametrize("generator", SKIP_CASES)
+@pytest.mark.parametrize("name", ["Q", "F7", "Qi"])
+def test_a_reduced_sum_divides_only_when_a_key_reaches_the_leading_monomial(
+        name, generator, monkeypatch):
+    ring, names = REDUCE_RINGS[name], ("x", "y", "z")
+    text, below, at = SKIP_CASES[generator]
+    ideal = PrincipalIdeal.of(parse_poly(text, ring, names))
+    calls, divide = [], poly._divide
+    monkeypatch.setattr(poly, "_divide", lambda *args: calls.append(args) or divide(*args))
+    pairs = [tuple(parse_poly(t, ring, names) for t in pair) for pair in below]
+    reduced = sum_products(ring, NVARS, pairs, ideal)
+    assert not calls
+    plain = sum_products(ring, NVARS, pairs)
+    assert plain.terms[0][0] < ideal.generator.terms[0][0]
+    assert reduced == normal_form(plain, ideal) == plain
+    calls.clear()
+    pairs.append(tuple(parse_poly(t, ring, names) for t in at))
+    reduced = sum_products(ring, NVARS, pairs, ideal)
+    assert len(calls) == 1
+    plain = sum_products(ring, NVARS, pairs)
+    assert plain.terms[0][0] == ideal.generator.terms[0][0]
+    assert reduced == normal_form(plain, ideal) != plain

@@ -145,6 +145,24 @@ def test_pairs_write_the_file_then_exit_1_on_a_failed_run(tmp_path, monkeypatch,
     assert written["summary"]["failed"] == {"parent": 0, "change": bad.get("failed", 0)}
 
 
+def test_pairs_end_with_one_summary_line_per_metric(tmp_path, monkeypatch, capsys):
+    roots = {name: tmp_path / name for name in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(
+        bench_pairs.json.dumps({"end_to_end": DECLARED}))
+    rates = {("parent", 1): 10.0, ("parent", 2): 12.0, ("change", 1): 11.0, ("change", 2): 11.5}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, seconds:
+                        synthetic_result(rates[root.name, seed]))
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--workload", "w",
+                             "--pairs", "2", "--seed", "1",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    # the change wins pair 1 (11 > 10) and loses pair 2 (11.5 < 12): medians 11 and 11.25
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "identities_per_s: parent 11, change 11.25, won 1/2, gain False, within_bound True",
+        "wall_s: parent 9.167, change 8.893, won 1/2, gain False, within_bound True"]
+
+
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_pairs_refuse_one_compiled_checkout(tmp_path, capsys, side):
     roots = {name: tmp_path / name for name in ("parent", "change")}

@@ -4,7 +4,9 @@ and no fractions.
 Rings, scalars, polynomials, quotient classes, fields, spaces and
 hypersurfaces are plain classes on one base, `rinehart.rings.Value`:
 equality field by field within one class, a hash consistent with it, a
-repr of the fields and no assignment to a field.
+repr of the fields and no assignment to a field.  The classes built once per
+sum keep their fields in slots, and an instance `__dict__` only for their
+lazy fields.
 """
 
 import subprocess
@@ -69,31 +71,46 @@ def test_a_vector_field_never_equals_a_one_form():
 def test_fields_cannot_be_assigned():
     hyper = make_sphere(Rationals(), 3, Rationals().one())
     f = hyper.quotient.fn("x1*x2")
-    for obj, name in ((f.rep, "terms"), (f, "rep"), (Rationals().one(), "value"),
-                      (hyper, "q")):
-        with pytest.raises(AttributeError):
-            setattr(obj, name, getattr(obj, name))
-        with pytest.raises(AttributeError):
-            delattr(obj, name)
+    form = OneForm(hyper.quotient, hyper.normal.coeffs)
+    for obj in (f.rep, f, Rationals().one(), hyper.normal, form, hyper):
+        assert obj._fields
+        for name in obj._fields:
+            value = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is value
     assert hyper.normal_covector is hyper.normal_covector  # cached on the instance
+
+
+def test_hot_values_keep_their_fields_in_slots():
+    hyper = make_sphere(Rationals(), 3, Rationals().one())
+    f = hyper.quotient.fn("x1*x2")
+    assert not hasattr(f, "__dict__")  # a class holds its rep and ideal and nothing more
+    assert f.rep.partials and hyper.normal.reps  # builds both lazy fields
+    # the instance dicts hold the lazy fields alone
+    assert set(vars(f.rep)) == {"partials"} and set(vars(hyper.normal)) == {"reps"}
 
 
 def test_lazy_fields_are_built_once_and_cannot_be_assigned():
     q = Rationals()
     hyper = make_sphere(q, 3, q.one())
     objects = [hyper.generator, hyper.ideal, QuadExt(q, -1), hyper.ambient.metric, hyper,
-               Workspace(hyper.ambient, hyper, q.one())]
+               Workspace(hyper.ambient, hyper, q.one()), hyper.normal]
     seen = set()
     for obj in objects:
-        for name, attr in vars(type(obj)).items():
-            if isinstance(attr, lazy):
-                seen.add(f"{type(obj).__name__}.{name}")
-                first = getattr(obj, name)
-                assert getattr(obj, name) is first, name
-                with pytest.raises(AttributeError):
-                    setattr(obj, name, first)
+        for cls in type(obj).__mro__:  # a lazy field may live on a base class
+            for name, attr in vars(cls).items():
+                if isinstance(attr, lazy):
+                    seen.add(f"{cls.__name__}.{name}")
+                    first = getattr(obj, name)
+                    assert getattr(obj, name) is first, name
+                    with pytest.raises(AttributeError):
+                        setattr(obj, name, first)
     assert seen == {
-        "Poly.partials", "Poly.division", "Metric._minors", "Metric._adjugate",
+        "Poly.partials", "Poly.division", "_Coefficients.reps",
+        "Metric._minors", "Metric._adjugate",
         "Metric.det_status", "Metric.inverse",
         "HypersurfaceSpace.normal_covector", "HypersurfaceSpace.scaled_normal",
         "HypersurfaceSpace.hessian",
